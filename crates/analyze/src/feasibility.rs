@@ -322,10 +322,10 @@ pub fn analyze_faulted(topo: &Topology, plan: &FaultPlan) -> Result<Feasibility,
 
 /// The oracle verdict together with the degradation it was computed from.
 ///
-/// Historically `repair_epoch` ran [`analyze_faulted`]'s BFS as a gate and
-/// then [`Topology::degrade_detailed`] re-resolved the same plan into the
-/// same survivor masks a second time. This entry point resolves the plan
-/// once: a feasible verdict hands back both the constructive witness and
+/// Epoch repair needs both the gate's verdict and the degradation;
+/// running [`analyze_faulted`] and then [`Topology::degrade_detailed`]
+/// would resolve the same plan into the same survivor masks twice. This
+/// entry point resolves the plan once: a feasible verdict hands back both the constructive witness and
 /// the compact [`DegradedTopology`] the rebuild needs.
 #[derive(Debug, Clone)]
 pub enum AnalyzedDegrade {

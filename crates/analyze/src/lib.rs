@@ -8,8 +8,8 @@
 //!   exist on this (possibly degraded) network? [`Feasibility::Feasible`]
 //!   carries a constructive up\*/down\* numbering [`Witness`];
 //!   [`Feasibility::Infeasible`] carries a minimized [`Obstruction`]. The
-//!   oracle costs one BFS, which lets `repair_epoch` (crates/core) and
-//!   `irnet faults` reject hopeless degradations in milliseconds instead
+//!   oracle costs one BFS, which lets the epoch repair loop (crates/core)
+//!   and `irnet faults` reject hopeless degradations in milliseconds instead
 //!   of after a failed rebuild.
 //! * The **whole-table auditor** ([`audit`]) statically proves four
 //!   properties of a built routing instance — no black holes, bounded

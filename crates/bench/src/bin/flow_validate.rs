@@ -121,16 +121,9 @@ fn validate_size(switches: u32, seed: u64, steps: usize, check_caches: bool) -> 
     let cfg = FlowConfig::default();
     let tel = Telemetry::enabled();
     let flow_start = Instant::now();
-    let mut pred = FlowPredictor::build_instrumented(
-        &topo,
-        &inst.tree,
-        &inst.cg,
-        &inst.table,
-        &base,
-        seed,
-        &cfg,
-        &tel,
-    );
+    let mut pred = tel.scope(|| {
+        FlowPredictor::build(&topo, &inst.tree, &inst.cg, &inst.table, &base, seed, &cfg)
+    });
     let curve = pred.curve(&rates);
     let flow_seconds = flow_start.elapsed().as_secs_f64();
     let flow_sat = curve.max_throughput();

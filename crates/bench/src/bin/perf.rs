@@ -294,8 +294,8 @@ fn build_fabric(
     for _ in 0..reps.max(1) {
         let tel = Telemetry::enabled();
         let start = Instant::now();
-        let r = DownUp::new()
-            .construct_with(&topo, &tel)
+        let r = tel
+            .scope(|| DownUp::new().construct(&topo))
             .expect("routing construction failed");
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed < construct_best {
@@ -335,7 +335,7 @@ fn bench_repair(
     ports: u32,
     reps: u32,
 ) -> Vec<RepairResult> {
-    use irnet_core::{plan_epochs_instrumented, RepairStrategy};
+    use irnet_core::{plan_epochs_with, RepairStrategy};
     use irnet_topology::{FaultEvent, FaultKind, FaultPlan};
 
     let tree = fabric.routing.tree();
@@ -356,17 +356,19 @@ fn bench_repair(
         let mut best_total = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let tel = Telemetry::enabled();
-            let epochs = plan_epochs_instrumented(
-                &fabric.topo,
-                fabric.routing.comm_graph(),
-                fabric.routing.turn_table(),
-                fabric.routing.routing_tables(),
-                &plan,
-                DownUp::new(),
-                strategy,
-                &tel,
-            )
-            .expect("cross-link repair failed");
+            let epochs = tel
+                .scope(|| {
+                    plan_epochs_with(
+                        &fabric.topo,
+                        fabric.routing.comm_graph(),
+                        fabric.routing.turn_table(),
+                        fabric.routing.routing_tables(),
+                        &plan,
+                        DownUp::new(),
+                        strategy,
+                    )
+                })
+                .expect("cross-link repair failed");
             assert_eq!(epochs.len(), 1, "one fault event yields one repair epoch");
             let snap = tel.snapshot();
             let total = snap

@@ -346,12 +346,7 @@ impl<'a> ConstructionCache<'a> {
             self.inst_builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(
                 key.algo
-                    .construct_with(
-                        &topo,
-                        key.policy,
-                        self.cfg.topo_seed + sample as u64,
-                        &self.cfg.telemetry,
-                    )
+                    .construct(&topo, key.policy, self.cfg.topo_seed + sample as u64)
                     .expect("routing construction failed"),
             )
         }))
@@ -447,13 +442,7 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
                 let cell = rest / samples;
                 let inst = cache.instance(cell, sample);
                 let seed = sweep::point_seed(curve_seed(cfg, cell, sample), rate_idx);
-                let point = sweep::run_point_with(
-                    &inst,
-                    &cfg.sim,
-                    cfg.rates[rate_idx],
-                    seed,
-                    &cfg.telemetry,
-                );
+                let point = sweep::run_point(&inst, &cfg.sim, cfg.rates[rate_idx], seed);
                 local.push((t, point));
             }
             let finished = done.fetch_add(end - begin, Ordering::Relaxed) + (end - begin);
@@ -463,12 +452,14 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
         }
         merged.lock().unwrap().append(&mut local);
     };
+    // Construction and every point record into `cfg.telemetry`, so each
+    // thread doing grid work enters its scope.
     if threads <= 1 {
-        run_shard();
+        cfg.telemetry.scope(run_shard);
     } else {
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(run_shard);
+                scope.spawn(|| cfg.telemetry.scope(run_shard));
             }
         });
     }

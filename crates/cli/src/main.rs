@@ -276,9 +276,7 @@ fn build_instance(o: &Opts, topo: &Topology) -> Result<Instance, String> {
     let algo = parse_algo(o);
     let policy = parse_policy(o);
     let seed = o.parse("seed", 1u64);
-    // The process-global telemetry registry is enabled only under
-    // `--telemetry`; otherwise this is the disabled handle (one branch).
-    algo.construct_with(topo, policy, seed, &irnet_telemetry::global())
+    algo.construct(topo, policy, seed)
         .map_err(|e| format!("construction failed: {e}"))
 }
 
@@ -556,8 +554,13 @@ fn cmd_simulate(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64))
-        .run_with_telemetry(&irnet_telemetry::global());
+    let start = std::time::Instant::now();
+    let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64)).run();
+    irnet_sim::record_run_telemetry(
+        &irnet_telemetry::current(),
+        &stats,
+        start.elapsed().as_secs_f64(),
+    );
     let m = PaperMetrics::compute(&stats, &inst.cg, &inst.tree);
     println!(
         "offered load     : {:.4} flits/clock/node",
@@ -884,7 +887,6 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
             "unknown backend {backend:?} (expected flit or flow)"
         ));
     }
-    let tel = irnet_telemetry::global();
     let progress = o
         .flag("progress")
         .then(|| Progress::new(&format!("sweep[{backend}]"), rates.len(), progress_mode(o)));
@@ -899,8 +901,7 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
                 .iter()
                 .enumerate()
                 .map(|(i, &rate)| {
-                    let p =
-                        sweep::run_point_with(&inst, &base, rate, sweep::point_seed(seed, i), &tel);
+                    let p = sweep::run_point(&inst, &base, rate, sweep::point_seed(seed, i));
                     if let Some(prog) = &progress {
                         prog.tick(i + 1);
                     }
@@ -937,7 +938,7 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
         "flow" => {
             let cfg = irnet_flow::FlowConfig::default();
             let start = std::time::Instant::now();
-            let mut pred = irnet_flow::FlowPredictor::build_instrumented(
+            let mut pred = irnet_flow::FlowPredictor::build(
                 &topo,
                 &inst.tree,
                 &inst.cg,
@@ -945,7 +946,6 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
                 &base,
                 seed,
                 &cfg,
-                &tel,
             );
             if let Some(prog) = &progress {
                 prog.message(&format!(
@@ -1091,7 +1091,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
 /// through the same feasibility gate, repair, and certification as fault
 /// transitions, with `--hold` flap damping between the two.
 fn cmd_faults(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_timeline_instrumented, DownUp, RepairStrategy};
+    use irnet_core::{plan_epochs_timeline_with, DownUp, RepairStrategy};
     use irnet_sim::FaultEpoch;
     use irnet_topology::{DampingPolicy, FaultKind, FaultPlan, RecoveryTimeline};
     use irnet_verify::certify_transition;
@@ -1183,11 +1183,10 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
         }
     }
     let cg = routing.comm_graph();
-    let tel = irnet_telemetry::global();
     let repair_progress = o
         .flag("progress")
         .then(|| Progress::new("faults", timeline.steps.len(), progress_mode(o)).unit("epochs"));
-    let epochs = plan_epochs_timeline_instrumented(
+    let epochs = plan_epochs_timeline_with(
         &topo,
         cg,
         routing.turn_table(),
@@ -1195,7 +1194,6 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
         &timeline,
         builder,
         strategy,
-        &tel,
         repair_progress.as_ref(),
     )
     .map_err(|e| format!("fault repair failed: {e}"))?;
@@ -1226,7 +1224,7 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     let sim_wall = sim_start.elapsed().as_secs_f64();
     let incident = stalled.then(|| irnet_obs::deadlock_incident(&sim));
     let stats = sim.finish_with(stalled);
-    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
+    irnet_sim::record_run_telemetry(&irnet_telemetry::current(), &stats, sim_wall);
     let all_certified = certs
         .iter()
         .all(irnet_verify::EpochCertificates::is_deadlock_free);
@@ -1552,15 +1550,20 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
         let Ok(timeline) = RecoveryTimeline::compute(&topo, plan, policy) else {
             return false;
         };
-        let Ok(epochs) = plan_epochs_timeline_with(
-            &topo,
-            cg,
-            routing.turn_table(),
-            routing.routing_tables(),
-            &timeline,
-            builder,
-            strategy,
-        ) else {
+        // Trial repairs of rejected candidates are not the soak's repairs.
+        let trial = Telemetry::disabled().scope(|| {
+            plan_epochs_timeline_with(
+                &topo,
+                cg,
+                routing.turn_table(),
+                routing.routing_tables(),
+                &timeline,
+                builder,
+                strategy,
+                None,
+            )
+        });
+        let Ok(epochs) = trial else {
             return false;
         };
         epochs.iter().all(|e| {
@@ -1601,6 +1604,7 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
         &timeline,
         builder,
         strategy,
+        None,
     )
     .map_err(|e| format!("fault repair failed: {e}"))?;
 
@@ -1889,7 +1893,7 @@ fn write_incident(o: &Opts, incident: &irnet_obs::Incident) -> Result<(), String
 /// scenario) with the recorder and interval sampler attached, then export
 /// the recording as JSONL.
 fn cmd_trace(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs, DownUp};
+    use irnet_core::{plan_epochs_with, DownUp, RepairStrategy};
     use irnet_obs::{deadlock_incident, FlightRecorder, IntervalSampler};
     use irnet_sim::FaultEpoch;
     use irnet_topology::FaultPlan;
@@ -1923,8 +1927,19 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
         .seed(o.parse("seed", 1u64));
     let inst = build_instance(o, &topo)?;
     let epochs = match &scenario {
-        Some(plan) => plan_epochs(&topo, &inst.cg, &inst.table, plan, builder)
-            .map_err(|e| format!("fault repair failed: {e}"))?,
+        Some(plan) => plan_epochs_with(
+            &topo,
+            &inst.cg,
+            &inst.table,
+            &inst.tables,
+            plan,
+            builder,
+            RepairStrategy::Full,
+        )
+        .map_err(|e| format!("fault repair failed: {e}"))?
+        .into_iter()
+        .map(|e| e.epoch)
+        .collect(),
         None => Vec::new(),
     };
     let last_fault = epochs.iter().map(|e| e.cycle).max();

@@ -537,6 +537,24 @@ fn data_errors_exit_1_without_usage() {
 }
 
 #[test]
+fn verify_rejects_a_port_budget_wider_than_the_port_masks() {
+    // The 21-switch star with a 20-port hub: ports 16..19 would alias onto
+    // ports 0..3 of the 16-bit turn and routing masks.
+    let links: Vec<String> = (1..21).map(|v| format!("[0, {v}]")).collect();
+    let path = tmpfile("star-20-ports.json");
+    let json = format!(
+        "{{\"num_nodes\": 21, \"ports\": 20, \"links\": [{}]}}",
+        links.join(", ")
+    );
+    std::fs::write(&path, json).unwrap();
+    let r = irnet(&["verify", "--topology", path.to_str().unwrap()]);
+    assert_eq!(r.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("20-port budget exceeds"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn usage_errors_exit_2_with_usage() {
     let r = irnet(&["simulate", "--rate", "not-a-number"]);
     assert_eq!(r.status.code(), Some(2));

@@ -1,10 +1,10 @@
 use crate::phase2;
 use crate::phase3::{self, ReleasedTurn};
-use irnet_telemetry::Telemetry;
 use irnet_topology::{
     CommGraph, CoordinatedTree, PreorderPolicy, RootPolicy, Topology, TopologyError,
 };
 use irnet_turns::{RoutingError, RoutingTables, TurnTable};
+use std::time::Instant;
 
 /// Errors from [`DownUp::construct`].
 #[derive(Debug)]
@@ -92,9 +92,29 @@ impl DownUp {
         self
     }
 
-    /// Runs the three construction phases on `topo`.
+    /// Runs the three construction phases on `topo`, then builds the
+    /// shortest-legal-path routing tables. Each stage is timed once into
+    /// [`irnet_telemetry::current`]'s span tree: `construction` with its
+    /// `phase1`/`phase2`/`phase3`/`tables` children.
     pub fn construct(self, topo: &Topology) -> Result<DownUpRouting, ConstructError> {
-        self.construct_timed(topo).map(|(routing, _)| routing)
+        let ((tree, cg, table, released), [phase1, phase2, phase3]) = self.timed_phases(topo)?;
+        // Shortest legal paths; also proves connectivity (Theorem 1).
+        let start = Instant::now();
+        let tables = RoutingTables::build(&cg, &table)?;
+        let tables_seconds = start.elapsed().as_secs_f64();
+        let tel = irnet_telemetry::current();
+        tel.record_span("construction", phase1 + phase2 + phase3 + tables_seconds);
+        tel.record_span("construction/phase1", phase1);
+        tel.record_span("construction/phase2", phase2);
+        tel.record_span("construction/phase3", phase3);
+        tel.record_span("construction/tables", tables_seconds);
+        Ok(DownUpRouting {
+            tree,
+            cg,
+            table,
+            tables,
+            released,
+        })
     }
 
     /// Builds just the Phase-1 coordinated tree of `topo` under this
@@ -115,98 +135,39 @@ impl DownUp {
         self,
         topo: &Topology,
     ) -> Result<(CoordinatedTree, CommGraph, TurnTable, Vec<ReleasedTurn>), ConstructError> {
+        self.timed_phases(topo).map(|(phases, _)| phases)
+    }
+
+    /// Phases 1–3 with the wall-clock seconds of each.
+    fn timed_phases(self, topo: &Topology) -> Result<(Phases, [f64; 3]), ConstructError> {
+        // Phase 1: coordinated tree + communication graph.
+        let start = Instant::now();
         let tree = self.build_tree(topo)?;
         let cg = CommGraph::build(topo, &tree);
-        let mut table = TurnTable::from_direction_rule(&cg, phase2::turn_allowed);
-        let released = if self.release {
-            phase3::cycle_detection(&cg, &mut table)
-        } else {
-            Vec::new()
-        };
-        Ok((tree, cg, table, released))
-    }
-
-    /// Like [`DownUp::construct`], but also returns per-phase wall-clock
-    /// spans — the observability hook behind the `BENCH_sim.json`
-    /// `construction` array and the CLI's `--progress` output.
-    pub fn construct_timed(
-        self,
-        topo: &Topology,
-    ) -> Result<(DownUpRouting, PhaseSpans), ConstructError> {
-        self.construct_instrumented(topo, &Telemetry::disabled())
-    }
-
-    /// [`DownUp::construct`] with telemetry attached: the same run also
-    /// lands in `tel`'s span tree as `construction` and its
-    /// `phase1`/`phase2`/`phase3`/`tables` children.
-    pub fn construct_with(
-        self,
-        topo: &Topology,
-        tel: &Telemetry,
-    ) -> Result<DownUpRouting, ConstructError> {
-        self.construct_instrumented(topo, tel).map(|(r, _)| r)
-    }
-
-    /// The fully instrumented constructor behind [`DownUp::construct`],
-    /// [`DownUp::construct_timed`], and [`DownUp::construct_with`]. Each
-    /// phase is measured exactly once; the measurement feeds both the
-    /// legacy [`PhaseSpans`] view and `tel`'s span tree (one
-    /// measurement, two views — they can never disagree).
-    pub fn construct_instrumented(
-        self,
-        topo: &Topology,
-        tel: &Telemetry,
-    ) -> Result<(DownUpRouting, PhaseSpans), ConstructError> {
-        // Phase 1: coordinated tree + communication graph.
-        let start = std::time::Instant::now();
-        let root = self.root.pick(topo);
-        let tree = CoordinatedTree::build_rooted(topo, root, self.policy, self.seed)?;
-        let cg = CommGraph::build(topo, &tree);
-        let phase1_seconds = start.elapsed().as_secs_f64();
+        let phase1 = start.elapsed().as_secs_f64();
         // Phase 2: apply the 18 globally prohibited turns.
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let mut table = TurnTable::from_direction_rule(&cg, phase2::turn_allowed);
-        let phase2_seconds = start.elapsed().as_secs_f64();
+        let phase2 = start.elapsed().as_secs_f64();
         // Phase 3: release redundant per-node prohibitions.
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let released = if self.release {
             phase3::cycle_detection(&cg, &mut table)
         } else {
             Vec::new()
         };
-        let phase3_seconds = start.elapsed().as_secs_f64();
-        // Shortest legal paths; also proves connectivity (Theorem 1).
-        let start = std::time::Instant::now();
-        let tables = RoutingTables::build(&cg, &table)?;
-        let tables_seconds = start.elapsed().as_secs_f64();
-        let spans = PhaseSpans {
-            phase1_seconds,
-            phase2_seconds,
-            phase3_seconds,
-            tables_seconds,
-        };
-        tel.record_span("construction", spans.total_seconds());
-        tel.record_span("construction/phase1", phase1_seconds);
-        tel.record_span("construction/phase2", phase2_seconds);
-        tel.record_span("construction/phase3", phase3_seconds);
-        tel.record_span("construction/tables", tables_seconds);
-        Ok((
-            DownUpRouting {
-                tree,
-                cg,
-                table,
-                tables,
-                released,
-            },
-            spans,
-        ))
+        let phase3 = start.elapsed().as_secs_f64();
+        Ok(((tree, cg, table, released), [phase1, phase2, phase3]))
     }
 }
 
-/// Wall-clock spans of the construction pipeline, one per stage: the
-/// coordinated tree + communication graph (Phase 1), the global turn
-/// prohibition (Phase 2), the release pass (Phase 3), and the shortest
-/// legal-path routing-table build that follows them.
+/// What [`DownUp::construct_phases`] returns: the coordinated tree, the
+/// communication graph, the turn table, and the turns Phase 3 released.
+type Phases = (CoordinatedTree, CommGraph, TurnTable, Vec<ReleasedTurn>);
+
+/// Per-stage construction seconds. No constructor produces it any more:
+/// the span tree of [`irnet_telemetry::current`] carries these timings.
+/// Kept only as the type of `irnet_metrics::Instance::spans`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpans {
     /// Coordinated tree + communication graph construction.
@@ -217,13 +178,6 @@ pub struct PhaseSpans {
     pub phase3_seconds: f64,
     /// Shortest-legal-path routing-table build.
     pub tables_seconds: f64,
-}
-
-impl PhaseSpans {
-    /// Total construction time across all spans.
-    pub fn total_seconds(&self) -> f64 {
-        self.phase1_seconds + self.phase2_seconds + self.phase3_seconds + self.tables_seconds
-    }
 }
 
 /// A fully constructed DOWN/UP routing for one topology: the coordinated

@@ -1,16 +1,16 @@
-//! Incremental epoch repair: patch the previous epoch's routing state
-//! instead of rebuilding it from scratch.
+//! Epoch repair, under either [`RepairStrategy`]: rebuild the masked
+//! routing tables from scratch ([`RepairStrategy::Full`]), or patch the
+//! previous epoch's tables in place ([`RepairStrategy::Incremental`]).
 //!
-//! The full repair path ([`crate::repair::repair_epoch`]) re-runs Phases
-//! 1–3 on the survivors and then rebuilds the masked shortest-path tables
-//! over the *original* communication graph. At scale the table rebuild
-//! dominates by two orders of magnitude (see `BENCH_sim.json`'s
-//! `construction` array: at 4096 switches Phases 1–3 cost ~0.4 s while the
-//! table build costs ~17 s), yet a single fault typically perturbs only a
-//! tiny region of the routing function.
+//! A full repair re-runs Phases 1–3 on the survivors and then rebuilds
+//! the masked shortest-path tables over the *original* communication
+//! graph. At scale the table rebuild dominates (`BENCH_sim.json`'s
+//! `construction` array times Phases 1–3 against the table fill), yet a
+//! single fault typically perturbs only a tiny region of the routing
+//! function.
 //!
-//! [`plan_epochs_with`] therefore splits each epoch into four measured
-//! stages (surfaced as [`RepairSpans`]):
+//! [`plan_epochs_timeline_with`] therefore splits each epoch into four
+//! measured stages (surfaced as [`RepairSpans`]):
 //!
 //! 1. **classify** — feed the timeline step's down masks through the
 //!    feasibility gate + degradation (shared masks, see `irnet-analyze`)
@@ -26,9 +26,9 @@
 //! 3. **patch** — measure the turn-table delta. When it is small, clone
 //!    the previous epoch's tables and apply the exact dirty-region patch
 //!    ([`RoutingTables::patch_masked`]): invalidate costs reachable from
-//!    removed dependency edges, re-settle them with a frontier Dijkstra,
-//!    apply decreases from added edges, and recompute exactly the mask
-//!    rows whose cost neighborhood or turn rows changed. When the delta is
+//!    removed dependency edges, lower costs back to their fixpoint with
+//!    one decrease-only relaxation, and recompute exactly the mask rows
+//!    whose cost neighborhood or turn rows changed. When the delta is
 //!    large (tree-link faults under M2, root changes, …) fall back to the
 //!    full masked rebuild — the patch would touch everything anyway.
 //! 4. **recertify** — re-certify the old∪new transition union by checking
@@ -56,11 +56,12 @@ use irnet_turns::{RoutingTables, TurnTable};
 use irnet_verify::union_acyclic_delta;
 use std::time::Instant;
 
-/// How [`plan_epochs_with`] repairs each epoch.
+/// How [`plan_epochs_timeline_with`] repairs each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
-    /// Rebuild the masked routing tables from scratch every epoch — the
-    /// reference path, semantically identical to [`crate::repair_epoch`].
+    /// Rebuild the masked routing tables from scratch every epoch with
+    /// [`RoutingTables::build_masked`] — the reference the incremental
+    /// patch is checked against.
     Full,
     /// Patch the previous epoch's tables in place when the measured
     /// turn-table delta is small, falling back to a full rebuild when it
@@ -141,8 +142,8 @@ impl RepairSpans {
 /// One repaired epoch plus how long each stage of its repair took.
 #[derive(Debug, Clone)]
 pub struct EpochRepair {
-    /// The reconfiguration epoch, identical in content to what
-    /// [`crate::plan_epochs`] produces.
+    /// The reconfiguration epoch, identical in content under either
+    /// [`RepairStrategy`].
     pub epoch: ReconfigEpoch,
     /// Stage timings and touched-region counters.
     pub spans: RepairSpans,
@@ -160,10 +161,10 @@ pub struct EpochRepair {
 const PATCH_DENSITY: usize = 4;
 
 /// Repairs the routing for every timeline step of `plan` under
-/// `strategy`, chaining the epochs exactly like [`crate::plan_epochs`]
-/// (epoch *k*'s old table — and, for the incremental patch, its tables —
-/// are epoch *k−1*'s). Flap damping is off; use
-/// [`plan_epochs_timeline_with`] with a damped timeline to apply a policy.
+/// `strategy`, chaining the epochs (epoch *k*'s old table — and, for the
+/// incremental patch, its tables — are epoch *k−1*'s). Flap damping is
+/// off; use [`plan_epochs_timeline_with`] with a damped timeline to apply
+/// a policy.
 ///
 /// `base_tables` are the pre-fault routing tables matching `base_table`;
 /// the incremental path patches a clone of them for the first epoch.
@@ -190,46 +191,25 @@ pub fn plan_epochs_with(
         &timeline,
         builder,
         strategy,
-    )
-}
-
-/// [`plan_epochs_with`] with telemetry attached (see
-/// [`plan_epochs_timeline_instrumented`]) — the span-tree path `perf.rs`
-/// reads repair timings from.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_epochs_instrumented(
-    topo: &Topology,
-    cg: &CommGraph,
-    base_table: &TurnTable,
-    base_tables: &RoutingTables,
-    plan: &FaultPlan,
-    builder: DownUp,
-    strategy: RepairStrategy,
-    tel: &Telemetry,
-) -> Result<Vec<EpochRepair>, RepairError> {
-    let timeline =
-        RecoveryTimeline::compute(topo, plan, DampingPolicy::none()).map_err(RepairError::Fault)?;
-    plan_epochs_timeline_instrumented(
-        topo,
-        cg,
-        base_table,
-        base_tables,
-        &timeline,
-        builder,
-        strategy,
-        tel,
         None,
     )
 }
 
 /// Repairs the routing for every step of an already-expanded (and possibly
-/// flap-damped) transition timeline under `strategy`. This is the
-/// bidirectional workhorse behind [`plan_epochs_with`] and `irnet soak`:
-/// down steps classify/patch exactly as before, while up steps (any step
-/// reviving an element) always take the full masked rebuild — a
-/// re-admitted link lowers distances network-wide, so the delta is dense
-/// and the patch bookkeeping cannot win — and still get the O(delta)
-/// union re-certification.
+/// flap-damped) transition timeline under `strategy` — the one repair
+/// loop, behind [`plan_epochs_with`], `irnet faults` and `irnet soak`.
+/// Down steps classify/patch as described in the module docs, while up
+/// steps (any step reviving an element) always take the full masked
+/// rebuild — a re-admitted link lowers distances network-wide, so the
+/// delta is dense and the patch bookkeeping cannot win — and still get the
+/// O(delta) union re-certification.
+///
+/// Every epoch's stage timings land in [`irnet_telemetry::current`]'s span
+/// tree (`repair` and its `classify`/`phases`/`patch`/`recertify`
+/// children — the same single measurements that fill [`RepairSpans`]),
+/// the touched-region and fault classification counters accumulate there,
+/// and `progress`, if given, is ticked once per repaired epoch.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub fn plan_epochs_timeline_with(
     topo: &Topology,
     cg: &CommGraph,
@@ -238,38 +218,9 @@ pub fn plan_epochs_timeline_with(
     timeline: &RecoveryTimeline,
     builder: DownUp,
     strategy: RepairStrategy,
-) -> Result<Vec<EpochRepair>, RepairError> {
-    plan_epochs_timeline_instrumented(
-        topo,
-        cg,
-        base_table,
-        base_tables,
-        timeline,
-        builder,
-        strategy,
-        &Telemetry::disabled(),
-        None,
-    )
-}
-
-/// [`plan_epochs_timeline_with`] with telemetry attached: every epoch's
-/// stage timings also land in `tel`'s span tree (`repair` and its
-/// `classify`/`phases`/`patch`/`recertify` children — the same single
-/// measurements that fill [`RepairSpans`]), the touched-region and fault
-/// classification counters accumulate in the registry, and `progress`, if
-/// given, is ticked once per repaired epoch.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn plan_epochs_timeline_instrumented(
-    topo: &Topology,
-    cg: &CommGraph,
-    base_table: &TurnTable,
-    base_tables: &RoutingTables,
-    timeline: &RecoveryTimeline,
-    builder: DownUp,
-    strategy: RepairStrategy,
-    tel: &Telemetry,
     progress: Option<&Progress>,
 ) -> Result<Vec<EpochRepair>, RepairError> {
+    let tel = irnet_telemetry::current();
     let mut epochs: Vec<EpochRepair> = Vec::new();
     // Classification baseline for the first epoch: the pre-fault tree.
     let mut prev_tree: CoordinatedTree = builder.build_tree(topo).map_err(ConstructError::from)?;
@@ -438,7 +389,7 @@ pub fn plan_epochs_timeline_instrumented(
             patched_in_place,
             recertified,
         };
-        record_repair_telemetry(tel, &spans, step.is_down_only());
+        record_repair_telemetry(&tel, &spans, step.is_down_only());
         epochs.push(EpochRepair { epoch, spans });
         if let Some(p) = progress {
             p.tick(epochs.len());
@@ -520,9 +471,32 @@ fn patch_is_worthwhile(cg: &CommGraph, old: &TurnTable, new: &TurnTable) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan_epochs;
     use irnet_topology::{gen, FaultEvent, FaultKind};
     use irnet_verify::certify_transition;
+
+    /// The full-rebuild epochs of `plan`: the reference both strategies
+    /// must reproduce.
+    fn reference(
+        topo: &Topology,
+        cg: &CommGraph,
+        table: &TurnTable,
+        tables: &RoutingTables,
+        plan: &FaultPlan,
+    ) -> Vec<ReconfigEpoch> {
+        plan_epochs_with(
+            topo,
+            cg,
+            table,
+            tables,
+            plan,
+            DownUp::new(),
+            RepairStrategy::Full,
+        )
+        .unwrap()
+        .into_iter()
+        .map(|e| e.epoch)
+        .collect()
+    }
 
     fn base(seed: u64) -> (Topology, CommGraph, TurnTable, RoutingTables) {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), seed).unwrap();
@@ -567,7 +541,7 @@ mod tests {
         for seed in [3, 5, 11] {
             let (topo, cg, table, tables) = base(seed);
             let plan = safe_link_plan(&topo, 3);
-            let reference = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+            let reference = reference(&topo, &cg, &table, &tables, &plan);
             for strategy in [RepairStrategy::Full, RepairStrategy::Incremental] {
                 let got =
                     plan_epochs_with(&topo, &cg, &table, &tables, &plan, DownUp::new(), strategy)
@@ -725,7 +699,7 @@ mod tests {
             FaultPlan::scripted([
                 FaultEvent::recovering(100, FaultKind::Link { a, b }, 400).with_flap(600, 1)
             ]);
-        let reference = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let reference = reference(&topo, &cg, &table, &tables, &plan);
         assert_eq!(reference.len(), 4, "down/up/down/up");
         for strategy in [RepairStrategy::Full, RepairStrategy::Incremental] {
             let got = plan_epochs_with(&topo, &cg, &table, &tables, &plan, DownUp::new(), strategy)

@@ -36,9 +36,6 @@ pub mod repair;
 
 pub use builder::{ConstructError, DownUp, DownUpRouting, PhaseSpans};
 pub use incremental::{
-    plan_epochs_instrumented, plan_epochs_timeline_instrumented, plan_epochs_timeline_with,
-    plan_epochs_with, EpochRepair, RepairSpans, RepairStrategy,
+    plan_epochs_timeline_with, plan_epochs_with, EpochRepair, RepairSpans, RepairStrategy,
 };
-pub use repair::{
-    plan_epochs, plan_epochs_timeline, repair_epoch, repair_step, ReconfigEpoch, RepairError,
-};
+pub use repair::{ReconfigEpoch, RepairError};

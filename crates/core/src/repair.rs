@@ -1,33 +1,33 @@
-//! The repair path: rebuilding DOWN/UP routing on the surviving graph
-//! after faults, and packaging each rebuild as a *reconfiguration epoch*.
+//! What a repair produces: the *reconfiguration epoch* record, the repair
+//! error type, and the lift of a repaired turn table from the surviving
+//! graph back into the original channel space.
 //!
-//! A fault plan partitions simulated time into epochs at its activation
-//! cycles. For each epoch boundary the repair:
+//! A fault plan partitions simulated time into epochs at its transition
+//! cycles. For each epoch boundary the repair loop
+//! ([`crate::plan_epochs_timeline_with`]):
 //!
 //! 0. runs the *feasibility-first gate* (`irnet-analyze`): a one-BFS
 //!    oracle that decides whether any deadlock-free connected routing can
 //!    exist on the survivors at all. Hopeless degradations surface as
 //!    [`RepairError::Infeasible`] with a minimized obstruction in
 //!    milliseconds, before any rebuild work is spent;
-//! 1. degrades the original topology by every fault activated so far
+//! 1. degrades the original topology by every element down at that step
 //!    (compact surviving graph + id maps, from `irnet-topology`);
 //! 2. re-runs the paper's Phases 1–3 on the surviving graph — a fresh
 //!    coordinated tree, the ADDG₇ prohibitions, and the `cycle_detection`
 //!    release;
 //! 3. *lifts* the repaired turn table back into the original channel id
-//!    space (dead channels stay fully prohibited) and rebuilds masked
-//!    routing tables over the original communication graph, so a running
-//!    simulator can swap tables without renumbering anything;
+//!    space (dead channels stay fully prohibited; `lift_repair`) and
+//!    produces masked routing tables over the original communication
+//!    graph, so a running simulator can swap tables without renumbering
+//!    anything;
 //! 4. records which surviving channels changed tree direction — the
 //!    channels whose dependency sense flips, and the reason the UPR-style
 //!    old∪new union check (in `irnet-verify`) is not vacuous.
 
-use crate::builder::{ConstructError, DownUp};
-use irnet_analyze::{analyze_and_degrade_masks, AnalyzedDegrade, Obstruction};
-use irnet_topology::{
-    ChannelId, CommGraph, DampingPolicy, DegradedTopology, FaultError, FaultPlan, LinkId, NodeId,
-    RecoveryTimeline, TimelineStep, Topology,
-};
+use crate::builder::ConstructError;
+use irnet_analyze::Obstruction;
+use irnet_topology::{ChannelId, CommGraph, DegradedTopology, FaultError, LinkId, NodeId};
 use irnet_turns::{RoutingTables, TurnTable};
 
 /// One reconfiguration epoch: everything a live fabric needs to switch
@@ -113,163 +113,6 @@ impl From<ConstructError> for RepairError {
     }
 }
 
-/// Repairs the routing for every step of `plan`'s transition timeline,
-/// chaining the epochs (epoch *k*'s old table is epoch *k−1*'s new table).
-///
-/// For a schema-v1 (down-only) plan the timeline steps are exactly the
-/// plan's activation cycles with cumulative fault masks, so this behaves
-/// as the monotone planner always did — except that duplicate faults no
-/// longer produce no-op epochs. Recovery-aware plans get up transitions
-/// interleaved, each epoch's live set computed from the *original*
-/// topology minus the elements down at that step.
-///
-/// `cg` and `base_table` are the pre-fault communication graph and turn
-/// table of `topo`; `builder` configures the Phases-1–3 rebuild. Flap
-/// damping is off here (every physical transition is admitted); use
-/// [`RecoveryTimeline::compute`] with a policy plus
-/// [`plan_epochs_timeline`] to damp.
-pub fn plan_epochs(
-    topo: &Topology,
-    cg: &CommGraph,
-    base_table: &TurnTable,
-    plan: &FaultPlan,
-    builder: DownUp,
-) -> Result<Vec<ReconfigEpoch>, RepairError> {
-    let timeline = RecoveryTimeline::compute(topo, plan, DampingPolicy::none())?;
-    plan_epochs_timeline(topo, cg, base_table, &timeline, builder)
-}
-
-/// Repairs the routing for every step of an already-expanded (and possibly
-/// damped) transition timeline. See [`plan_epochs`].
-pub fn plan_epochs_timeline(
-    topo: &Topology,
-    cg: &CommGraph,
-    base_table: &TurnTable,
-    timeline: &RecoveryTimeline,
-    builder: DownUp,
-) -> Result<Vec<ReconfigEpoch>, RepairError> {
-    let mut epochs: Vec<ReconfigEpoch> = Vec::new();
-    for step in &timeline.steps {
-        // Epoch k's old table is epoch k−1's new table — borrowed from the
-        // epoch just pushed, so the chain never clones a turn table.
-        let prev = epochs.last().map_or(base_table, |e| &e.new_table);
-        let epoch = repair_step(topo, cg, prev, step, builder)?;
-        epochs.push(epoch);
-    }
-    Ok(epochs)
-}
-
-/// Repairs one epoch from a monotone cumulative plan: applies `cumulative`
-/// (every fault active at `cycle`, recovery fields ignored) to `topo`,
-/// rebuilds DOWN/UP on the survivors, and lifts the result back into the
-/// original id space.
-pub fn repair_epoch(
-    topo: &Topology,
-    cg: &CommGraph,
-    old_table: &TurnTable,
-    cumulative: &FaultPlan,
-    cycle: u32,
-    builder: DownUp,
-) -> Result<ReconfigEpoch, RepairError> {
-    let (node_dead, link_dead) = topo.fault_masks(cumulative)?;
-    repair_masks(
-        topo,
-        cg,
-        old_table,
-        &node_dead,
-        &link_dead,
-        cycle,
-        &[],
-        &[],
-        builder,
-    )
-}
-
-/// Repairs one timeline step: same gate/rebuild/lift pipeline in both
-/// directions, with the step's revived elements recorded on the epoch.
-pub fn repair_step(
-    topo: &Topology,
-    cg: &CommGraph,
-    old_table: &TurnTable,
-    step: &TimelineStep,
-    builder: DownUp,
-) -> Result<ReconfigEpoch, RepairError> {
-    let revived_channels: Vec<ChannelId> = step
-        .revived_links
-        .iter()
-        .flat_map(|&l| [2 * l, 2 * l + 1])
-        .collect();
-    repair_masks(
-        topo,
-        cg,
-        old_table,
-        &step.node_down,
-        &step.link_down,
-        step.cycle,
-        &revived_channels,
-        &step.revived_nodes,
-        builder,
-    )
-}
-
-/// The shared repair pipeline over explicit down masks: feasibility-first
-/// gate, Phases 1–3 on the compacted survivors, lift back into the
-/// original channel space, masked routing tables. Direction-agnostic: an
-/// up transition is just a step whose masks shrank, and the recovery
-/// elements ride along into the epoch record.
-#[allow(clippy::too_many_arguments)]
-fn repair_masks(
-    topo: &Topology,
-    cg: &CommGraph,
-    old_table: &TurnTable,
-    node_down: &[bool],
-    link_down: &[bool],
-    cycle: u32,
-    revived_channels: &[ChannelId],
-    revived_nodes: &[NodeId],
-    builder: DownUp,
-) -> Result<ReconfigEpoch, RepairError> {
-    // Feasibility-first gate: prove the survivors routable before paying
-    // for the rebuild. The gate and the degradation share the masks, so
-    // the live set is resolved exactly once.
-    let deg = match analyze_and_degrade_masks(topo, node_down, link_down)? {
-        AnalyzedDegrade::Feasible { degraded, .. } => *degraded,
-        AnalyzedDegrade::Infeasible(obstruction) => {
-            return Err(RepairError::Infeasible(obstruction));
-        }
-    };
-    // Phases 1–3 only: the compact routing tables a full `construct` would
-    // also build are never consumed here — the masked tables below are
-    // rebuilt in the original channel space instead.
-    let (_, new_cg, compact_table, _) = builder.construct_phases(&deg.topology)?;
-    let lifted = lift_repair(cg, &deg, &new_cg, &compact_table);
-
-    let tables = RoutingTables::build_masked(
-        cg,
-        &lifted.new_table,
-        &lifted.dead_channel,
-        &lifted.alive_node,
-    )
-    .map_err(|e| RepairError::Construct(ConstructError::Routing(e)))?;
-
-    Ok(ReconfigEpoch {
-        cycle,
-        dead_nodes: deg.dead_nodes,
-        dead_channels: deg
-            .dead_links
-            .iter()
-            .flat_map(|&l| [2 * l, 2 * l + 1])
-            .collect(),
-        dead_links: deg.dead_links,
-        revived_channels: revived_channels.to_vec(),
-        revived_nodes: revived_nodes.to_vec(),
-        old_table: old_table.clone(),
-        new_table: lifted.new_table,
-        flipped_channels: lifted.flipped_channels,
-        tables,
-    })
-}
-
 /// A compact repaired turn table lifted back into the original channel
 /// space, plus the alive/dead masks the lift derived on the way.
 pub(crate) struct Lifted {
@@ -323,14 +166,29 @@ pub(crate) fn lift_repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irnet_topology::{gen, FaultEvent, FaultKind};
+    use crate::{plan_epochs_with, DownUp, RepairStrategy};
+    use irnet_topology::{gen, FaultEvent, FaultKind, FaultPlan, Topology};
     use irnet_turns::ChannelDepGraph;
 
-    fn base(seed: u64) -> (Topology, CommGraph, TurnTable) {
+    fn base(seed: u64) -> (Topology, CommGraph, TurnTable, RoutingTables) {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), seed).unwrap();
         let routing = DownUp::new().construct(&topo).unwrap();
-        let (_, cg, table, _) = routing.into_parts();
-        (topo, cg, table)
+        let (_, cg, table, tables) = routing.into_parts();
+        (topo, cg, table, tables)
+    }
+
+    /// The epochs of a full-rebuild repair of `plan`.
+    fn full_repair(
+        topo: &Topology,
+        cg: &CommGraph,
+        table: &TurnTable,
+        tables: &RoutingTables,
+        plan: &FaultPlan,
+        builder: DownUp,
+    ) -> Result<Vec<ReconfigEpoch>, RepairError> {
+        let epochs =
+            plan_epochs_with(topo, cg, table, tables, plan, builder, RepairStrategy::Full)?;
+        Ok(epochs.into_iter().map(|e| e.epoch).collect())
     }
 
     fn link_fault(cycle: u32, a: NodeId, b: NodeId) -> FaultEvent {
@@ -350,10 +208,10 @@ mod tests {
 
     #[test]
     fn repaired_epoch_is_lifted_consistently() {
-        let (topo, cg, table) = base(3);
+        let (topo, cg, table, tables) = base(3);
         let (a, b) = non_bridge(&topo);
         let plan = FaultPlan::scripted([link_fault(500, a, b)]);
-        let epochs = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let epochs = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap();
         assert_eq!(epochs.len(), 1);
         let ep = &epochs[0];
         assert_eq!(ep.cycle, 500);
@@ -394,7 +252,7 @@ mod tests {
 
     #[test]
     fn epochs_chain_old_to_new() {
-        let (topo, cg, table) = base(5);
+        let (topo, cg, table, tables) = base(5);
         // Two link faults at different cycles, both non-bridges applied
         // cumulatively: search a pair that stays connected.
         let mut picked = Vec::new();
@@ -417,7 +275,7 @@ mod tests {
             link_fault(100, picked[0].0, picked[0].1),
             link_fault(200, picked[1].0, picked[1].1),
         ]);
-        let epochs = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let epochs = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap();
         assert_eq!(epochs.len(), 2);
         assert_eq!(epochs[0].old_table, table);
         assert_eq!(epochs[1].old_table, epochs[0].new_table);
@@ -427,7 +285,7 @@ mod tests {
 
     #[test]
     fn switch_fault_kills_node_as_destination() {
-        let (topo, cg, table) = base(7);
+        let (topo, cg, table, tables) = base(7);
         // Find a switch whose removal keeps the rest connected.
         let node = (0..topo.num_nodes())
             .find(|&v| {
@@ -437,7 +295,7 @@ mod tests {
             })
             .expect("some switch is removable");
         let plan = FaultPlan::scripted([FaultEvent::down(50, FaultKind::Switch { node })]);
-        let epochs = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let epochs = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap();
         let ep = &epochs[0];
         assert_eq!(ep.dead_nodes, vec![node]);
         assert_eq!(ep.dead_links.len() as u32, topo.degree(node));
@@ -457,9 +315,9 @@ mod tests {
         // minimized obstruction before any rebuild is attempted.
         let topo = Topology::new(4, 4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let routing = DownUp::new().construct(&topo).unwrap();
-        let (_, cg, table, _) = routing.into_parts();
+        let (_, cg, table, tables) = routing.into_parts();
         let plan = FaultPlan::scripted([link_fault(10, 1, 2)]);
-        let err = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap_err();
+        let err = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap_err();
         match err {
             RepairError::Infeasible(Obstruction::Partitioned {
                 component,
@@ -475,12 +333,12 @@ mod tests {
 
     #[test]
     fn unknown_faults_still_surface_as_fault_errors() {
-        let (topo, cg, table) = base(2);
+        let (topo, cg, table, tables) = base(2);
         let plan = FaultPlan::scripted([link_fault(10, 0, topo.num_nodes() - 1)]);
         if topo.link_between(0, topo.num_nodes() - 1).is_some() {
             return; // the random graph happens to have this link; skip
         }
-        let err = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap_err();
+        let err = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap_err();
         assert!(matches!(
             err,
             RepairError::Fault(FaultError::UnknownLink { .. })
@@ -489,20 +347,20 @@ mod tests {
 
     #[test]
     fn empty_plan_yields_no_epochs() {
-        let (topo, cg, table) = base(1);
+        let (topo, cg, table, tables) = base(1);
         let plan = FaultPlan::scripted([]);
-        let epochs = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let epochs = full_repair(&topo, &cg, &table, &tables, &plan, DownUp::new()).unwrap();
         assert!(epochs.is_empty());
     }
 
     #[test]
     fn recovery_epoch_restores_the_pristine_tables() {
-        let (topo, cg, table) = base(3);
+        let (topo, cg, table, tables) = base(3);
         let (a, b) = non_bridge(&topo);
         let plan =
             FaultPlan::scripted([FaultEvent::recovering(500, FaultKind::Link { a, b }, 1_500)]);
         let builder = DownUp::new();
-        let epochs = plan_epochs(&topo, &cg, &table, &plan, builder).unwrap();
+        let epochs = full_repair(&topo, &cg, &table, &tables, &plan, builder).unwrap();
         assert_eq!(epochs.len(), 2);
         let l = topo.link_between(a, b).unwrap();
         let down = &epochs[0];

@@ -18,7 +18,7 @@ use crate::cluster::{cluster_channels, Signature, IDLE_BUCKET};
 use crate::decompose::{Decomposer, Decomposition};
 use crate::edist::EDist;
 use crate::neighborhood::extract;
-use irnet_core::DownUp;
+use irnet_core::{DownUp, DownUpRouting};
 use irnet_sim::{SimConfig, Simulator};
 use irnet_telemetry::Telemetry;
 use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, Topology};
@@ -185,8 +185,8 @@ pub struct FlowPredictor<'a> {
     /// Route convolutions served from / missing the route cache.
     route_cache_hits: usize,
     route_cache_misses: usize,
-    /// Telemetry sink ([`Telemetry::disabled`] unless built through
-    /// [`FlowPredictor::build_instrumented`]). Strictly observational.
+    /// Telemetry sink: [`irnet_telemetry::current`] when the predictor
+    /// was built. Strictly observational.
     tel: Telemetry,
 }
 
@@ -195,6 +195,12 @@ impl<'a> FlowPredictor<'a> {
     /// and the deterministic route sample. Works from the Phase-1..3
     /// artifacts only (no [`irnet_turns::RoutingTables`] required), which
     /// is what makes 65k-switch fabrics reachable.
+    ///
+    /// The predictor keeps the [`irnet_telemetry::current`] handle of the
+    /// building thread: decomposition and representative-sim time land in
+    /// its span tree (`flow/decompose`, `flow/rep_sim`), and the cache
+    /// behavior — per-signature rep-sim hits/misses and route-convolution
+    /// cache hits/misses — accumulates there as it serves queries.
     pub fn build(
         topo: &'a Topology,
         tree: &'a CoordinatedTree,
@@ -204,35 +210,7 @@ impl<'a> FlowPredictor<'a> {
         seed: u64,
         cfg: &FlowConfig,
     ) -> FlowPredictor<'a> {
-        Self::build_instrumented(
-            topo,
-            tree,
-            cg,
-            table,
-            base,
-            seed,
-            cfg,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`FlowPredictor::build`] with telemetry attached: decomposition
-    /// and representative-sim time land in `tel`'s span tree
-    /// (`flow/decompose`, `flow/rep_sim`), and the predictor's cache
-    /// behavior — per-signature rep-sim hits/misses and route-convolution
-    /// cache hits/misses — accumulates in the registry as it serves
-    /// queries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_instrumented(
-        topo: &'a Topology,
-        tree: &'a CoordinatedTree,
-        cg: &'a CommGraph,
-        table: &TurnTable,
-        base: &'a SimConfig,
-        seed: u64,
-        cfg: &FlowConfig,
-        tel: &Telemetry,
-    ) -> FlowPredictor<'a> {
+        let tel = irnet_telemetry::current();
         let n = cg.num_nodes();
         let plen = base.packet_len.max(1);
 
@@ -294,7 +272,7 @@ impl<'a> FlowPredictor<'a> {
             rep_sim_cache_hits: 0,
             route_cache_hits: 0,
             route_cache_misses: 0,
-            tel: tel.clone(),
+            tel,
         }
     }
 
@@ -523,7 +501,7 @@ fn measure_saturation(
     let Ok(nb) = extract(topo, bottleneck, cfg.sat_radius, cfg.sat_neighborhood) else {
         return (1.0, 0);
     };
-    let Ok(routing) = DownUp::new().construct(&nb.topo) else {
+    let Some(routing) = construct_neighborhood(&nb.topo) else {
         return (1.0, 0);
     };
     let whole_fabric = nb.topo.num_nodes() == topo.num_nodes();
@@ -574,6 +552,13 @@ fn measure_saturation(
     (sat.clamp(1e-3, 1.0), sims)
 }
 
+/// DOWN/UP on an extracted neighborhood. Neighborhoods are internal to
+/// the predictor, so their construction stays out of the caller's
+/// `construction` spans.
+fn construct_neighborhood(topo: &Topology) -> Option<DownUpRouting> {
+    Telemetry::disabled().scope(|| DownUp::new().construct(topo).ok())
+}
+
 fn neighborhood_run(
     topo: &Topology,
     base: &SimConfig,
@@ -598,7 +583,7 @@ fn neighborhood_sim(
     cfg: &FlowConfig,
 ) -> Option<(irnet_sim::SimStats, f64, ChannelId)> {
     let nb = extract(topo, representative, cfg.radius, cfg.max_neighborhood).ok()?;
-    let routing = DownUp::new().construct(&nb.topo).ok()?;
+    let routing = construct_neighborhood(&nb.topo)?;
     let sub_dec = Decomposer::new(routing.comm_graph(), routing.turn_table()).decompose(0);
     let u_c = sub_dec.unit_load[nb.center as usize];
     if u_c <= 1e-9 {

@@ -18,7 +18,6 @@ pub mod sweep;
 
 use irnet_baselines::{lturn, updown, BaselineError};
 use irnet_core::{ConstructError, DownUp, PhaseSpans};
-use irnet_telemetry::Telemetry;
 use irnet_topology::{CommGraph, CoordinatedTree, PreorderPolicy, Topology};
 use irnet_turns::{RoutingTables, TurnTable};
 
@@ -64,87 +63,46 @@ impl Algo {
 
     /// Constructs the routing over `topo` using the coordinated-tree
     /// `policy` (ignored by up\*/down\*, which has no preorder component)
-    /// and `seed` (used by the `M2` policy).
+    /// and `seed` (used by the `M2` policy). Construction time lands in
+    /// [`irnet_telemetry::current`]'s span tree as `construction` (with the
+    /// per-phase children for DOWN/UP, whose constructor reports them).
     pub fn construct(
         self,
         topo: &Topology,
         policy: PreorderPolicy,
         seed: u64,
     ) -> Result<Instance, AlgoError> {
-        self.construct_with(topo, policy, seed, &Telemetry::disabled())
-    }
-
-    /// [`Algo::construct`] with telemetry attached: construction time
-    /// lands in `tel`'s span tree as `construction` (with the per-phase
-    /// children for DOWN/UP, whose constructor reports them).
-    pub fn construct_with(
-        self,
-        topo: &Topology,
-        policy: PreorderPolicy,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<Instance, AlgoError> {
-        match self {
-            Algo::DownUp { release } => {
-                let (r, spans) = DownUp::new()
-                    .policy(policy)
-                    .seed(seed)
-                    .release(release)
-                    .construct_instrumented(topo, tel)?;
-                let (tree, cg, table, tables) = r.into_parts();
-                Ok(Instance {
-                    tree,
-                    cg,
-                    table,
-                    tables,
-                    spans: Some(spans),
-                })
-            }
-            Algo::LTurn { release } => {
-                let t0 = std::time::Instant::now();
-                let r = lturn::construct_with(
-                    topo,
-                    lturn::LTurnOptions {
-                        policy,
-                        seed,
-                        release,
-                    },
-                )?;
-                tel.record_span("construction", t0.elapsed().as_secs_f64());
-                let (tree, cg, table, tables) = r.into_parts();
-                Ok(Instance {
-                    tree,
-                    cg,
-                    table,
-                    tables,
-                    spans: None,
-                })
-            }
-            Algo::UpDownBfs => {
-                let t0 = std::time::Instant::now();
-                let (tree, cg, table, tables) = updown::construct_bfs(topo)?.into_parts();
-                tel.record_span("construction", t0.elapsed().as_secs_f64());
-                Ok(Instance {
-                    tree,
-                    cg,
-                    table,
-                    tables,
-                    spans: None,
-                })
-            }
-            Algo::UpDownDfs => {
-                let t0 = std::time::Instant::now();
-                let (tree, cg, table, tables) = updown::construct_dfs(topo)?.into_parts();
-                tel.record_span("construction", t0.elapsed().as_secs_f64());
-                Ok(Instance {
-                    tree,
-                    cg,
-                    table,
-                    tables,
-                    spans: None,
-                })
-            }
+        let t0 = std::time::Instant::now();
+        let (tree, cg, table, tables) = match self {
+            Algo::DownUp { release } => DownUp::new()
+                .policy(policy)
+                .seed(seed)
+                .release(release)
+                .construct(topo)?
+                .into_parts(),
+            Algo::LTurn { release } => lturn::construct_with(
+                topo,
+                lturn::LTurnOptions {
+                    policy,
+                    seed,
+                    release,
+                },
+            )?
+            .into_parts(),
+            Algo::UpDownBfs => updown::construct_bfs(topo)?.into_parts(),
+            Algo::UpDownDfs => updown::construct_dfs(topo)?.into_parts(),
+        };
+        // DOWN/UP records its own `construction` span tree.
+        if !matches!(self, Algo::DownUp { .. }) {
+            irnet_telemetry::current().record_span("construction", t0.elapsed().as_secs_f64());
         }
+        Ok(Instance {
+            tree,
+            cg,
+            table,
+            tables,
+            spans: None,
+        })
     }
 }
 
@@ -197,8 +155,9 @@ pub struct Instance {
     pub table: TurnTable,
     /// Shortest-legal-path routing tables.
     pub tables: RoutingTables,
-    /// Per-phase construction wall-clock spans, when the constructor
-    /// reports them (currently DOWN/UP only).
+    /// Always `None`: construction timings live in the telemetry span
+    /// tree. Kept only because external code builds `Instance` literals.
+    #[doc(hidden)]
     pub spans: Option<PhaseSpans>,
 }
 

@@ -75,36 +75,24 @@ pub fn point_seed(seed: u64, rate_index: usize) -> u64 {
     seed.wrapping_add(rate_index as u64)
 }
 
-/// Runs one operating point.
+/// Runs one operating point. The run's wall time lands in
+/// [`irnet_telemetry::current`]'s `sim/run` span and its throughput
+/// counters in `sim/*` (see [`irnet_sim::record_run_telemetry`]).
+/// Strictly observational — the registry is written once, after the
+/// simulation finishes, so the point's result is bit-identical with or
+/// without telemetry.
 pub fn run_point(inst: &Instance, base: &SimConfig, rate: f64, seed: u64) -> SweepPoint {
-    run_point_with(
-        inst,
-        base,
-        rate,
-        seed,
-        &irnet_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`run_point`] with telemetry attached: the run's wall time lands in the
-/// `sim/run` span and its throughput counters in `sim/*` (see
-/// [`irnet_sim::record_run_telemetry`]). Strictly observational — the
-/// registry is written once, after the simulation finishes, so the point's
-/// result is bit-identical with or without telemetry.
-pub fn run_point_with(
-    inst: &Instance,
-    base: &SimConfig,
-    rate: f64,
-    seed: u64,
-    tel: &irnet_telemetry::Telemetry,
-) -> SweepPoint {
     let cfg = SimConfig {
         injection_rate: rate,
         ..*base
     };
     let t0 = std::time::Instant::now();
     let stats = Simulator::new(&inst.cg, &inst.tables, cfg, seed).run();
-    irnet_sim::record_run_telemetry(tel, &stats, t0.elapsed().as_secs_f64());
+    irnet_sim::record_run_telemetry(
+        &irnet_telemetry::current(),
+        &stats,
+        t0.elapsed().as_secs_f64(),
+    );
     SweepPoint {
         offered: rate,
         deadlocked: stats.deadlocked,

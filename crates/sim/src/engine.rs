@@ -291,21 +291,12 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs warm-up plus measurement and returns the collected statistics.
+    /// Records no telemetry, because internal runs such as the flow
+    /// predictor's neighborhood sims must not count as `sim/*` runs;
+    /// callers measuring a run feed [`crate::record_run_telemetry`].
     pub fn run(mut self) -> SimStats {
         let deadlocked = self.run_in_place();
         self.into_stats(deadlocked)
-    }
-
-    /// [`Simulator::run`] with telemetry attached. The run itself is
-    /// byte-identical to a plain [`Simulator::run`] — the registry is fed
-    /// only after the final cycle (see
-    /// [`crate::record_run_telemetry`]), so the per-cycle hot path never
-    /// touches it.
-    pub fn run_with_telemetry(self, tel: &irnet_telemetry::Telemetry) -> SimStats {
-        let t0 = std::time::Instant::now();
-        let stats = self.run();
-        crate::record_run_telemetry(tel, &stats, t0.elapsed().as_secs_f64());
-        stats
     }
 
     /// The watchdog loop behind [`Simulator::run`], usable without
@@ -2169,6 +2160,24 @@ mod tests {
         assert!(high.avg_network_occupancy() < 10_000.0);
     }
 
+    /// The full-rebuild repair epochs of `plan` on the pristine routing.
+    fn full_repair(
+        topo: &irnet_topology::Topology,
+        r: &irnet_core::DownUpRouting,
+        plan: &irnet_topology::FaultPlan,
+    ) -> Result<Vec<irnet_core::ReconfigEpoch>, irnet_core::RepairError> {
+        let epochs = irnet_core::plan_epochs_with(
+            topo,
+            r.comm_graph(),
+            r.turn_table(),
+            r.routing_tables(),
+            plan,
+            DownUp::new(),
+            irnet_core::RepairStrategy::Full,
+        )?;
+        Ok(epochs.into_iter().map(|e| e.epoch).collect())
+    }
+
     /// Busiest link whose scripted failure at `cycle` is repairable (not a
     /// bridge), with its repaired epoch. Ranking by a probe run's traffic
     /// guarantees the fault actually cuts worms mid-flight.
@@ -2188,15 +2197,8 @@ mod tests {
         for l in links {
             let (a, b) = topo.link(l);
             let plan = FaultPlan::scripted([FaultEvent::down(cycle, FaultKind::Link { a, b })]);
-            if let Ok(e) = irnet_core::repair_epoch(
-                topo,
-                r.comm_graph(),
-                r.turn_table(),
-                &plan,
-                cycle,
-                DownUp::new(),
-            ) {
-                return e;
+            if let Ok(mut epochs) = full_repair(topo, r, &plan) {
+                return epochs.remove(0);
             }
         }
         panic!("every link is a bridge");
@@ -2256,9 +2258,7 @@ mod tests {
                 topo.degrade(&plan).ok().map(|_| plan)
             })
             .expect("every link is a bridge");
-        let epochs =
-            irnet_core::plan_epochs(&topo, r.comm_graph(), r.turn_table(), &plan, DownUp::new())
-                .unwrap();
+        let epochs = full_repair(&topo, &r, &plan).unwrap();
         assert_eq!(epochs.len(), 2, "one down epoch, one up epoch");
         assert!(epochs[0].is_down_only());
         assert!(epochs[1].dead_channels.is_empty());
@@ -2301,10 +2301,10 @@ mod tests {
                     2_600,
                 )]);
                 let perm = FaultPlan::scripted([FaultEvent::down(600, FaultKind::Switch { node })]);
-                let plan = |p| {
-                    irnet_core::plan_epochs(&topo, r.comm_graph(), r.turn_table(), p, DownUp::new())
-                };
-                Some((plan(&rec).ok()?, plan(&perm).ok()?))
+                Some((
+                    full_repair(&topo, &r, &rec).ok()?,
+                    full_repair(&topo, &r, &perm).ok()?,
+                ))
             })
             .expect("some switch fault must be repairable");
         assert_eq!(recovered_epochs.len(), 2);
@@ -2422,15 +2422,7 @@ mod tests {
         let epoch = (0..topo.num_nodes())
             .find_map(|node| {
                 let plan = FaultPlan::scripted([FaultEvent::down(600, FaultKind::Switch { node })]);
-                irnet_core::repair_epoch(
-                    &topo,
-                    r.comm_graph(),
-                    r.turn_table(),
-                    &plan,
-                    600,
-                    DownUp::new(),
-                )
-                .ok()
+                full_repair(&topo, &r, &plan).ok().map(|mut e| e.remove(0))
             })
             .expect("some switch fault must be repairable");
         let dead = epoch.dead_nodes[0] as usize;

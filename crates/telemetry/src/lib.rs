@@ -20,6 +20,12 @@
 //!   ad-hoc stderr formats with either the existing human lines or JSONL
 //!   heartbeats carrying work-done / work-total / ETA.
 //!
+//! Library entry points do not take a handle: they record into
+//! [`current`], the innermost [`Telemetry::scope`] on the calling thread,
+//! falling back to the process-wide [`global`] (disabled unless the CLI
+//! installed one). A caller that wants a run measured wraps it in
+//! `tel.scope(|| …)`; everyone else pays one thread-local read.
+//!
 //! Telemetry is strictly observational: nothing read from the registry
 //! ever feeds back into routing construction, repair, or simulation, so
 //! attaching it cannot perturb results (the same non-perturbation
@@ -41,6 +47,7 @@
 //! assert!(snap.to_json().contains("irnet-telemetry-v1"));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -97,7 +104,8 @@ struct Inner {
 /// The default ([`Telemetry::disabled`]) holds no allocation; every
 /// operation on it is a single `None` branch. An enabled handle shares
 /// one registry across all of its clones, so a registry installed by the
-/// CLI (or a test) sees increments from every subsystem it was passed to.
+/// CLI (or scoped by a test) sees increments from every subsystem that
+/// records into it.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -185,6 +193,26 @@ impl Telemetry {
             stat.count += 1;
             stat.seconds += seconds;
         }
+    }
+
+    /// Runs `f` with `self` as the calling thread's [`current`] handle, so
+    /// every library entry point `f` reaches records here. Scopes nest;
+    /// the enclosing handle is restored when `f` returns or unwinds. Other
+    /// threads are unaffected — a worker spawned inside `f` must enter its
+    /// own scope.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Restores the enclosing scope on drop, so a panic in `f` cannot
+        /// leave this handle installed.
+        struct Restore(Option<Telemetry>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let outer = self.0.take();
+                // Fails only while the thread's locals are being torn down.
+                let _ = SCOPE.try_with(|s| *s.borrow_mut() = outer);
+            }
+        }
+        let _restore = Restore(SCOPE.with(|s| s.replace(Some(self.clone()))));
+        f()
     }
 
     /// A point-in-time copy of every metric and span. Empty when
@@ -338,6 +366,17 @@ pub fn global() -> Telemetry {
     GLOBAL.get().cloned().unwrap_or_default()
 }
 
+thread_local! {
+    /// The innermost [`Telemetry::scope`] entered on this thread.
+    static SCOPE: RefCell<Option<Telemetry>> = const { RefCell::new(None) };
+}
+
+/// The handle library entry points record into: the innermost
+/// [`Telemetry::scope`] on the calling thread, else [`global`].
+pub fn current() -> Telemetry {
+    SCOPE.with(|s| s.borrow().clone()).unwrap_or_else(global)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,5 +454,63 @@ mod tests {
         assert!(!global().is_enabled() || global().is_enabled());
         let tel = global();
         tel.counter("noop").inc(); // must not panic either way
+    }
+
+    /// The `hit` counter as `tel` recorded it.
+    fn hits(tel: &Telemetry) -> Option<u64> {
+        tel.snapshot().counter("hit")
+    }
+
+    #[test]
+    fn current_falls_back_to_global_outside_any_scope() {
+        // Never `install` here: tests share the process, and the global
+        // registry is disabled unless some binary installed one.
+        assert_eq!(current().is_enabled(), global().is_enabled());
+        assert!(!current().is_enabled());
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_handle() {
+        let outer = Telemetry::enabled();
+        let inner = Telemetry::enabled();
+        outer.scope(|| {
+            current().counter("hit").inc();
+            inner.scope(|| current().counter("hit").add(10));
+            current().counter("hit").inc();
+        });
+        assert!(!current().is_enabled());
+        assert_eq!(hits(&outer), Some(2));
+        assert_eq!(hits(&inner), Some(10));
+    }
+
+    #[test]
+    fn a_panicking_scope_still_restores_the_outer_handle() {
+        let outer = Telemetry::enabled();
+        let inner = Telemetry::enabled();
+        outer.scope(|| {
+            let caught = std::panic::catch_unwind(|| {
+                inner.scope(|| {
+                    current().counter("hit").inc();
+                    panic!("stage failed");
+                });
+            });
+            assert!(caught.is_err());
+            current().counter("hit").add(5);
+        });
+        assert!(!current().is_enabled());
+        assert_eq!(hits(&inner), Some(1));
+        assert_eq!(hits(&outer), Some(5));
+    }
+
+    #[test]
+    fn a_scope_is_invisible_on_other_threads() {
+        let tel = Telemetry::enabled();
+        tel.scope(|| {
+            let elsewhere = std::thread::spawn(|| current().is_enabled())
+                .join()
+                .expect("probe thread panicked");
+            assert!(!elsewhere);
+            assert!(current().is_enabled());
+        });
     }
 }

@@ -33,6 +33,12 @@ pub enum TopologyError {
         /// The per-switch port budget.
         ports: u32,
     },
+    /// The per-switch port budget exceeds [`crate::MAX_PORTS`], the width
+    /// of the per-node turn and routing-table port masks.
+    TooManyPorts {
+        /// The requested port budget.
+        ports: u32,
+    },
     /// The graph is not connected; `reached` of `num_nodes` nodes are
     /// reachable from node 0.
     Disconnected {
@@ -69,6 +75,11 @@ impl fmt::Display for TopologyError {
             } => write!(
                 f,
                 "node {node} has degree {degree}, exceeding the {ports}-port budget"
+            ),
+            TopologyError::TooManyPorts { ports } => write!(
+                f,
+                "{ports}-port budget exceeds the supported maximum of {}",
+                crate::MAX_PORTS
             ),
             TopologyError::Disconnected { reached, num_nodes } => write!(
                 f,

@@ -7,6 +7,10 @@ pub type NodeId = u32;
 /// Identifier of a bidirectional link (an element of `E`).
 pub type LinkId = u32;
 
+/// The largest per-switch port budget: turn-table and routing-table port
+/// masks are `u16`, one bit per output port.
+pub const MAX_PORTS: u32 = 16;
+
 /// A switch-based network with arbitrary (irregular) interconnection,
 /// per Definition 1 of the paper: an undirected graph `G = (V, E)` where `V`
 /// is the set of switches and `E` the set of bidirectional links.
@@ -33,8 +37,9 @@ pub struct Topology {
 impl Topology {
     /// Builds and validates a topology from a list of bidirectional links.
     ///
-    /// `ports` is the per-switch port budget: a node's degree must not
-    /// exceed it. The graph must be simple and connected.
+    /// `ports` is the per-switch port budget, at most [`MAX_PORTS`]: a
+    /// node's degree must not exceed it. The graph must be simple and
+    /// connected.
     pub fn new(
         num_nodes: u32,
         ports: u32,
@@ -42,6 +47,9 @@ impl Topology {
     ) -> Result<Self, TopologyError> {
         if num_nodes == 0 {
             return Err(TopologyError::EmptyNetwork);
+        }
+        if ports > MAX_PORTS {
+            return Err(TopologyError::TooManyPorts { ports });
         }
         let mut canon: Vec<(NodeId, NodeId)> = Vec::new();
         for (a, b) in links {
@@ -248,6 +256,17 @@ mod tests {
             Topology::new(0, 4, []).unwrap_err(),
             TopologyError::EmptyNetwork
         );
+    }
+
+    #[test]
+    fn rejects_port_budgets_wider_than_the_port_masks() {
+        // A 21-switch star needs 20 hub ports; masks carry only 16.
+        let star = (1..21).map(|v| (0, v));
+        assert_eq!(
+            Topology::new(21, 20, star).unwrap_err(),
+            TopologyError::TooManyPorts { ports: 20 }
+        );
+        assert!(Topology::new(17, MAX_PORTS, (1..17).map(|v| (0, v))).is_ok());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use comm_graph::{CommGraph, Direction, LinkKind, Quadrant};
 pub use coord_tree::{CoordinatedTree, PreorderPolicy, RootPolicy};
 pub use error::TopologyError;
 pub use fault::{DegradedTopology, FaultError, FaultEvent, FaultKind, FaultPlan, FlapSchedule};
-pub use graph::{LinkId, NodeId, Topology};
+pub use graph::{LinkId, NodeId, Topology, MAX_PORTS};
 pub use io::{topology_from_json, topology_to_json};
 pub use recovery::{
     chaos_plan, chaos_plan_filtered, ChaosParams, DampingPolicy, Element, ElementDamping,

@@ -361,12 +361,13 @@ impl RoutingTables {
     /// 1. *invalidate* — channels whose recorded cost was supported through
     ///    a removed dependency edge or a newly dead channel go unreachable,
     ///    cascading to dependents that lose their last support;
-    /// 2. *re-settle* — the invalidated set is re-solved with a dirty-set
-    ///    Dijkstra frontier over the new dependency graph (unit weights,
-    ///    surviving costs act as fixed sources);
-    /// 3. *decrease* — added dependency edges (Phase-3 releases that came
-    ///    back) propagate cost improvements;
-    /// 4. only switches with a changed output-channel cost or a changed
+    /// 2. *decrease* — every surviving finite cost is now an achievable
+    ///    upper bound, so one decrease-only Dijkstra over the new
+    ///    dependency graph (unit weights), seeded from the edges into the
+    ///    invalidated set and from the added dependency edges (Phase-3
+    ///    releases that came back), lowers every cost to its exact value —
+    ///    including channels that were unreachable before the patch;
+    /// 3. only switches with a changed output-channel cost or a changed
     ///    turn mask get their candidate rows recomputed, with the same
     ///    connectivity check as the full build.
     ///
@@ -532,76 +533,29 @@ impl RoutingTables {
                 }
             }
 
-            // Re-settle the invalidated region: lazy Dijkstra with unit
-            // weights; surviving finite costs are fixed sources. An entry
-            // is only committed when its key still equals the recomputed
-            // best, so stale heap entries are harmless.
+            // Decrease: every finite cost left standing is an achievable
+            // upper bound, so the exact costs are reached by lowering alone.
+            // A cost can drop only where a channel's support crosses into
+            // the invalidated region or runs over an added edge: seed each
+            // invalidated channel from its best successor, each added edge
+            // where it improves, and relax predecessors to the fixpoint.
+            // Previously unreachable channels are just costs of `u16::MAX`
+            // to lower.
             heap.clear();
             for &u in &invalidated {
-                let mut best = u16::MAX;
-                for &s in dep.successors(u) {
-                    let cs = self.cost[base + s as usize];
-                    if cs != u16::MAX {
-                        best = best.min(cs + 1);
-                    }
-                }
-                if best != u16::MAX {
-                    heap.push(Reverse((best, u)));
+                let best = dep
+                    .successors(u)
+                    .iter()
+                    .map(|&s| self.cost[base + s as usize])
+                    .min();
+                if let Some(cs) = best.filter(|&c| c != u16::MAX) {
+                    heap.push(Reverse((cs + 1, u)));
                 }
             }
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if self.cost[base + u as usize] != u16::MAX {
-                    continue;
-                }
-                let mut best = u16::MAX;
-                for &s in dep.successors(u) {
-                    let cs = self.cost[base + s as usize];
-                    if cs != u16::MAX {
-                        best = best.min(cs + 1);
-                    }
-                }
-                if best != d {
-                    if best != u16::MAX {
-                        heap.push(Reverse((best, u)));
-                    }
-                    continue;
-                }
-                if saved_gen[u as usize] != gen {
-                    saved_gen[u as usize] = gen;
-                    saved_val[u as usize] = u16::MAX;
-                    saved_list.push(u);
-                }
-                self.cost[base + u as usize] = d;
-                for &q in preds(u) {
-                    if self.cost[base + q as usize] == u16::MAX && !dead_channel[q as usize] {
-                        heap.push(Reverse((d + 1, q)));
-                    }
-                }
-            }
-
-            // Decrease: cost improvements originate either at an added
-            // dependency edge directly, or at a channel the re-settle left
-            // *below* its pre-patch value (possible only via added edges —
-            // e.g. an invalidated channel whose new best support is an
-            // added successor, or a previously unreachable channel the
-            // re-settle reached). The latter's never-invalidated
-            // predecessors still hold stale finite costs, so seed their
-            // relaxation too; then propagate to closure.
-            heap.clear();
             for &(u, v) in &added {
                 let cv = self.cost[base + v as usize];
                 if cv != u16::MAX && cv + 1 < self.cost[base + u as usize] {
                     heap.push(Reverse((cv + 1, u)));
-                }
-            }
-            for &u in &saved_list {
-                let cu = self.cost[base + u as usize];
-                if cu != u16::MAX && cu < saved_val[u as usize] {
-                    for &q in preds(u) {
-                        if cu + 1 < self.cost[base + q as usize] {
-                            heap.push(Reverse((cu + 1, q)));
-                        }
-                    }
                 }
             }
             while let Some(Reverse((d, u))) = heap.pop() {

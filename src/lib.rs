@@ -73,9 +73,8 @@ pub mod prelude {
     };
     pub use irnet_baselines::{lturn, updown, BaselineRouting};
     pub use irnet_core::{
-        plan_epochs, plan_epochs_timeline, plan_epochs_timeline_with, plan_epochs_with,
-        repair_epoch, DownUp, DownUpRouting, EpochRepair, ReconfigEpoch, RepairSpans,
-        RepairStrategy,
+        plan_epochs_timeline_with, plan_epochs_with, DownUp, DownUpRouting, EpochRepair,
+        ReconfigEpoch, RepairSpans, RepairStrategy,
     };
     pub use irnet_flow::{
         predict, predict_instance, FlowConfig, FlowCurve, FlowPoint, FlowPredictor,

@@ -17,6 +17,28 @@ fn scripted_scenario() -> FaultPlan {
     FaultPlan::scripted([FaultEvent::down(3011, FaultKind::Link { a: 7, b: 80 })])
 }
 
+/// The full-rebuild repair epochs of `plan`, starting from `routing`.
+fn full_repair(
+    topo: &Topology,
+    routing: &DownUpRouting,
+    plan: &FaultPlan,
+    builder: DownUp,
+) -> Vec<ReconfigEpoch> {
+    plan_epochs_with(
+        topo,
+        routing.comm_graph(),
+        routing.turn_table(),
+        routing.routing_tables(),
+        plan,
+        builder,
+        RepairStrategy::Full,
+    )
+    .expect("a connectivity-preserving plan must be repairable")
+    .into_iter()
+    .map(|e| e.epoch)
+    .collect()
+}
+
 fn faults_cfg() -> SimConfig {
     SimConfig {
         packet_len: 32,
@@ -35,7 +57,7 @@ fn run_scenario(core: EngineCore) -> SimStats {
     let routing = builder.construct(&topo).unwrap();
     let plan = scripted_scenario();
     let cg = routing.comm_graph();
-    let epochs = plan_epochs(&topo, cg, routing.turn_table(), &plan, builder).unwrap();
+    let epochs = full_repair(&topo, &routing, &plan, builder);
     // Every epoch of the shipped scenario certifies, including the
     // old∪new transition union.
     for e in &epochs {
@@ -177,8 +199,7 @@ proptest! {
         let builder = DownUp::new().seed(seed);
         let routing = builder.construct(&topo).unwrap();
         let cg = routing.comm_graph();
-        let epochs = plan_epochs(&topo, cg, routing.turn_table(), &plan, builder)
-            .expect("a connectivity-preserving plan must be repairable");
+        let epochs = full_repair(&topo, &routing, &plan, builder);
         // Duplicate faults at distinct cycles collapse to no-op timeline
         // steps, so an activation cycle need not produce an epoch — but at
         // least the first fault always does.

@@ -76,7 +76,9 @@ proptest! {
 
         let routing = DownUp::new().construct(&topo).unwrap();
         let (_, cg, table, tables) = routing.into_parts();
-        let reference = plan_epochs(&topo, &cg, &table, &plan, DownUp::new()).unwrap();
+        let reference = plan_epochs_with(
+            &topo, &cg, &table, &tables, &plan, DownUp::new(), RepairStrategy::Full,
+        ).unwrap();
 
         let mut per_strategy = Vec::new();
         for strategy in [RepairStrategy::Full, RepairStrategy::Incremental] {
@@ -88,11 +90,11 @@ proptest! {
                 // Identical lifted turn tables on every pair (dead pairs
                 // are prohibited in both), and identical masked tables —
                 // which pins every route the simulator can take.
-                prop_assert_eq!(&got.epoch.new_table, &want.new_table);
-                prop_assert_eq!(&got.epoch.old_table, &want.old_table);
-                prop_assert_eq!(&got.epoch.tables, &want.tables);
-                prop_assert_eq!(&got.epoch.dead_channels, &want.dead_channels);
-                prop_assert_eq!(&got.epoch.flipped_channels, &want.flipped_channels);
+                prop_assert_eq!(&got.epoch.new_table, &want.epoch.new_table);
+                prop_assert_eq!(&got.epoch.old_table, &want.epoch.old_table);
+                prop_assert_eq!(&got.epoch.tables, &want.epoch.tables);
+                prop_assert_eq!(&got.epoch.dead_channels, &want.epoch.dead_channels);
+                prop_assert_eq!(&got.epoch.flipped_channels, &want.epoch.flipped_channels);
 
                 // The transition certificates cannot differ between
                 // strategies; the repaired steady state always certifies,
@@ -128,6 +130,50 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Single-link repairs that the in-place patch once got wrong: a channel
+/// unreachable under the old turn table entered the re-settle frontier
+/// late, and a neighbor committed at a stale cost never saw the decrease.
+/// Each case is `(switches, ports, gen seed, failed link)`; every one is
+/// patched in place and must equal the full rebuild exactly.
+#[test]
+fn in_place_patches_match_full_rebuild_on_pinned_cases() {
+    const CASES: [(u32, u32, u64, usize); 8] = [
+        (48, 4, 25, 51),
+        (48, 8, 4, 66),
+        (48, 8, 22, 67),
+        (48, 8, 24, 159),
+        (48, 8, 28, 156),
+        (64, 4, 7, 114),
+        (64, 4, 37, 34),
+        (64, 4, 37, 116),
+    ];
+    for (switches, ports, seed, link) in CASES {
+        let topo =
+            gen::random_irregular(gen::IrregularParams::paper(switches, ports), seed).unwrap();
+        let (_, cg, table, tables) = DownUp::new().construct(&topo).unwrap().into_parts();
+        let (a, b) = topo.links()[link];
+        let plan = FaultPlan::scripted([link_fault(100, a, b)]);
+        let repair = |strategy| {
+            plan_epochs_with(&topo, &cg, &table, &tables, &plan, DownUp::new(), strategy)
+                .unwrap()
+                .remove(0)
+        };
+        let (full, incr) = (
+            repair(RepairStrategy::Full),
+            repair(RepairStrategy::Incremental),
+        );
+        let case = format!("{switches}/{ports}/{seed}/{link}");
+        assert!(
+            incr.spans.patched_in_place,
+            "{case} was not patched in place"
+        );
+        assert!(
+            incr.epoch.tables == full.epoch.tables,
+            "{case} differs from Full"
+        );
     }
 }
 

@@ -95,6 +95,28 @@ impl Recorder for KindCounter {
     }
 }
 
+/// The full-rebuild repair epochs of `plan`, starting from `routing`.
+fn full_repair(
+    topo: &Topology,
+    routing: &DownUpRouting,
+    plan: &FaultPlan,
+    builder: DownUp,
+) -> Vec<ReconfigEpoch> {
+    plan_epochs_with(
+        topo,
+        routing.comm_graph(),
+        routing.turn_table(),
+        routing.routing_tables(),
+        plan,
+        builder,
+        RepairStrategy::Full,
+    )
+    .expect("a connectivity-preserving plan must be repairable")
+    .into_iter()
+    .map(|e| e.epoch)
+    .collect()
+}
+
 /// The fault golden run of `tests/faults.rs`, re-run here with a recorder
 /// attached: the recording must capture the epoch swap and the cut worm
 /// without moving a single counter on either core.
@@ -105,7 +127,7 @@ fn recorder_is_non_perturbing_through_the_golden_fault_scenario() {
     let routing = builder.construct(&topo).unwrap();
     let plan = FaultPlan::scripted([FaultEvent::down(3011, FaultKind::Link { a: 7, b: 80 })]);
     let cg = routing.comm_graph();
-    let epochs = plan_epochs(&topo, cg, routing.turn_table(), &plan, builder).unwrap();
+    let epochs = full_repair(&topo, &routing, &plan, builder);
     for core in [EngineCore::ActiveSet, EngineCore::DenseReference] {
         let cfg = SimConfig {
             packet_len: 32,
@@ -214,7 +236,7 @@ fn unrepaired_link_failure_produces_a_waits_for_incident() {
     let routing = builder.construct(&topo).unwrap();
     let plan = FaultPlan::scripted([FaultEvent::down(3011, FaultKind::Link { a: 7, b: 80 })]);
     let cg = routing.comm_graph();
-    let epochs = plan_epochs(&topo, cg, routing.turn_table(), &plan, builder).unwrap();
+    let epochs = full_repair(&topo, &routing, &plan, builder);
     let cfg = SimConfig {
         packet_len: 32,
         injection_rate: 0.3,

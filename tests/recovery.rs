@@ -64,6 +64,7 @@ fn run_timeline(
         &timeline,
         builder,
         strategy,
+        None,
     )
     .unwrap();
     for e in &epochs {
@@ -277,6 +278,7 @@ fn recovery_swaps_are_recorded_without_perturbation() {
         &timeline,
         builder,
         RepairStrategy::Full,
+        None,
     )
     .unwrap();
     let run = |observe: bool| {
@@ -350,6 +352,7 @@ proptest! {
                 &timeline,
                 builder,
                 strategy,
+                None,
             ).unwrap();
             prop_assert_eq!(epochs.len(), 2);
             let last = &epochs[1].epoch;

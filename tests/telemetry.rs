@@ -26,7 +26,7 @@ proptest! {
         let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed).unwrap();
         let plain = DownUp::new().construct(&topo).unwrap();
         let tel = Telemetry::enabled();
-        let observed = DownUp::new().construct_with(&topo, &tel).unwrap();
+        let observed = tel.scope(|| DownUp::new().construct(&topo)).unwrap();
         prop_assert_eq!(plain.turn_table(), observed.turn_table());
         prop_assert_eq!(plain.routing_tables(), observed.routing_tables());
         let snap = tel.snapshot();
@@ -47,8 +47,8 @@ proptest! {
                 plain.comm_graph(), plain.routing_tables(), cfg, seed ^ 0x7e1).run();
             let run_tel = Telemetry::enabled();
             let instrumented = Simulator::new(
-                observed.comm_graph(), observed.routing_tables(), cfg, seed ^ 0x7e1)
-                .run_with_telemetry(&run_tel);
+                observed.comm_graph(), observed.routing_tables(), cfg, seed ^ 0x7e1).run();
+            irnet::sim::record_run_telemetry(&run_tel, &instrumented, 0.0);
             prop_assert_eq!(&bare, &instrumented, "core {:?} perturbed by telemetry", core);
             let rsnap = run_tel.snapshot();
             prop_assert_eq!(rsnap.counter("sim/runs"), Some(1));
@@ -78,7 +78,7 @@ proptest! {
         let tel = Telemetry::enabled();
         for (i, rate) in [0.02, 0.15].into_iter().enumerate() {
             let plain = sweep::run_point(&inst, &base, rate, sweep::point_seed(seed, i));
-            let with = sweep::run_point_with(&inst, &base, rate, sweep::point_seed(seed, i), &tel);
+            let with = tel.scope(|| sweep::run_point(&inst, &base, rate, sweep::point_seed(seed, i)));
             prop_assert_eq!(plain.deadlocked, with.deadlocked);
             prop_assert_eq!(plain.stall_cycle, with.stall_cycle);
             prop_assert_eq!(
