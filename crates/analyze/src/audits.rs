@@ -275,18 +275,11 @@ pub fn audit(
             if s == t {
                 continue;
             }
-            let mask = tables.candidates(t, s, INJECTION_SLOT);
-            if mask == 0 || dist[s as usize] == u32::MAX {
-                continue; // inactive source, or pair outside the fabric
-            }
-            let mut len = u16::MAX;
-            for (p, &c) in ch.outputs(s).iter().enumerate() {
-                if (mask >> p) & 1 == 1 {
-                    len = len.min(tables.cost(t, c));
-                }
-            }
-            if len == u16::MAX {
-                continue; // unreachable pairs are the black-hole audit's job
+            let len = tables.route_len(cg, s, t);
+            if len == u16::MAX || dist[s as usize] == u32::MAX {
+                // Inactive or unreachable source (the black-hole audit's
+                // job), or a pair outside the fabric.
+                continue;
             }
             if u32::from(len) >= n && overlong.len() < MAX_DETAIL {
                 overlong.push(finding(

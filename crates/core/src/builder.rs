@@ -95,7 +95,9 @@ impl DownUp {
     /// Runs the three construction phases on `topo`, then builds the
     /// shortest-legal-path routing tables. Each stage is timed once into
     /// [`irnet_telemetry::current`]'s span tree: `construction` with its
-    /// `phase1`/`phase2`/`phase3`/`tables` children.
+    /// `phase1`/`phase2`/`phase3`/`tables` children; the tables' size is
+    /// the `construction/table_bytes` gauge
+    /// ([`RoutingTables::heap_bytes`]).
     pub fn construct(self, topo: &Topology) -> Result<DownUpRouting, ConstructError> {
         let ((tree, cg, table, released), [phase1, phase2, phase3]) = self.timed_phases(topo)?;
         // Shortest legal paths; also proves connectivity (Theorem 1).
@@ -108,6 +110,8 @@ impl DownUp {
         tel.record_span("construction/phase2", phase2);
         tel.record_span("construction/phase3", phase3);
         tel.record_span("construction/tables", tables_seconds);
+        tel.gauge("construction/table_bytes")
+            .set(tables.heap_bytes() as f64);
         Ok(DownUpRouting {
             tree,
             cg,
@@ -266,6 +270,15 @@ mod tests {
             with.routing_tables().avg_route_len(cg)
                 <= without.routing_tables().avg_route_len(without.comm_graph()) + 1e-12
         );
+    }
+
+    #[test]
+    fn construct_publishes_the_table_byte_ledger() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(32, 4), 1).unwrap();
+        let tel = irnet_telemetry::Telemetry::enabled();
+        let routing = tel.scope(|| DownUp::new().construct(&topo)).unwrap();
+        let bytes = routing.routing_tables().heap_bytes() as f64;
+        assert_eq!(tel.snapshot().gauges["construction/table_bytes"], bytes);
     }
 
     #[test]

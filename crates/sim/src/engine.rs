@@ -126,6 +126,11 @@ pub struct Simulator<'a> {
     /// Consecutive cycles the current header at each input has been
     /// blocked (drives the misrouting patience threshold).
     blocked: Vec<u32>,
+    /// Candidate masks of the current header at each input, as
+    /// [`Simulator::header_masks`] returns them: derived from the tables
+    /// on the header's first arbitration attempt and reused while it stays
+    /// blocked. Cleared whenever `blocked` is reset, and at epoch swaps.
+    cand: Vec<Option<(u16, u16)>>,
     /// Owner input of each output (physical channel, vc); `FREE` if none.
     owner: Vec<u32>,
     /// Output staging register per (physical channel, vc).
@@ -247,6 +252,7 @@ impl<'a> Simulator<'a> {
             route_pkt: vec![NO_PKT; num_inputs],
             pending_port: vec![NO_PORT; num_inputs],
             blocked: vec![0; num_inputs],
+            cand: vec![None; num_inputs],
             owner: vec![FREE; num_invc],
             staged: vec![None; num_invc],
             rr: vec![0; nch],
@@ -600,15 +606,7 @@ impl<'a> Simulator<'a> {
                 if v == pkt.dst {
                     wants_ejection = true;
                 } else {
-                    let slot = if i < self.num_invc {
-                        ch.in_port((i / vcs) as u32) as usize + 1
-                    } else {
-                        INJECTION_SLOT
-                    };
-                    let mut mask = self.tables.candidates(pkt.dst, v, slot);
-                    if mask == 0 {
-                        mask = self.tables.candidates_any(pkt.dst, v, slot);
-                    }
+                    let (mut mask, _) = self.header_masks(i, v, pkt.dst);
                     while mask != 0 {
                         let p = mask.trailing_zeros() as u8;
                         mask &= mask - 1;
@@ -794,6 +792,7 @@ impl<'a> Simulator<'a> {
             self.eject_owner[v as usize] = DEAD;
         }
         self.tables = epoch.tables;
+        self.cand.fill(None);
         self.reconfig_epochs += 1;
         // No flit materialized or vanished across the barrier: drops were
         // accounted flit-by-flit and revivals re-enable empty resources.
@@ -856,9 +855,10 @@ impl<'a> Simulator<'a> {
             }
             if self.route[idx] == ROUTE_NONE {
                 // The purged head may have been a header mid-arbitration;
-                // its committed port and patience die with it.
+                // its committed port, patience and candidates die with it.
                 self.blocked[idx] = 0;
                 self.pending_port[idx] = NO_PORT;
+                self.cand[idx] = None;
             }
         }
         // Staging registers.
@@ -916,12 +916,16 @@ impl<'a> Simulator<'a> {
             self.route_pkt[i] = NO_PKT;
             self.pending_port[i] = NO_PORT;
             self.blocked[i] = 0;
+            self.cand[i] = None;
         }
         // Source-queue entry (queued, or mid-injection at the front).
         let src = self.packets[pkt as usize].src as usize;
         if let Some(pos) = self.src_queue[src].iter().position(|&p| p == pkt) {
             if pos == 0 {
                 self.src_sent[src] = 0;
+                // The next queued packet is a new header with its own
+                // destination.
+                self.cand[self.num_invc + src] = None;
             }
             self.src_queue[src].remove(pos);
             if self.src_queue[src].is_empty() {
@@ -1230,7 +1234,10 @@ impl<'a> Simulator<'a> {
         if self.route[i] == ROUTE_NONE {
             debug_assert_eq!(flit.seq, 0, "only headers arbitrate");
             match self.arbitrate(i, flit) {
-                Arb::Claimed => self.blocked[i] = 0,
+                Arb::Claimed => {
+                    self.blocked[i] = 0;
+                    self.cand[i] = None;
+                }
                 Arb::Blocked => {
                     self.blocked[i] += 1;
                     if self.measuring() {
@@ -1365,7 +1372,6 @@ impl<'a> Simulator<'a> {
 
     /// Tries to assign an output to the header at input `i`.
     fn arbitrate(&mut self, i: usize, header: Flit) -> Arb {
-        let ch = self.cg.channels();
         let v = self.input_node(i);
         let dst = self.packets[header.pkt as usize].dst;
         if self.node_dead[dst as usize] {
@@ -1382,28 +1388,15 @@ impl<'a> Simulator<'a> {
             }
             return Arb::Blocked;
         }
-        let slot = if i < self.num_invc {
-            ch.in_port((i / self.vcs as usize) as u32) as usize + 1
-        } else {
-            INJECTION_SLOT
-        };
-        let mut mask = self.tables.candidates(dst, v, slot);
-        debug_assert!(
-            mask != 0 || self.reconfig_epochs > 0,
-            "no minimal candidate at node {v} slot {slot} for dst {dst}"
-        );
+        let (mask, any) = self.header_masks(i, v, dst);
         if mask == 0 {
-            // Graceful degradation: a packet routed under the pre-fault
-            // table can arrive at an input whose repaired minimal mask is
-            // empty. Fall back to any turn-legal output that still reaches
-            // the destination; if none exists, the packet is stranded and
-            // is dropped rather than left to wedge the network.
-            mask = self.tables.candidates_any(dst, v, slot);
-            if mask == 0 {
-                self.drop_packet(header.pkt);
-                return Arb::Dropped;
-            }
+            // Stranded: no turn-legal output still reaches the destination,
+            // so the packet is dropped rather than left to wedge the
+            // network.
+            self.drop_packet(header.pkt);
+            return Arb::Dropped;
         }
+        self.cand[i] = Some((mask, any));
 
         // Committed modes: decide on one port up front and wait for it.
         if matches!(
@@ -1459,7 +1452,7 @@ impl<'a> Simulator<'a> {
             {
                 return Arb::Blocked;
             }
-            let escape = self.tables.candidates_any(dst, v, slot) & !mask;
+            let escape = any & !mask;
             let mut m = escape;
             while m != 0 {
                 let p = m.trailing_zeros() as u8;
@@ -1487,6 +1480,30 @@ impl<'a> Simulator<'a> {
         }
         self.claim(i, out, header.pkt);
         Arb::Claimed
+    }
+
+    /// Candidate output ports of the header at input `i`, at node `v`
+    /// bound for `dst != v`: `(route, any)`, where `any` is every
+    /// turn-legal port that still reaches `dst` and `route` is its minimal
+    /// subset — or, under graceful degradation, all of `any`: a packet
+    /// routed under a pre-fault table can arrive at an input whose
+    /// repaired minimal mask is empty. Served from `cand` while the header
+    /// waits.
+    fn header_masks(&self, i: usize, v: NodeId, dst: NodeId) -> (u16, u16) {
+        if let Some(pair) = self.cand[i] {
+            return pair;
+        }
+        let slot = if i < self.num_invc {
+            self.cg.channels().in_port((i / self.vcs as usize) as u32) as usize + 1
+        } else {
+            INJECTION_SLOT
+        };
+        let (min, any) = self.tables.candidate_masks(dst, v, slot);
+        debug_assert!(
+            min != 0 || self.reconfig_epochs > 0,
+            "no minimal candidate at node {v} slot {slot} for dst {dst}"
+        );
+        (if min == 0 { any } else { min }, any)
     }
 
     /// Lowest free virtual channel of output port `p` at node `v`.

@@ -23,8 +23,8 @@ use irnet_topology::{CommGraph, NodeId};
 pub struct ExportedTables {
     num_nodes: u32,
     slots: usize,
-    /// `[ (dest * n + node) * slots + slot ]`, same layout as the live
-    /// tables.
+    /// `[ (dest * n + node) * slots + slot ]`: the live tables' derived
+    /// [`RoutingTables::candidates`], stored.
     masks: Vec<u16>,
 }
 
@@ -208,6 +208,27 @@ mod tests {
         assert!(text.starts_with("irnet-fwd v1"));
         assert!(text.contains("node 0\n"));
         assert!(text.contains(" inj="));
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn exported_text_is_byte_pinned() {
+        // Round trips cannot see a change in the masks themselves; this
+        // pins the exact deployable artifact of one fixed fabric.
+        let topo = gen::random_irregular(gen::IrregularParams::paper(128, 4), 0).unwrap();
+        let tree = CoordinatedTree::build(&topo, PreorderPolicy::M1, 0).unwrap();
+        let cg = CommGraph::build(&topo, &tree);
+        let table =
+            TurnTable::from_direction_rule(&cg, |din, dout| !(din.goes_down() && dout.goes_up()));
+        let text = export_tables(&cg, &RoutingTables::build(&cg, &table).unwrap());
+        assert_eq!(text.len(), 897_439);
+        assert_eq!(fnv1a(text.as_bytes()), 0x4627_7fe3_2bd5_3ab6);
     }
 
     #[test]

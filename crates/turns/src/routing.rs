@@ -48,12 +48,13 @@ pub struct PatchStats {
     /// Per-destination cost entries that changed value, summed over all
     /// destinations.
     pub changed_costs: u64,
-    /// `(destination, switch)` candidate-mask rows recomputed.
+    /// `(destination, switch)` rows whose candidate masks may have changed
+    /// and whose connectivity was re-checked.
     pub touched_rows: u64,
     /// Destinations with at least one cost or mask change.
     pub touched_destinations: u32,
-    /// Distinct switches whose candidate rows were recomputed for at least
-    /// one destination.
+    /// Distinct switches whose rows were re-checked for at least one
+    /// destination.
     pub touched_switches: u32,
 }
 
@@ -87,11 +88,13 @@ fn transpose(dep: &ChannelDepGraph) -> (Vec<u32>, Vec<u32>) {
 ///
 /// For every destination `t` the table stores, per channel `c`, the minimal
 /// number of channels a packet must still traverse given that it traverses
-/// `c` first (`cost`), and, per `(node, input slot)`, the bitmask of output
-/// ports lying on *some* minimal legal path ("shortest possible paths", as
-/// the paper's simulation uses). At each hop the simulator picks among that
-/// mask — randomly or adaptively — which keeps the route set inside the
-/// deadlock-free turn set.
+/// `c` first (`cost`). That is the only per-destination array: the bitmask
+/// of output ports lying on *some* minimal legal path ("shortest possible
+/// paths", as the paper's simulation uses) is derived at lookup from a
+/// `cost` row and two small per-switch rows — each port's output channel
+/// and each input slot's turn-legal port mask. At each hop the simulator
+/// picks among that mask — randomly or adaptively — which keeps the route
+/// set inside the deadlock-free turn set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTables {
     num_nodes: u32,
@@ -99,11 +102,37 @@ pub struct RoutingTables {
     slots: usize,
     /// `cost[t as usize * num_channels + c]`, `u16::MAX` = unreachable.
     cost: Vec<u16>,
-    /// `port_mask[(t * n + v) * slots + slot]`.
-    port_mask: Vec<u16>,
-    /// Like `port_mask` but with *every* turn-legal, non-dead-end output
-    /// port (used for non-minimal/misrouting modes).
-    any_mask: Vec<u16>,
+    /// `out_ch[v * (slots - 1) + p]`: the output channel on port `p` of `v`
+    /// (ports `v` lacks hold 0; no turn row ever names them).
+    out_ch: Vec<ChannelId>,
+    /// `turn[v * slots + slot]`: the output ports a packet arriving at `v`
+    /// on `slot` may legally take — every port at the injection slot, none
+    /// at a dead switch.
+    turn: Vec<u16>,
+}
+
+/// Turn-legal port mask of every `(switch, input slot)`, laid out as
+/// [`RoutingTables`]'s `turn` row. Dead switches get all-zero rows.
+fn turn_rows(cg: &CommGraph, table: &TurnTable, alive: Option<&[bool]>, slots: usize) -> Vec<u16> {
+    let ch = cg.channels();
+    let mut turn = vec![0u16; cg.num_nodes() as usize * slots];
+    for v in 0..cg.num_nodes() {
+        if alive.is_some_and(|a| !a[v as usize]) {
+            continue;
+        }
+        let row = &mut turn[v as usize * slots..][..slots];
+        row[INJECTION_SLOT] = ((1u32 << ch.outputs(v).len()) - 1) as u16;
+        for q in 0..ch.inputs(v).len() {
+            row[1 + q] = table.mask(v, q as u8);
+        }
+    }
+    turn
+}
+
+/// Whether some channel of `outs` has a finite cost in `cost_row` — the
+/// connectivity check of one `(source, destination)` pair.
+fn reaches(outs: &[ChannelId], cost_row: &[u16]) -> bool {
+    outs.iter().any(|&c| cost_row[c as usize] != u16::MAX)
 }
 
 impl RoutingTables {
@@ -116,8 +145,8 @@ impl RoutingTables {
     /// Like [`RoutingTables::build`] but with an explicit worker-thread
     /// count: `1` forces the serial reference build, `0` picks
     /// [`std::thread::available_parallelism`]. The result is bit-identical
-    /// for every thread count — each destination's rows are disjoint and
-    /// filled by the same arithmetic, and on disconnection the error
+    /// for every thread count — each destination's `cost` row is disjoint
+    /// and filled by the same arithmetic, and on disconnection the error
     /// reported is the one the serial build would hit first (smallest
     /// destination, then smallest source).
     pub fn build_with_threads(
@@ -165,21 +194,21 @@ impl RoutingTables {
         let max_ports = (0..n).map(|v| ch.outputs(v).len()).max().unwrap_or(0);
         let slots = max_ports + 1;
         let mut cost = vec![u16::MAX; n as usize * nch as usize];
-        let mut port_mask = vec![0u16; n as usize * n as usize * slots];
-        let mut any_mask = vec![0u16; n as usize * n as usize * slots];
+        let mut out_ch = vec![0; n as usize * max_ports];
+        for v in 0..n {
+            let outs = ch.outputs(v);
+            out_ch[v as usize * max_ports..][..outs.len()].copy_from_slice(outs);
+        }
 
-        // One destination = one disjoint row in each of the three arrays, so
-        // the per-destination fill is embarrassingly parallel. The closure
-        // writes only its own rows; any thread partition therefore produces
-        // bit-identical tables.
+        // One destination = one disjoint `cost` row, so the per-destination
+        // fill is embarrassingly parallel. The closure writes only its own
+        // row; any thread partition therefore produces bit-identical tables.
         let fill_dest = |t: NodeId,
                          cost_row: &mut [u16],
-                         pm_row: &mut [u16],
-                         am_row: &mut [u16],
                          queue: &mut VecDeque<ChannelId>|
          -> Result<(), RoutingError> {
             if !node_alive(t) {
-                return Ok(()); // dead destinations keep MAX costs and zero masks
+                return Ok(()); // dead destinations keep MAX costs
             }
             queue.clear();
             // Seeds: channels whose sink is the destination cost exactly 1.
@@ -199,62 +228,12 @@ impl RoutingTables {
                 }
             }
 
-            // Minimal-output port masks. Dead channels never acquire a
-            // finite cost, so they drop out of every mask below.
-            for v in 0..n {
-                if v == t || !node_alive(v) {
-                    continue;
-                }
-                let outs = ch.outputs(v);
-                let mbase = v as usize * slots;
-                // Injection slot: all outputs are candidates.
-                let mut best = u16::MAX;
-                for &c in outs {
-                    best = best.min(cost_row[c as usize]);
-                }
-                if best == u16::MAX {
-                    return Err(RoutingError::Disconnected { src: v, dst: t });
-                }
-                let mut mask = 0u16;
-                let mut any = 0u16;
-                for (p, &c) in outs.iter().enumerate() {
-                    if cost_row[c as usize] == best {
-                        mask |= 1 << p;
-                    }
-                    if cost_row[c as usize] != u16::MAX {
-                        any |= 1 << p;
-                    }
-                }
-                pm_row[mbase + INJECTION_SLOT] = mask;
-                am_row[mbase + INJECTION_SLOT] = any;
-                // Per input port.
-                for (q, &_in_ch) in ch.inputs(v).iter().enumerate() {
-                    let allowed = table.mask(v, q as u8);
-                    let mut best = u16::MAX;
-                    for (p, &c) in outs.iter().enumerate() {
-                        if (allowed >> p) & 1 == 1 {
-                            best = best.min(cost_row[c as usize]);
-                        }
-                    }
-                    let mut mask = 0u16;
-                    let mut any = 0u16;
-                    if best != u16::MAX {
-                        for (p, &c) in outs.iter().enumerate() {
-                            if (allowed >> p) & 1 == 1 {
-                                if cost_row[c as usize] == best {
-                                    mask |= 1 << p;
-                                }
-                                if cost_row[c as usize] != u16::MAX {
-                                    any |= 1 << p;
-                                }
-                            }
-                        }
-                    }
-                    pm_row[mbase + 1 + q] = mask;
-                    am_row[mbase + 1 + q] = any;
-                }
+            // Connectivity: every alive source needs a finite-cost output.
+            // Dead channels never acquire a finite cost.
+            match (0..n).find(|&v| v != t && node_alive(v) && !reaches(ch.outputs(v), cost_row)) {
+                Some(v) => Err(RoutingError::Disconnected { src: v, dst: t }),
+                None => Ok(()),
             }
-            Ok(())
         };
 
         let workers = match threads {
@@ -265,21 +244,11 @@ impl RoutingTables {
         .clamp(1, n.max(1) as usize);
 
         let row_nch = nch as usize;
-        let row_mask = n as usize * slots;
         if workers <= 1 || row_nch == 0 {
             let mut queue = VecDeque::with_capacity(row_nch);
             for t in 0..n as usize {
-                let (pm_row, am_row) = (
-                    &mut port_mask[t * row_mask..(t + 1) * row_mask],
-                    &mut any_mask[t * row_mask..(t + 1) * row_mask],
-                );
-                fill_dest(
-                    t as NodeId,
-                    &mut cost[t * row_nch..(t + 1) * row_nch],
-                    pm_row,
-                    am_row,
-                    &mut queue,
-                )?;
+                let cost_row = &mut cost[t * row_nch..(t + 1) * row_nch];
+                fill_dest(t as NodeId, cost_row, &mut queue)?;
             }
         } else {
             // Contiguous destination chunks, one scoped worker each. Joining
@@ -291,30 +260,11 @@ impl RoutingTables {
             let first_err = std::thread::scope(|s| {
                 let fill = &fill_dest;
                 let mut handles = Vec::with_capacity(workers);
-                for (k, (cost_c, (pm_c, am_c))) in cost
-                    .chunks_mut(per * row_nch.max(1))
-                    .zip(
-                        port_mask
-                            .chunks_mut(per * row_mask.max(1))
-                            .zip(any_mask.chunks_mut(per * row_mask.max(1))),
-                    )
-                    .enumerate()
-                {
+                for (k, cost_c) in cost.chunks_mut(per * row_nch).enumerate() {
                     handles.push(s.spawn(move || {
                         let mut queue = VecDeque::with_capacity(row_nch);
-                        for (i, (cost_row, (pm_row, am_row))) in cost_c
-                            .chunks_mut(row_nch.max(1))
-                            .zip(
-                                pm_c.chunks_mut(row_mask.max(1))
-                                    .zip(am_c.chunks_mut(row_mask.max(1))),
-                            )
-                            .enumerate()
-                        {
-                            let t = (k * per + i) as NodeId;
-                            if t >= n {
-                                break;
-                            }
-                            fill(t, cost_row, pm_row, am_row, &mut queue)?;
+                        for (i, cost_row) in cost_c.chunks_mut(row_nch).enumerate() {
+                            fill((k * per + i) as NodeId, cost_row, &mut queue)?;
                         }
                         Ok(())
                     }));
@@ -336,8 +286,8 @@ impl RoutingTables {
             num_channels: nch,
             slots,
             cost,
-            port_mask,
-            any_mask,
+            out_ch,
+            turn: turn_rows(cg, table, alive_node, slots),
         })
     }
 
@@ -368,10 +318,12 @@ impl RoutingTables {
     ///    releases that came back), lowers every cost to its exact value —
     ///    including channels that were unreachable before the patch;
     /// 3. only switches with a changed output-channel cost or a changed
-    ///    turn mask get their candidate rows recomputed, with the same
-    ///    connectivity check as the full build.
+    ///    turn mask get their connectivity re-checked, exactly as the full
+    ///    build checks it.
     ///
-    /// Total cost is O(destinations × delta) instead of the full build's
+    /// The per-switch turn rows are refreshed from `new_table` and
+    /// `alive_node` once, in O(switches × slots). Total cost is
+    /// O(destinations × delta) instead of the full build's
     /// O(destinations × dependency edges).
     ///
     /// # Errors
@@ -403,7 +355,7 @@ impl RoutingTables {
         assert_eq!(dead_channel.len(), nch as usize);
         assert_eq!(alive_node.len(), n as usize);
         let ch = cg.channels();
-        let slots = self.slots;
+        self.turn = turn_rows(cg, new_table, Some(alive_node), self.slots);
 
         // Turn-table delta: removed/added dependency edges, plus the
         // switches whose candidate masks change even without a cost change
@@ -462,13 +414,10 @@ impl RoutingTables {
         for t in 0..n {
             let base = t as usize * nch as usize;
             if !alive_node[t as usize] {
-                // A newly dead destination surrenders its whole block;
+                // A newly dead destination surrenders its whole row;
                 // previously dead destinations are already blank.
                 if newly_dead_nodes.contains(&t) {
                     self.cost[base..base + nch as usize].fill(u16::MAX);
-                    let mb = t as usize * n as usize * slots;
-                    self.port_mask[mb..mb + n as usize * slots].fill(0);
-                    self.any_mask[mb..mb + n as usize * slots].fill(0);
                 }
                 continue;
             }
@@ -576,7 +525,8 @@ impl RoutingTables {
             }
 
             // Dirty switches: a changed output-channel cost or a changed
-            // turn mask invalidates the candidate rows; nothing else can.
+            // turn mask changes the derived candidate masks; nothing else
+            // can.
             dirty_nodes.clear();
             let mut changed_any = false;
             for &c in &saved_list {
@@ -596,71 +546,31 @@ impl RoutingTables {
                     dirty_nodes.push(v);
                 }
             }
-            for &w in newly_dead_nodes {
-                let mb = (t as usize * n as usize + w as usize) * slots;
-                self.port_mask[mb..mb + slots].fill(0);
-                self.any_mask[mb..mb + slots].fill(0);
-            }
             if changed_any || !dirty_nodes.is_empty() {
                 stats.touched_destinations += 1;
             }
 
-            // Recompute the dirty rows exactly as the full build does.
+            // Re-check the dirty rows' connectivity as the full build does.
+            let cost_row = &self.cost[base..base + nch as usize];
             for &v in &dirty_nodes {
                 stats.touched_rows += 1;
                 if !switch_touched[v as usize] {
                     switch_touched[v as usize] = true;
                     stats.touched_switches += 1;
                 }
-                let outs = ch.outputs(v);
-                let mbase = (t as usize * n as usize + v as usize) * slots;
-                let mut best = u16::MAX;
-                for &c in outs {
-                    best = best.min(self.cost[base + c as usize]);
-                }
-                if best == u16::MAX {
+                if !reaches(ch.outputs(v), cost_row) {
                     return Err(RoutingError::Disconnected { src: v, dst: t });
-                }
-                let mut mask = 0u16;
-                let mut any = 0u16;
-                for (p, &c) in outs.iter().enumerate() {
-                    if self.cost[base + c as usize] == best {
-                        mask |= 1 << p;
-                    }
-                    if self.cost[base + c as usize] != u16::MAX {
-                        any |= 1 << p;
-                    }
-                }
-                self.port_mask[mbase + INJECTION_SLOT] = mask;
-                self.any_mask[mbase + INJECTION_SLOT] = any;
-                for (q, &_in_ch) in ch.inputs(v).iter().enumerate() {
-                    let allowed = new_table.mask(v, q as u8);
-                    let mut best = u16::MAX;
-                    for (p, &c) in outs.iter().enumerate() {
-                        if (allowed >> p) & 1 == 1 {
-                            best = best.min(self.cost[base + c as usize]);
-                        }
-                    }
-                    let mut mask = 0u16;
-                    let mut any = 0u16;
-                    if best != u16::MAX {
-                        for (p, &c) in outs.iter().enumerate() {
-                            if (allowed >> p) & 1 == 1 {
-                                if self.cost[base + c as usize] == best {
-                                    mask |= 1 << p;
-                                }
-                                if self.cost[base + c as usize] != u16::MAX {
-                                    any |= 1 << p;
-                                }
-                            }
-                        }
-                    }
-                    self.port_mask[mbase + 1 + q] = mask;
-                    self.any_mask[mbase + 1 + q] = any;
                 }
             }
         }
         Ok(stats)
+    }
+
+    /// Bytes held by the table arrays: each array's length times its
+    /// element size. Deterministic for a given fabric, unlike RSS.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.cost[..]) + size_of_val(&self.out_ch[..]) + size_of_val(&self.turn[..])
     }
 
     /// Number of switches.
@@ -680,13 +590,44 @@ impl RoutingTables {
         self.cost[t as usize * self.num_channels as usize + c as usize]
     }
 
+    /// Both candidate masks of a packet to `t` at `v` arriving on `slot`,
+    /// derived in one pass over the turn-legal ports: the ports of least
+    /// finite cost ([`RoutingTables::candidates`]) and every port of finite
+    /// cost ([`RoutingTables::candidates_any`]). Both are zero at `v == t`.
+    #[inline]
+    pub fn candidate_masks(&self, t: NodeId, v: NodeId, slot: usize) -> (u16, u16) {
+        debug_assert!(slot < self.slots);
+        if v == t {
+            return (0, 0);
+        }
+        let cost_row = &self.cost[t as usize * self.num_channels as usize..];
+        let outs = &self.out_ch[v as usize * (self.slots - 1)..];
+        let mut allowed = self.turn[v as usize * self.slots + slot];
+        let (mut best, mut min, mut any) = (u16::MAX, 0u16, 0u16);
+        while allowed != 0 {
+            let p = allowed.trailing_zeros() as usize;
+            allowed &= allowed - 1;
+            let cost = cost_row[outs[p] as usize];
+            if cost == u16::MAX {
+                continue;
+            }
+            any |= 1 << p;
+            if cost < best {
+                best = cost;
+                min = 1 << p;
+            } else if cost == best {
+                min |= 1 << p;
+            }
+        }
+        (min, any)
+    }
+
     /// Minimal legal output ports for a packet to `t` at node `v` arriving
     /// on `slot` ([`INJECTION_SLOT`] or `input port + 1`). Zero only for
     /// (slot, destination) combinations that cannot occur on minimal routes.
     #[inline]
     pub fn candidates(&self, t: NodeId, v: NodeId, slot: usize) -> u16 {
-        debug_assert!(slot < self.slots);
-        self.port_mask[(t as usize * self.num_nodes as usize + v as usize) * self.slots + slot]
+        self.candidate_masks(t, v, slot).0
     }
 
     /// Every turn-legal output port with a finite remaining cost to `t` —
@@ -696,26 +637,18 @@ impl RoutingTables {
     /// Always a superset of [`RoutingTables::candidates`].
     #[inline]
     pub fn candidates_any(&self, t: NodeId, v: NodeId, slot: usize) -> u16 {
-        debug_assert!(slot < self.slots);
-        self.any_mask[(t as usize * self.num_nodes as usize + v as usize) * self.slots + slot]
+        self.candidate_masks(t, v, slot).1
     }
 
     /// Hop count (number of channels) of a minimal legal route from `s` to
-    /// `t`; `0` when `s == t`.
+    /// `t` — the least cost over `s`'s output channels; `0` when `s == t`
+    /// and `u16::MAX` when `t` is unreachable.
     pub fn route_len(&self, cg: &CommGraph, s: NodeId, t: NodeId) -> u16 {
         if s == t {
             return 0;
         }
-        let mask = self.candidates(t, s, INJECTION_SLOT);
-        debug_assert_ne!(mask, 0);
-        let ch = cg.channels();
-        let mut best = u16::MAX;
-        for (p, &c) in ch.outputs(s).iter().enumerate() {
-            if (mask >> p) & 1 == 1 {
-                best = best.min(self.cost(t, c));
-            }
-        }
-        best
+        let outs = cg.channels().outputs(s).iter();
+        outs.map(|&c| self.cost(t, c)).min().unwrap_or(u16::MAX)
     }
 
     /// Extracts one concrete minimal route (sequence of channels) from `s`
@@ -1024,14 +957,95 @@ mod tests {
         );
     }
 
-    /// Element-wise equality of two tables over every public surface.
+    /// Element-wise equality of two tables over every stored array.
     fn assert_tables_equal(a: &RoutingTables, b: &RoutingTables, ctx: &str) {
         assert_eq!(a.num_nodes, b.num_nodes, "{ctx}: num_nodes");
         assert_eq!(a.num_channels, b.num_channels, "{ctx}: num_channels");
         assert_eq!(a.slots, b.slots, "{ctx}: slots");
         assert_eq!(a.cost, b.cost, "{ctx}: cost");
-        assert_eq!(a.port_mask, b.port_mask, "{ctx}: port_mask");
-        assert_eq!(a.any_mask, b.any_mask, "{ctx}: any_mask");
+        assert_eq!(a.out_ch, b.out_ch, "{ctx}: out_ch");
+        assert_eq!(a.turn, b.turn, "{ctx}: turn");
+    }
+
+    /// Reference oracle: an explicit per-slot fill (least turn-legal cost,
+    /// then the ports at it and the ports of any finite cost) over the
+    /// costs of a fresh `build_masked`, independent of `candidate_masks`.
+    /// Returns `(minimal, any)` masks laid out
+    /// `[(t * n + v) * slots + slot]`.
+    fn reference_masks(
+        cg: &CommGraph,
+        table: &TurnTable,
+        dead: &[bool],
+        alive: &[bool],
+    ) -> (Vec<u16>, Vec<u16>) {
+        let rt = RoutingTables::build_masked(cg, table, dead, alive).unwrap();
+        let (n, slots, ch) = (cg.num_nodes(), rt.slots(), cg.channels());
+        let mut port_mask = vec![0u16; n as usize * n as usize * slots];
+        let mut any_mask = port_mask.clone();
+        for t in 0..n {
+            if !alive[t as usize] {
+                continue;
+            }
+            for v in 0..n {
+                if v == t || !alive[v as usize] {
+                    continue;
+                }
+                let outs = ch.outputs(v);
+                let mbase = (t as usize * n as usize + v as usize) * slots;
+                // Injection slot: every output is turn-legal.
+                let all = ((1u32 << outs.len()) - 1) as u16;
+                let allowed_of = |slot: usize| match slot {
+                    INJECTION_SLOT => all,
+                    s => table.mask(v, (s - 1) as u8),
+                };
+                for slot in 0..=ch.inputs(v).len() {
+                    let allowed = allowed_of(slot);
+                    let mut best = u16::MAX;
+                    for (p, &c) in outs.iter().enumerate() {
+                        if (allowed >> p) & 1 == 1 {
+                            best = best.min(rt.cost(t, c));
+                        }
+                    }
+                    if best == u16::MAX {
+                        continue;
+                    }
+                    for (p, &c) in outs.iter().enumerate() {
+                        if (allowed >> p) & 1 == 1 {
+                            if rt.cost(t, c) == best {
+                                port_mask[mbase + slot] |= 1 << p;
+                            }
+                            if rt.cost(t, c) != u16::MAX {
+                                any_mask[mbase + slot] |= 1 << p;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (port_mask, any_mask)
+    }
+
+    /// `rt`'s derived masks equal the oracle's at every `(t, v, slot)`.
+    fn assert_matches_reference(
+        rt: &RoutingTables,
+        cg: &CommGraph,
+        table: &TurnTable,
+        dead: &[bool],
+        alive: &[bool],
+        ctx: &str,
+    ) {
+        let (port_mask, any_mask) = reference_masks(cg, table, dead, alive);
+        let (n, slots) = (cg.num_nodes(), rt.slots());
+        for t in 0..n {
+            for v in 0..n {
+                for slot in 0..slots {
+                    let i = (t as usize * n as usize + v as usize) * slots + slot;
+                    let at = format!("{ctx}: t {t} v {v} slot {slot}");
+                    assert_eq!(rt.candidates(t, v, slot), port_mask[i], "{at}: minimal");
+                    assert_eq!(rt.candidates_any(t, v, slot), any_mask[i], "{at}: any");
+                }
+            }
+        }
     }
 
     /// `rule` restricted to pairs of channels that are both alive — the
@@ -1233,22 +1247,80 @@ mod tests {
     fn candidate_masks_only_contain_minimal_ports() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 8).unwrap();
         let cg = cg_of(&topo);
-        let table = TurnTable::all_allowed(&cg);
-        let rt = RoutingTables::build(&cg, &table).unwrap();
-        let ch = cg.channels();
-        for t in 0..topo.num_nodes() {
-            for v in 0..topo.num_nodes() {
-                if v == t {
-                    continue;
-                }
-                let mask = rt.candidates(t, v, INJECTION_SLOT);
-                let outs = ch.outputs(v);
-                let best: u16 = outs.iter().map(|&c| rt.cost(t, c)).min().unwrap();
-                for (p, &c) in outs.iter().enumerate() {
-                    let picked = (mask >> p) & 1 == 1;
-                    assert_eq!(picked, rt.cost(t, c) == best);
-                }
+        let nch = cg.num_channels() as usize;
+        let no_dead = vec![false; nch];
+        let all_alive = vec![true; cg.num_nodes() as usize];
+        let open = TurnTable::all_allowed(&cg);
+        let down_up =
+            TurnTable::from_direction_rule(&cg, |din, dout| !(din.goes_down() && dout.goes_up()));
+        for (table, name) in [(&open, "all-allowed"), (&down_up, "down/up rule")] {
+            let rt = RoutingTables::build(&cg, table).unwrap();
+            assert_matches_reference(&rt, &cg, table, &no_dead, &all_alive, name);
+        }
+
+        // A degraded fabric under the lifted DOWN/UP rule: one dead switch
+        // (with its links) plus two further dead links, the first choices
+        // that keep the survivors connected.
+        let degrade = |victim: NodeId, links: &[u32]| {
+            let mut dead = no_dead.clone();
+            let adjacent = topo.neighbors(victim).iter().map(|&(_, l)| l);
+            for l in adjacent.chain(links.iter().copied()) {
+                dead[2 * l as usize] = true;
+                dead[2 * l as usize + 1] = true;
+            }
+            let mut alive = all_alive.clone();
+            alive[victim as usize] = false;
+            let table = lifted(&cg, &down_up, &dead);
+            let ok = RoutingTables::build_masked(&cg, &table, &dead, &alive).is_ok();
+            (ok, dead, alive, table)
+        };
+        let victim = (0..topo.num_nodes())
+            .find(|&v| degrade(v, &[]).0)
+            .expect("some switch is removable");
+        let mut links = Vec::new();
+        for l in 0..topo.num_links() {
+            let adjacent = topo.neighbors(victim).iter().any(|&(_, a)| a == l);
+            if links.len() < 2 && !adjacent && degrade(victim, &[&links[..], &[l]].concat()).0 {
+                links.push(l);
             }
         }
+        assert_eq!(links.len(), 2, "no two killable links");
+        let (_, dead, alive, degraded) = degrade(victim, &links);
+        let newly_ch: Vec<ChannelId> = (0..nch as u32).filter(|&c| dead[c as usize]).collect();
+        let masked = RoutingTables::build_masked(&cg, &degraded, &dead, &alive).unwrap();
+        assert_matches_reference(&masked, &cg, &degraded, &dead, &alive, "build_masked");
+
+        // The same degradation reached by patching the pristine tables.
+        let old_table = lifted(&cg, &down_up, &no_dead);
+        let mut patched =
+            RoutingTables::build_masked(&cg, &old_table, &no_dead, &all_alive).unwrap();
+        patched
+            .patch_masked(
+                &cg,
+                &old_table,
+                &degraded,
+                &dead,
+                &alive,
+                &newly_ch,
+                &[victim],
+            )
+            .unwrap();
+        assert_matches_reference(&patched, &cg, &degraded, &dead, &alive, "patch_masked");
+    }
+
+    #[test]
+    fn heap_bytes_is_a_pinned_ledger_with_no_quadratic_mask_arrays() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 8).unwrap();
+        let cg = cg_of(&topo);
+        let rt = RoutingTables::build(&cg, &TurnTable::all_allowed(&cg)).unwrap();
+        let (n, nch, slots) = (16, cg.num_channels() as usize, rt.slots());
+        // `cost` (n × channels u16) plus the per-switch rows: one u32
+        // channel per port and one u16 turn mask per input slot.
+        assert_eq!(
+            rt.heap_bytes(),
+            2 * n * nch + 4 * n * (slots - 1) + 2 * n * slots
+        );
+        assert_eq!((nch, slots), (64, 5));
+        assert_eq!(rt.heap_bytes(), 2464);
     }
 }
