@@ -2,12 +2,14 @@
 //!
 //! The engine keeps one [`ActiveSet`] per pipeline stage (occupied staging
 //! registers per channel, non-empty input FIFOs/source queues, pending
-//! ejections). Membership updates are O(1) bit operations; iteration cost
+//! ejections), plus one per parked kind (inputs and channels that the
+//! active-set core set aside until an event can change their outcome).
+//! Membership updates are O(1) bit operations; iteration cost
 //! is O(words + live entries) instead of O(universe), which is what makes
 //! a nearly idle cycle cheap. Iteration order is always ascending by index
-//! (optionally rotated by an offset), so the active-set schedule visits
-//! live entries in exactly the order the dense reference scan would, and
-//! the two cores stay bit-exact.
+//! (the crossbar rotates it by an offset with a live cursor), so the
+//! active-set schedule visits live entries in exactly the order the dense
+//! reference scan would, and the two cores stay bit-exact.
 
 /// A fixed-universe set of `u32` indices backed by a `u64` bitmap.
 #[derive(Debug, Clone)]
@@ -39,8 +41,7 @@ impl ActiveSet {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Membership test (used by the cross-core consistency asserts).
-    #[cfg(debug_assertions)]
+    /// Membership test.
     #[inline]
     pub(crate) fn contains(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
@@ -59,18 +60,20 @@ impl ActiveSet {
         }
     }
 
-    /// Appends the members in the rotated order `offset, offset+1, …,
-    /// len-1, 0, 1, …, offset-1` (restricted to members) to `out`.
-    /// This is the dense scan order `(k + offset) % len` filtered to live
-    /// entries, which preserves the engine's rotating-offset fairness.
-    pub(crate) fn collect_rotated(&self, offset: usize, out: &mut Vec<u32>) {
-        debug_assert!(offset < self.len.max(1));
-        let split = out.len();
-        self.collect(out);
-        // `out[split..]` is ascending; rotate it so entries >= offset come
-        // first. Binary search for the split point.
-        let pivot = out[split..].partition_point(|&i| (i as usize) < offset);
-        out[split..].rotate_left(pivot);
+    /// The smallest member `>= from`, if any. A cursor built on this sees
+    /// the set as it is at each step, so members inserted ahead of it are
+    /// still visited — unlike a snapshot taken with [`ActiveSet::collect`].
+    #[inline]
+    pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
     }
 }
 
@@ -90,23 +93,34 @@ mod tests {
         let mut v = Vec::new();
         s.collect(&mut v);
         assert_eq!(v, [0, 63, 64, 65, 199]);
+        assert!(s.contains(199) && !s.contains(130));
     }
 
     #[test]
-    fn rotated_order_matches_dense_scan() {
-        let mut s = ActiveSet::new(10);
-        for i in [1usize, 4, 7, 9] {
+    fn next_at_or_after_walks_members_in_order() {
+        let mut s = ActiveSet::new(200);
+        for i in [1usize, 63, 64, 130, 199] {
             s.insert(i);
         }
-        for offset in 0..10 {
-            let mut got = Vec::new();
-            s.collect_rotated(offset, &mut got);
-            let want: Vec<u32> = (0..10)
-                .map(|k| ((k + offset) % 10) as u32)
-                .filter(|&i| [1, 4, 7, 9].contains(&i))
-                .collect();
-            assert_eq!(got, want, "offset {offset}");
-        }
+        let next: Vec<Option<usize>> = [0, 1, 2, 64, 65, 131, 199, 200]
+            .iter()
+            .map(|&f| s.next_at_or_after(f))
+            .collect();
+        assert_eq!(
+            next,
+            [
+                Some(1),
+                Some(1),
+                Some(63),
+                Some(64),
+                Some(130),
+                Some(199),
+                Some(199),
+                None
+            ]
+        );
+        assert_eq!(ActiveSet::new(0).next_at_or_after(0), None);
+        assert_eq!(ActiveSet::new(64).next_at_or_after(64), None);
     }
 
     #[test]
@@ -114,7 +128,7 @@ mod tests {
         let mut s = ActiveSet::new(8);
         s.insert(3);
         let mut v = vec![99u32];
-        s.collect_rotated(0, &mut v);
+        s.collect(&mut v);
         assert_eq!(v, [99, 3]);
     }
 }

@@ -33,7 +33,10 @@ pub enum RouteChoice {
 pub enum EngineCore {
     /// Occupancy-driven worklists: each pipeline stage iterates only over
     /// live entries (occupied staging registers, non-empty input queues,
-    /// pending ejections). The default; cycles cost O(live entries).
+    /// pending ejections), and parks an entry that provably cannot act —
+    /// a blocked header, a backpressured input, a link facing full
+    /// buffers — until the event that frees it. The default; cycles cost
+    /// O(entries that can act).
     #[default]
     ActiveSet,
     /// The dense reference scan: every stage walks the whole network every

@@ -24,8 +24,9 @@
 //!
 //! Two bit-exact scheduling cores are provided (see [`EngineCore`] and
 //! DESIGN.md §11): the default occupancy-driven *active-set* core, whose
-//! per-cycle cost scales with the number of live flits rather than the
-//! network size, and a dense reference scan kept for differential testing.
+//! per-cycle cost scales with the number of entries that can act rather
+//! than the network size, and a dense reference scan kept for
+//! differential testing.
 //! [`InjectionSampling::Geometric`] additionally removes the per-node
 //! per-cycle RNG draw at low loads (opt-in; its own RNG stream).
 //!
@@ -58,7 +59,7 @@ pub mod trace;
 mod traffic;
 
 pub use config::{EngineCore, InjectionSampling, RouteChoice, SimConfig};
-pub use engine::{FaultEpoch, Simulator};
+pub use engine::{FaultEpoch, Simulator, WorkCounters};
 pub use hist::Histogram;
 pub use record::{BlockedWorm, Recorder, SimEvent};
 pub use stats::{record_run_telemetry, SimStats};

@@ -114,3 +114,32 @@ fn cores_agree_on_manual_stepping() {
     let active = drive(EngineCore::ActiveSet);
     assert_eq!(dense, active);
 }
+
+/// The paper's scale: 128 switches, 4 and 8 ports, both Fig. 8 routings
+/// and 128-flit worms, at the bottom, middle and top of the Fig. 8 load
+/// ladder. Long worms at saturation are where the active-set core parks
+/// blocked headers, backpressured inputs and full links, so this is the
+/// regime that exercises its wake-ups and blocked-cycle credits.
+#[test]
+fn cores_agree_at_paper_scale_with_long_worms() {
+    let rates = sweep::default_rates(10);
+    for ports in [4u32, 8] {
+        let topo = build(128, ports, 1);
+        for algo in Algo::PAPER_PAIR {
+            let inst = algo.construct(&topo, PreorderPolicy::M1, 1).unwrap();
+            for k in [0usize, 5, 9] {
+                let cfg = SimConfig {
+                    injection_rate: rates[k],
+                    warmup_cycles: 300,
+                    measure_cycles: 1_500,
+                    ..SimConfig::default()
+                };
+                assert_eq!(cfg.packet_len, 128);
+                let dense = run_core(&inst, cfg, EngineCore::DenseReference, 3);
+                let active = run_core(&inst, cfg, EngineCore::ActiveSet, 3);
+                assert!(k == 0 || active.header_block_cycles > 0, "no contention");
+                assert_eq!(dense, active, "{algo:?} ports={ports} rate={}", rates[k]);
+            }
+        }
+    }
+}
