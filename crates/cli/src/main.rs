@@ -35,6 +35,7 @@
 
 mod exit;
 
+use irnet_core::RepairStrategy;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::{sweep, Algo, Instance};
 use irnet_sim::{SimConfig, Simulator};
@@ -270,6 +271,26 @@ fn progress_mode(o: &Opts) -> ProgressMode {
     o.get("progress")
         .and_then(ProgressMode::parse)
         .unwrap_or_default()
+}
+
+/// The `--repair` strategy of a fault command, `default` when absent.
+fn parse_repair(o: &Opts, default: RepairStrategy) -> RepairStrategy {
+    o.get("repair").map_or(default, |raw| {
+        RepairStrategy::parse(raw).unwrap_or_else(|| {
+            fail(&format!(
+                "invalid --repair value {raw:?} (full|incremental)"
+            ))
+        })
+    })
+}
+
+/// The fault commands repair with the DOWN/UP builder: any other `--algo`
+/// is rejected with the message `err` builds from it.
+fn require_downup(o: &Opts, err: impl FnOnce(&str) -> String) -> Result<(), String> {
+    match o.get("algo") {
+        Some(algo) if algo != "downup" => Err(err(algo)),
+        _ => Ok(()),
+    }
 }
 
 fn build_instance(o: &Opts, topo: &Topology) -> Result<Instance, String> {
@@ -1091,27 +1112,16 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
 /// through the same feasibility gate, repair, and certification as fault
 /// transitions, with `--hold` flap damping between the two.
 fn cmd_faults(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_timeline_with, DownUp, RepairStrategy};
-    use irnet_sim::FaultEpoch;
+    use irnet_core::{plan_epochs_timeline_with, DownUp};
     use irnet_topology::{DampingPolicy, FaultKind, FaultPlan, RecoveryTimeline};
-    use irnet_verify::certify_transition;
 
-    let strategy = match o.get("repair") {
-        None => RepairStrategy::Full,
-        Some(raw) => RepairStrategy::parse(raw).unwrap_or_else(|| {
-            fail(&format!(
-                "invalid --repair value {raw:?} (full|incremental)"
-            ))
-        }),
-    };
-    if let Some(algo) = o.get("algo") {
-        if algo != "downup" {
-            return Err(format!(
-                "the fault pipeline repairs with the DOWN/UP builder; \
-                 --algo {algo} is not supported"
-            ));
-        }
-    }
+    let strategy = parse_repair(o, RepairStrategy::Full);
+    require_downup(o, |algo| {
+        format!(
+            "the fault pipeline repairs with the DOWN/UP builder; \
+             --algo {algo} is not supported"
+        )
+    })?;
     let topo = load_topology(o)?;
     let builder = DownUp::new()
         .policy(parse_policy(o))
@@ -1197,27 +1207,10 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
         repair_progress.as_ref(),
     )
     .map_err(|e| format!("fault repair failed: {e}"))?;
-    let nch = cg.num_channels() as usize;
-    let certs: Vec<_> = epochs
-        .iter()
-        .map(|e| {
-            let mut dead = vec![false; nch];
-            for &c in &e.epoch.dead_channels {
-                dead[c as usize] = true;
-            }
-            certify_transition(cg, &e.epoch.old_table, &e.epoch.new_table, &dead)
-        })
-        .collect();
+    let certs: Vec<_> = epochs.iter().map(|e| e.epoch.certify(cg)).collect();
     let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, o.parse("sim-seed", 7u64));
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.epoch.cycle,
-            dead_channels: e.epoch.dead_channels.clone(),
-            dead_nodes: e.epoch.dead_nodes.clone(),
-            revived_channels: e.epoch.revived_channels.clone(),
-            revived_nodes: e.epoch.revived_nodes.clone(),
-            tables: &e.epoch.tables,
-        });
+        sim.schedule_reconfig(&e.epoch);
     }
     let sim_start = std::time::Instant::now();
     let stalled = sim.run_in_place();
@@ -1489,27 +1482,16 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
 /// liveness. The JSON report contains only integers, booleans, and
 /// strings, so it is byte-stable for a fixed seed set.
 fn cmd_soak(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_timeline_with, DownUp, RepairStrategy};
-    use irnet_sim::FaultEpoch;
+    use irnet_core::{plan_epochs_timeline_with, DownUp};
     use irnet_topology::{chaos_plan_filtered, ChaosParams, DampingPolicy, RecoveryTimeline};
-    use irnet_verify::certify_transition;
 
-    if let Some(algo) = o.get("algo") {
-        if algo != "downup" {
-            return Err(format!(
-                "the soak harness repairs with the DOWN/UP builder; \
-                 --algo {algo} is not supported"
-            ));
-        }
-    }
-    let strategy = match o.get("repair") {
-        None => RepairStrategy::Incremental,
-        Some(raw) => RepairStrategy::parse(raw).unwrap_or_else(|| {
-            fail(&format!(
-                "invalid --repair value {raw:?} (full|incremental)"
-            ))
-        }),
-    };
+    require_downup(o, |algo| {
+        format!(
+            "the soak harness repairs with the DOWN/UP builder; \
+             --algo {algo} is not supported"
+        )
+    })?;
+    let strategy = parse_repair(o, RepairStrategy::Incremental);
     let topo = load_topology(o)?;
     let builder = DownUp::new()
         .policy(parse_policy(o))
@@ -1545,7 +1527,6 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // orientations can deadlock the in-flight worms even though both
     // steady states are safe, and such plans must never enter a soak.
     let cg = routing.comm_graph();
-    let nch = cg.num_channels() as usize;
     let certifies = |plan: &irnet_topology::FaultPlan| -> bool {
         let Ok(timeline) = RecoveryTimeline::compute(&topo, plan, policy) else {
             return false;
@@ -1566,13 +1547,9 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
         let Ok(epochs) = trial else {
             return false;
         };
-        epochs.iter().all(|e| {
-            let mut dead = vec![false; nch];
-            for &c in &e.epoch.dead_channels {
-                dead[c as usize] = true;
-            }
-            certify_transition(cg, &e.epoch.old_table, &e.epoch.new_table, &dead).is_deadlock_free()
-        })
+        epochs
+            .iter()
+            .all(|e| e.epoch.certify(cg).is_deadlock_free())
     };
     let plan = chaos_plan_filtered(&topo, &params, policy, chaos_seed, certifies)
         .map_err(|e| format!("chaos plan: {e}"))?;
@@ -1611,16 +1588,7 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // Invariant 2 — certification: every transition, down or up, carries
     // a fresh Dally–Seitz certificate for the degraded table and for the
     // old∪new union the in-flight worms route through.
-    let certs: Vec<_> = epochs
-        .iter()
-        .map(|e| {
-            let mut dead = vec![false; nch];
-            for &c in &e.epoch.dead_channels {
-                dead[c as usize] = true;
-            }
-            certify_transition(cg, &e.epoch.old_table, &e.epoch.new_table, &dead)
-        })
-        .collect();
+    let certs: Vec<_> = epochs.iter().map(|e| e.epoch.certify(cg)).collect();
     let all_certified = certs
         .iter()
         .all(irnet_verify::EpochCertificates::is_deadlock_free);
@@ -1631,14 +1599,7 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // margin; the watchdog still bounds every wait.
     let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, sim_seed);
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.epoch.cycle,
-            dead_channels: e.epoch.dead_channels.clone(),
-            dead_nodes: e.epoch.dead_nodes.clone(),
-            revived_channels: e.epoch.revived_channels.clone(),
-            revived_nodes: e.epoch.revived_nodes.clone(),
-            tables: &e.epoch.tables,
-        });
+        sim.schedule_reconfig(&e.epoch);
     }
     let last_epoch = epochs.iter().map(|e| e.epoch.cycle).max().unwrap_or(0);
     let horizon = cfg.total_cycles().max(last_epoch.saturating_add(1_000));
@@ -1893,9 +1854,8 @@ fn write_incident(o: &Opts, incident: &irnet_obs::Incident) -> Result<(), String
 /// scenario) with the recorder and interval sampler attached, then export
 /// the recording as JSONL.
 fn cmd_trace(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_with, DownUp, RepairStrategy};
+    use irnet_core::{plan_epochs_with, DownUp, ReconfigEpoch};
     use irnet_obs::{deadlock_incident, FlightRecorder, IntervalSampler};
-    use irnet_sim::FaultEpoch;
     use irnet_topology::FaultPlan;
 
     let topo = load_topology(o)?;
@@ -1911,11 +1871,11 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     // worms wedge on the dead channels and the watchdog demonstrably fires.
     let scenario = match o.get("scenario") {
         Some(path) => {
-            if matches!(o.get("algo"), Some(a) if a != "downup") {
-                return Err("`trace --scenario` repairs with DOWN/UP; \
-                     other --algo values are not supported"
-                    .to_string());
-            }
+            require_downup(o, |_| {
+                "`trace --scenario` repairs with DOWN/UP; \
+                 other --algo values are not supported"
+                    .to_string()
+            })?;
             let raw =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             Some(FaultPlan::from_json(&raw).map_err(|e| format!("{path}: {e}"))?)
@@ -1939,6 +1899,17 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
         .map_err(|e| format!("fault repair failed: {e}"))?
         .into_iter()
         .map(|e| e.epoch)
+        // Unrepaired mode observes the failure, it does not survive it.
+        .map(|e| {
+            if no_repair {
+                ReconfigEpoch {
+                    tables: inst.tables.clone(),
+                    ..e
+                }
+            } else {
+                e
+            }
+        })
         .collect(),
         None => Vec::new(),
     };
@@ -1946,15 +1917,7 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
 
     let mut sim = Simulator::new(&inst.cg, &inst.tables, cfg, sim_seed);
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.cycle,
-            dead_channels: e.dead_channels.clone(),
-            dead_nodes: e.dead_nodes.clone(),
-            revived_channels: e.revived_channels.clone(),
-            revived_nodes: e.revived_nodes.clone(),
-            // Unrepaired mode observes the failure, it does not survive it.
-            tables: if no_repair { &inst.tables } else { &e.tables },
-        });
+        sim.schedule_reconfig(e);
     }
     sim.attach_recorder(&mut recorder);
 

@@ -524,6 +524,77 @@ fn soak_report_is_byte_stable_and_passes_its_invariants() {
     std::fs::remove_file(out2).ok();
 }
 
+/// `trace` on the shipped 128-switch link failure, over a window just
+/// long enough to span the fault at cycle 3011.
+fn trace_link_failure(extra: &[&str]) -> Output {
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/link_failure_128.json"
+    );
+    let mut args = vec![
+        "trace",
+        "--switches",
+        "128",
+        "--ports",
+        "4",
+        "--seed",
+        "1",
+        "--rate",
+        "0.3",
+        "--packet-len",
+        "32",
+        "--warmup",
+        "1000",
+        "--measure",
+        "2500",
+        "--scenario",
+        scenario,
+        "--events",
+        "1024",
+    ];
+    args.extend_from_slice(extra);
+    irnet(&args)
+}
+
+#[test]
+fn trace_survives_the_repaired_link_failure() {
+    let out = tmpfile("repaired.trace.jsonl");
+    let r = trace_link_failure(&["--out", out.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("trace: 2500 cycles"), "{stderr}");
+    assert!(!stderr.contains("DEADLOCK"), "{stderr}");
+    let jsonl = std::fs::read_to_string(&out).unwrap();
+    assert_eq!(jsonl.lines().count(), 1024, "the ring holds --events lines");
+    assert!(jsonl.lines().all(|l| l.starts_with("{\"cycle\":")));
+    std::fs::remove_file(out).ok();
+}
+
+#[test]
+fn trace_without_repair_reports_a_deadlock_incident() {
+    let incident = tmpfile("incident.json");
+    let r = trace_link_failure(&[
+        "--no-repair",
+        "--watchdog",
+        "2000",
+        "--out",
+        "/dev/null",
+        "--incident",
+        incident.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("DEADLOCK (watchdog fired)"), "{stderr}");
+    let report = std::fs::read_to_string(&incident).unwrap();
+    assert!(
+        report.contains("\"kind\": \"deadlock_incident\""),
+        "{report}"
+    );
+    assert!(report.contains("\"blocked_worms\": [\n"), "{report}");
+    assert!(report.contains("\"pkt\":"), "no blocked worm in {report}");
+    std::fs::remove_file(incident).ok();
+}
+
 #[test]
 fn data_errors_exit_1_without_usage() {
     let r = irnet(&["simulate", "--topology", "/nonexistent/net.json"]);

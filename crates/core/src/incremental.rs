@@ -472,7 +472,6 @@ fn patch_is_worthwhile(cg: &CommGraph, old: &TurnTable, new: &TurnTable) -> bool
 mod tests {
     use super::*;
     use irnet_topology::{gen, FaultEvent, FaultKind};
-    use irnet_verify::certify_transition;
 
     /// The full-rebuild epochs of `plan`: the reference both strategies
     /// must reproduce.
@@ -582,15 +581,7 @@ mod tests {
             )
             .unwrap();
             for ep in &epochs {
-                let dead: Vec<bool> = {
-                    let mut d = vec![false; cg.num_channels() as usize];
-                    for &c in &ep.epoch.dead_channels {
-                        d[c as usize] = true;
-                    }
-                    d
-                };
-                let certs =
-                    certify_transition(&cg, &ep.epoch.old_table, &ep.epoch.new_table, &dead);
+                let certs = ep.epoch.certify(&cg);
                 // The repaired steady state is always deadlock-free…
                 assert!(certs.degraded.is_deadlock_free());
                 // …and the O(delta) union verdict matches the exhaustive one.

@@ -29,6 +29,7 @@ use crate::builder::ConstructError;
 use irnet_analyze::Obstruction;
 use irnet_topology::{ChannelId, CommGraph, DegradedTopology, FaultError, LinkId, NodeId};
 use irnet_turns::{RoutingTables, TurnTable};
+use irnet_verify::{certify_transition, EpochCertificates};
 
 /// One reconfiguration epoch: everything a live fabric needs to switch
 /// from the pre-fault routing function to the repaired one. All ids are in
@@ -71,6 +72,17 @@ impl ReconfigEpoch {
     /// True when this epoch only removes elements (a fault transition).
     pub fn is_down_only(&self) -> bool {
         self.revived_channels.is_empty() && self.revived_nodes.is_empty()
+    }
+
+    /// Certifies this transition on `cg`: the repaired table alone and the
+    /// UPR-style old∪new union, both restricted to the channels that
+    /// survive the epoch (see [`certify_transition`]).
+    pub fn certify(&self, cg: &CommGraph) -> EpochCertificates {
+        let mut dead = vec![false; cg.num_channels() as usize];
+        for &c in &self.dead_channels {
+            dead[c as usize] = true;
+        }
+        certify_transition(cg, &self.old_table, &self.new_table, &dead)
     }
 }
 

@@ -3,6 +3,7 @@ use crate::config::{EngineCore, InjectionSampling, RouteChoice, SimConfig};
 use crate::hist::Histogram;
 use crate::record::{BlockedWorm, Recorder, SimEvent};
 use crate::stats::SimStats;
+use irnet_core::ReconfigEpoch;
 use irnet_topology::{ChannelId, CommGraph, NodeId};
 use irnet_turns::{RoutingTables, INJECTION_SLOT};
 use rand::{Rng, RngCore, SeedableRng};
@@ -49,36 +50,6 @@ struct Packet {
     gen_time: u32,
     /// Non-minimal detours taken so far (bounded by `max_detours`).
     detours: u32,
-}
-
-/// One scheduled reconfiguration: at `cycle` the listed revived channels
-/// and nodes come back to life, the listed dead ones die, every packet
-/// holding a dead resource is dropped, and all further arbitration
-/// retargets `tables` (built over the surviving sub-network, e.g. by
-/// `RoutingTables::build_masked`).
-///
-/// Contract: when a node is listed dead, the channels of all its incident
-/// links must be listed dead too (a repair derived from a switch fault
-/// always satisfies this). Revived elements must currently be dead —
-/// their buffers are empty by construction, because the down-swap that
-/// killed them dropped every resident flit and the `DEAD` owner sentinel
-/// blocked any re-claim, so a revival never materializes flits. `tables`
-/// must cover the same network as the simulator's communication graph.
-#[derive(Debug, Clone)]
-pub struct FaultEpoch<'a> {
-    /// Activation cycle (applied at the start of the first step at or
-    /// after this clock).
-    pub cycle: u32,
-    /// Channels that die at activation.
-    pub dead_channels: Vec<ChannelId>,
-    /// Switches that die at activation.
-    pub dead_nodes: Vec<NodeId>,
-    /// Previously-dead channels that come back at activation (empty).
-    pub revived_channels: Vec<ChannelId>,
-    /// Previously-dead switches that come back at activation.
-    pub revived_nodes: Vec<NodeId>,
-    /// Routing tables of the repaired network.
-    pub tables: &'a RoutingTables,
 }
 
 /// The wormhole network simulator. See the crate docs for the model.
@@ -191,7 +162,7 @@ pub struct Simulator<'a> {
 
     /// Scheduled reconfiguration epochs, sorted by activation cycle;
     /// `next_reconfig` indexes the first not yet applied.
-    reconfigs: Vec<FaultEpoch<'a>>,
+    reconfigs: Vec<&'a ReconfigEpoch>,
     next_reconfig: usize,
     /// Channels killed by an applied epoch.
     dead_channel: Vec<bool>,
@@ -701,8 +672,20 @@ impl<'a> Simulator<'a> {
 
     /// Schedules a reconfiguration epoch. Epochs may be scheduled in any
     /// order and at any time before their activation cycle; each is applied
-    /// at the start of the first step at or after `epoch.cycle`.
-    pub fn schedule_reconfig(&mut self, epoch: FaultEpoch<'a>) {
+    /// at the start of the first step at or after `epoch.cycle`. At
+    /// activation the epoch's revived channels and nodes come back to life,
+    /// its dead ones die, every packet holding a dead resource is dropped,
+    /// and all further arbitration retargets `epoch.tables`.
+    ///
+    /// Contract: when a node is listed dead, the channels of all its
+    /// incident links must be listed dead too (a repair derived from a
+    /// switch fault always satisfies this). Revived elements must currently
+    /// be dead — their buffers are empty by construction, because the
+    /// down-swap that killed them dropped every resident flit and the
+    /// `DEAD` owner sentinel blocked any re-claim, so a revival never
+    /// materializes flits. `epoch.tables` must cover the same network as
+    /// the simulator's communication graph.
+    pub fn schedule_reconfig(&mut self, epoch: &'a ReconfigEpoch) {
         assert_eq!(
             epoch.tables.num_nodes(),
             self.cg.num_nodes(),
@@ -718,9 +701,9 @@ impl<'a> Simulator<'a> {
         while self.next_reconfig < self.reconfigs.len()
             && self.reconfigs[self.next_reconfig].cycle <= self.now
         {
-            let epoch = self.reconfigs[self.next_reconfig].clone();
+            let epoch = self.reconfigs[self.next_reconfig];
             self.next_reconfig += 1;
-            self.apply_reconfig(&epoch);
+            self.apply_reconfig(epoch);
         }
     }
 
@@ -728,7 +711,7 @@ impl<'a> Simulator<'a> {
     /// resources, marks the dead ones, drops every packet holding a dead
     /// resource, retires the dead virtual channels, and swaps in the
     /// repaired routing tables.
-    fn apply_reconfig(&mut self, epoch: &FaultEpoch<'a>) {
+    fn apply_reconfig(&mut self, epoch: &'a ReconfigEpoch) {
         // Revivals, deaths and the new tables can change any outcome.
         self.unpark_all();
         let vcs = self.vcs as usize;
@@ -828,7 +811,7 @@ impl<'a> Simulator<'a> {
         for &v in &epoch.dead_nodes {
             self.eject_owner[v as usize] = DEAD;
         }
-        self.tables = epoch.tables;
+        self.tables = &epoch.tables;
         self.cand.fill(None);
         self.reconfig_epochs += 1;
         // No flit materialized or vanished across the barrier: drops were
@@ -2421,17 +2404,6 @@ mod tests {
         panic!("every link is a bridge");
     }
 
-    fn as_fault_epoch(e: &irnet_core::ReconfigEpoch) -> FaultEpoch<'_> {
-        FaultEpoch {
-            cycle: e.cycle,
-            dead_channels: e.dead_channels.clone(),
-            dead_nodes: e.dead_nodes.clone(),
-            revived_channels: e.revived_channels.clone(),
-            revived_nodes: e.revived_nodes.clone(),
-            tables: &e.tables,
-        }
-    }
-
     #[test]
     fn mid_run_link_failure_drops_and_recovers() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 5).unwrap();
@@ -2446,7 +2418,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 7);
-        sim.schedule_reconfig(as_fault_epoch(&epoch));
+        sim.schedule_reconfig(&epoch);
         let stats = sim.run();
         assert!(!stats.deadlocked, "repaired run must not stall");
         assert_eq!(stats.reconfig_epochs, 1);
@@ -2490,7 +2462,7 @@ mod tests {
         };
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 7);
         for e in &epochs {
-            sim.schedule_reconfig(as_fault_epoch(e));
+            sim.schedule_reconfig(e);
         }
         let stats = sim.run();
         assert!(!stats.deadlocked, "recovered run must not stall");
@@ -2503,6 +2475,60 @@ mod tests {
             stats.dropped_flits,
             stats.flits_in_flight
         );
+    }
+
+    /// `schedule_reconfig` accepts epochs in any order and at any time
+    /// before their activation cycle: the shipped down/up recovery epochs
+    /// give identical statistics scheduled in order, in reverse, and with
+    /// the up epoch scheduled only after the down epoch was applied.
+    #[test]
+    fn recovery_epochs_schedule_in_any_order_and_late() {
+        use irnet_topology::FaultPlan;
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/link_recovery_128.json"
+        );
+        let plan = FaultPlan::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let topo = gen::random_irregular(gen::IrregularParams::paper(128, 4), 1).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let epochs = full_repair(&topo, &r, &plan).unwrap();
+        let [down, up] = &epochs[..] else {
+            panic!("expected one down and one up epoch, got {}", epochs.len());
+        };
+        assert!(down.is_down_only() && !up.is_down_only());
+        for core in [EngineCore::ActiveSet, EngineCore::DenseReference] {
+            let cfg = SimConfig {
+                engine_core: core,
+                packet_len: 32,
+                injection_rate: 0.3,
+                warmup_cycles: 1_000,
+                measure_cycles: 4_500,
+                deadlock_threshold: 2_000,
+                ..SimConfig::default()
+            };
+            let (cg, rt) = (r.comm_graph(), r.routing_tables());
+            let run = |order: [&ReconfigEpoch; 2]| {
+                let mut sim = Simulator::new(cg, rt, cfg, 7);
+                for e in order {
+                    sim.schedule_reconfig(e);
+                }
+                sim.run()
+            };
+            let in_order = run([down, up]);
+            let reversed = run([up, down]);
+            let mut sim = Simulator::new(cg, rt, cfg, 7);
+            sim.schedule_reconfig(down);
+            while sim.now() <= down.cycle {
+                sim.tick();
+            }
+            assert_eq!(sim.reconfig_epochs, 1);
+            sim.schedule_reconfig(up);
+            let late = sim.run();
+            assert_eq!(in_order.reconfig_epochs, 2);
+            assert!(in_order.dropped_flits > 0, "the fault cut no worm");
+            assert_eq!(in_order, reversed, "{core:?}: reverse order diverged");
+            assert_eq!(in_order, late, "{core:?}: late scheduling diverged");
+        }
     }
 
     #[test]
@@ -2539,7 +2565,7 @@ mod tests {
             };
             let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 7);
             for e in epochs {
-                sim.schedule_reconfig(as_fault_epoch(e));
+                sim.schedule_reconfig(e);
             }
             sim.run()
         };
@@ -2590,7 +2616,7 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 3);
-                sim.schedule_reconfig(as_fault_epoch(epoch));
+                sim.schedule_reconfig(epoch);
                 sim.run()
             };
             let dense = run(EngineCore::DenseReference);
@@ -2756,7 +2782,7 @@ mod tests {
             };
             let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 3);
             for e in &epochs {
-                sim.schedule_reconfig(as_fault_epoch(&e.epoch));
+                sim.schedule_reconfig(&e.epoch);
             }
             sim.run()
         };
@@ -2790,7 +2816,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 9);
-        sim.schedule_reconfig(as_fault_epoch(&epoch));
+        sim.schedule_reconfig(&epoch);
         let stats = sim.run();
         assert!(!stats.deadlocked);
         assert!(
@@ -2816,7 +2842,7 @@ mod tests {
         let epoch = link_fault_epoch(&topo, &r, 1_000_000);
         let baseline = Simulator::new(r.comm_graph(), r.routing_tables(), quick_cfg(0.05), 1).run();
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), quick_cfg(0.05), 1);
-        sim.schedule_reconfig(as_fault_epoch(&epoch));
+        sim.schedule_reconfig(&epoch);
         let scheduled = sim.run();
         assert_eq!(baseline, scheduled, "an unreached epoch perturbed the run");
     }
@@ -2837,7 +2863,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 12);
-        sim.schedule_reconfig(as_fault_epoch(&epoch));
+        sim.schedule_reconfig(&epoch);
         for _ in 0..1_000 {
             sim.step();
         }

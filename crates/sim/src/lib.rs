@@ -59,7 +59,7 @@ pub mod trace;
 mod traffic;
 
 pub use config::{EngineCore, InjectionSampling, RouteChoice, SimConfig};
-pub use engine::{FaultEpoch, Simulator, WorkCounters};
+pub use engine::{Simulator, WorkCounters};
 pub use hist::Histogram;
 pub use record::{BlockedWorm, Recorder, SimEvent};
 pub use stats::{record_run_telemetry, SimStats};

@@ -61,12 +61,11 @@ fn run_scenario(core: EngineCore) -> SimStats {
     // Every epoch of the shipped scenario certifies, including the
     // old∪new transition union.
     for e in &epochs {
-        let mut dead = vec![false; cg.num_channels() as usize];
-        for &c in &e.dead_channels {
-            dead[c as usize] = true;
-        }
-        let certs = certify_transition(cg, &e.old_table, &e.new_table, &dead);
-        assert!(certs.is_deadlock_free(), "epoch at cycle {}", e.cycle);
+        assert!(
+            e.certify(cg).is_deadlock_free(),
+            "epoch at cycle {}",
+            e.cycle
+        );
     }
     let cfg = SimConfig {
         engine_core: core,
@@ -74,14 +73,7 @@ fn run_scenario(core: EngineCore) -> SimStats {
     };
     let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, 7);
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.cycle,
-            dead_channels: e.dead_channels.clone(),
-            dead_nodes: e.dead_nodes.clone(),
-            revived_channels: e.revived_channels.clone(),
-            revived_nodes: e.revived_nodes.clone(),
-            tables: &e.tables,
-        });
+        sim.schedule_reconfig(e);
     }
     sim.run()
 }
@@ -206,13 +198,8 @@ proptest! {
         prop_assert!(!epochs.is_empty());
         prop_assert!(epochs.len() <= plan.activation_cycles().len());
         for e in &epochs {
-            let mut dead = vec![false; cg.num_channels() as usize];
-            for &c in &e.dead_channels {
-                dead[c as usize] = true;
-            }
-            let certs = certify_transition(cg, &e.old_table, &e.new_table, &dead);
             prop_assert!(
-                certs.degraded.is_deadlock_free(),
+                e.certify(cg).degraded.is_deadlock_free(),
                 "repaired epoch at cycle {} is not deadlock-free",
                 e.cycle
             );

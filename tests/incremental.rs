@@ -100,11 +100,7 @@ proptest! {
                 // strategies; the repaired steady state always certifies,
                 // and the incremental O(delta) union verdict agrees with
                 // the exhaustive certificate.
-                let mut dead = vec![false; cg.num_channels() as usize];
-                for &c in &got.epoch.dead_channels {
-                    dead[c as usize] = true;
-                }
-                let certs = certify_transition(&cg, &got.epoch.old_table, &got.epoch.new_table, &dead);
+                let certs = got.epoch.certify(&cg);
                 prop_assert!(certs.degraded.is_deadlock_free());
                 if let Some(verdict) = got.spans.recertified {
                     prop_assert_eq!(verdict, certs.union.is_deadlock_free());
@@ -208,14 +204,7 @@ fn golden_scenario_pins_are_identical_under_incremental_repair() {
         .unwrap();
         let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, 7);
         for e in &epochs {
-            sim.schedule_reconfig(FaultEpoch {
-                cycle: e.epoch.cycle,
-                dead_channels: e.epoch.dead_channels.clone(),
-                dead_nodes: e.epoch.dead_nodes.clone(),
-                revived_channels: e.epoch.revived_channels.clone(),
-                revived_nodes: e.epoch.revived_nodes.clone(),
-                tables: &e.epoch.tables,
-            });
+            sim.schedule_reconfig(&e.epoch);
         }
         stats.push(sim.run());
     }

@@ -141,14 +141,7 @@ fn recorder_is_non_perturbing_through_the_golden_fault_scenario() {
             let mut recorder = KindCounter::default();
             let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, 7);
             for e in &epochs {
-                sim.schedule_reconfig(FaultEpoch {
-                    cycle: e.cycle,
-                    dead_channels: e.dead_channels.clone(),
-                    dead_nodes: e.dead_nodes.clone(),
-                    revived_channels: e.revived_channels.clone(),
-                    revived_nodes: e.revived_nodes.clone(),
-                    tables: &e.tables,
-                });
+                sim.schedule_reconfig(e);
             }
             if observe {
                 sim.attach_recorder(&mut recorder);
@@ -236,7 +229,15 @@ fn unrepaired_link_failure_produces_a_waits_for_incident() {
     let routing = builder.construct(&topo).unwrap();
     let plan = FaultPlan::scripted([FaultEvent::down(3011, FaultKind::Link { a: 7, b: 80 })]);
     let cg = routing.comm_graph();
-    let epochs = full_repair(&topo, &routing, &plan, builder);
+    // The original, unrepaired tables: routes through the dead link stay
+    // in force, so the worms on them wedge for good.
+    let epochs: Vec<ReconfigEpoch> = full_repair(&topo, &routing, &plan, builder)
+        .into_iter()
+        .map(|e| ReconfigEpoch {
+            tables: routing.routing_tables().clone(),
+            ..e
+        })
+        .collect();
     let cfg = SimConfig {
         packet_len: 32,
         injection_rate: 0.3,
@@ -246,16 +247,7 @@ fn unrepaired_link_failure_produces_a_waits_for_incident() {
     };
     let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, 7);
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.cycle,
-            dead_channels: e.dead_channels.clone(),
-            dead_nodes: e.dead_nodes.clone(),
-            revived_channels: e.revived_channels.clone(),
-            revived_nodes: e.revived_nodes.clone(),
-            // The original, unrepaired tables: routes through the dead
-            // link stay in force, so the worms on them wedge for good.
-            tables: routing.routing_tables(),
-        });
+        sim.schedule_reconfig(e);
     }
     let last_fault = epochs.iter().map(|e| e.cycle).max().unwrap();
     let horizon = cfg.total_cycles().saturating_add(200_000);

@@ -68,13 +68,8 @@ fn run_timeline(
     )
     .unwrap();
     for e in &epochs {
-        let mut dead = vec![false; cg.num_channels() as usize];
-        for &c in &e.epoch.dead_channels {
-            dead[c as usize] = true;
-        }
-        let certs = certify_transition(cg, &e.epoch.old_table, &e.epoch.new_table, &dead);
         assert!(
-            certs.is_deadlock_free(),
+            e.epoch.certify(cg).is_deadlock_free(),
             "epoch at cycle {} failed certification",
             e.epoch.cycle
         );
@@ -85,14 +80,7 @@ fn run_timeline(
     };
     let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, 7);
     for e in &epochs {
-        sim.schedule_reconfig(FaultEpoch {
-            cycle: e.epoch.cycle,
-            dead_channels: e.epoch.dead_channels.clone(),
-            dead_nodes: e.epoch.dead_nodes.clone(),
-            revived_channels: e.epoch.revived_channels.clone(),
-            revived_nodes: e.epoch.revived_nodes.clone(),
-            tables: &e.epoch.tables,
-        });
+        sim.schedule_reconfig(&e.epoch);
     }
     // Damped re-admissions can land past the configured run (the flap
     // scenario's final up-swap does); extend the horizon so every
@@ -285,14 +273,7 @@ fn recovery_swaps_are_recorded_without_perturbation() {
         let mut counter = SwapCounter::default();
         let mut sim = Simulator::new(cg, routing.routing_tables(), faults_cfg(), 7);
         for e in &epochs {
-            sim.schedule_reconfig(FaultEpoch {
-                cycle: e.epoch.cycle,
-                dead_channels: e.epoch.dead_channels.clone(),
-                dead_nodes: e.epoch.dead_nodes.clone(),
-                revived_channels: e.epoch.revived_channels.clone(),
-                revived_nodes: e.epoch.revived_nodes.clone(),
-                tables: &e.epoch.tables,
-            });
+            sim.schedule_reconfig(&e.epoch);
         }
         if observe {
             sim.attach_recorder(&mut counter);
