@@ -34,6 +34,17 @@ impl Cli {
         }
     }
 
+    /// Exits with status 2, naming option `name`, its value and `reason`:
+    /// for values that parse but that the program cannot run.
+    pub fn reject(&self, name: &str, reason: &str) -> ! {
+        let raw = self.opt(name).unwrap_or_default();
+        eprintln!(
+            "{}: invalid value {raw:?} for --{name}: {reason}",
+            self.program
+        );
+        std::process::exit(2);
+    }
+
     /// Parses a comma-separated list option.
     pub fn opt_list<T: std::str::FromStr + Clone>(&self, name: &str, default: &[T]) -> Vec<T> {
         match self.opt(name) {

@@ -128,13 +128,12 @@
 //! `speedup_vs_exact` — the exact engine's saturation-load run wall time
 //! divided by `warm_point_seconds` (`null` where no exact run exists).
 
-use irnet_bench::fixtures;
 use irnet_bench::parse_args;
-use irnet_core::DownUp;
+use irnet_core::{DownUp, DownUpRouting};
 use irnet_flow::{FlowConfig, FlowPredictor};
 use irnet_sim::{EngineCore, SimConfig, SimStats, Simulator};
 use irnet_telemetry::{Snapshot, Telemetry};
-use irnet_topology::gen;
+use irnet_topology::{gen, Topology};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -147,6 +146,12 @@ options:
   --seed N       topology + simulation seed (default 7)
   --reps N       timed repetitions per point, fastest wins (default 2)
 ";
+
+/// A generated fabric: the topology plus its constructed DOWN/UP routing.
+struct Fabric {
+    topo: Topology,
+    routing: DownUpRouting,
+}
 
 /// One timed `(fabric, load, core)` measurement.
 #[derive(Serialize)]
@@ -272,12 +277,7 @@ fn measure_cycles(switches: u32) -> u32 {
 /// per-phase breakdown is read from the telemetry span tree each run
 /// records (a fresh registry per rep, so "fastest run" picks a coherent
 /// set of spans rather than a mix of reps).
-fn build_fabric(
-    switches: u32,
-    ports: u32,
-    seed: u64,
-    reps: u32,
-) -> (fixtures::Fabric, ConstructionResult) {
+fn build_fabric(switches: u32, ports: u32, seed: u64, reps: u32) -> (Fabric, ConstructionResult) {
     let params = gen::IrregularParams::paper(switches, ports);
     let mut topo_best = f64::INFINITY;
     let mut topo = None;
@@ -319,7 +319,7 @@ fn build_fabric(
         phase3_seconds: sec("construction/phase3"),
         tables_seconds: sec("construction/tables"),
     };
-    (fixtures::Fabric { topo, routing }, stats)
+    (Fabric { topo, routing }, stats)
 }
 
 /// Times the repair of a single cross-link failure (the first non-tree
@@ -329,12 +329,7 @@ fn build_fabric(
 /// tree / counters each repair records (one fresh registry per rep keeps
 /// the winning rep's numbers coherent). Returns an empty vector on the
 /// degenerate all-tree fabric.
-fn bench_repair(
-    fabric: &fixtures::Fabric,
-    switches: u32,
-    ports: u32,
-    reps: u32,
-) -> Vec<RepairResult> {
+fn bench_repair(fabric: &Fabric, switches: u32, ports: u32, reps: u32) -> Vec<RepairResult> {
     use irnet_core::{plan_epochs_with, RepairStrategy};
     use irnet_topology::{FaultEvent, FaultKind, FaultPlan};
 
@@ -413,13 +408,14 @@ fn bench_repair(
 }
 
 /// Measures the flow-level backend on one fabric: predictor build + the
-/// full `LOADS` ladder (`predict_seconds`), then the warm-cache marginal
+/// full `LOADS` ladder (`predict_seconds`, with its representative-sim
+/// share read from the `flow/rep_sim` span), then the warm-cache marginal
 /// cost of three fresh operating points around the predicted saturation
 /// knee (`warm_point_seconds`). `exact_sat_wall` is the exact engine's
 /// saturation-load active-set wall time, the baseline for
 /// `speedup_vs_exact`.
 fn bench_flow(
-    fabric: &fixtures::Fabric,
+    fabric: &Fabric,
     switches: u32,
     ports: u32,
     seed: u64,
@@ -433,18 +429,24 @@ fn bench_flow(
     };
     let cfg = FlowConfig::default();
     let rates: Vec<f64> = LOADS.iter().map(|&(_, r)| r).collect();
+    // The predictor records into the registry it was built under, so the
+    // span is read after the ladder and before the warm queries add to it.
+    let tel = Telemetry::enabled();
     let start = Instant::now();
-    let mut pred = FlowPredictor::build(
-        &fabric.topo,
-        fabric.routing.tree(),
-        fabric.routing.comm_graph(),
-        fabric.routing.turn_table(),
-        &base,
-        seed,
-        &cfg,
-    );
+    let mut pred = tel.scope(|| {
+        FlowPredictor::build(
+            &fabric.topo,
+            fabric.routing.tree(),
+            fabric.routing.comm_graph(),
+            fabric.routing.turn_table(),
+            &base,
+            seed,
+            &cfg,
+        )
+    });
     let curve = pred.curve(&rates);
     let predict_seconds = start.elapsed().as_secs_f64();
+    let rep_sim_seconds = tel.snapshot().span_seconds("flow/rep_sim").unwrap_or(0.0);
     let sat = pred.saturation();
     let warm_rates = [0.97 * sat, sat, 1.03 * sat];
     let warm_start = Instant::now();
@@ -459,13 +461,13 @@ fn bench_flow(
         warm_point_seconds,
         cluster_count: curve.cluster_count,
         representative_sims: curve.representative_sims,
-        rep_sim_seconds: curve.rep_sim_seconds,
+        rep_sim_seconds,
         predicted_saturation: sat,
         speedup_vs_exact: exact_sat_wall.map(|w| w / warm_point_seconds.max(1e-9)),
     }
 }
 
-fn time_run(fabric: &fixtures::Fabric, cfg: SimConfig, seed: u64, reps: u32) -> (f64, SimStats) {
+fn time_run(fabric: &Fabric, cfg: SimConfig, seed: u64, reps: u32) -> (f64, SimStats) {
     let cg = fabric.routing.comm_graph();
     let rt = fabric.routing.routing_tables();
     let mut best = f64::INFINITY;

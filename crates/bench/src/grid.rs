@@ -17,10 +17,9 @@ use irnet_metrics::sweep::{self, SweepCurve, SweepPoint};
 use irnet_metrics::{Algo, Instance};
 use irnet_sim::SimConfig;
 use irnet_telemetry::{Progress, ProgressMode, Telemetry};
-use irnet_topology::{gen, PreorderPolicy, Topology};
+use irnet_topology::{gen, PreorderPolicy, Topology, MAX_PORTS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Full experiment description.
 #[derive(Debug, Clone)]
@@ -63,6 +62,9 @@ pub struct ExperimentConfig {
     /// branch per record on the disabled path).
     pub telemetry: Telemetry,
 }
+
+/// The [`SimConfig`] field a grid flag overrides.
+type SimField = fn(&mut SimConfig) -> &mut u32;
 
 /// The default grid worker count: one per available core, so `--full`
 /// reproduction runs saturate the machine out of the box. Falls back to 1
@@ -124,7 +126,8 @@ impl ExperimentConfig {
     /// `--rates 0.01,0.05`, `--packet-len`, `--warmup`, `--measure`,
     /// `--threads` (default: all cores), `--chunk`, `--seed`;
     /// `--progress [human|json]` streams completion/ETA lines (or JSONL
-    /// heartbeats) to stderr.
+    /// heartbeats) to stderr. A value the grid cannot run exits with
+    /// status 2 and names its flag.
     pub fn from_cli(cli: &Cli) -> ExperimentConfig {
         let mut cfg = if cli.flag("full") {
             ExperimentConfig::full()
@@ -132,14 +135,46 @@ impl ExperimentConfig {
             ExperimentConfig::quick()
         };
         cfg.num_switches = cli.opt_parse("switches", cfg.num_switches);
+        if cfg.num_switches < 2 {
+            cli.reject("switches", "a fabric needs at least 2 switches");
+        }
         cfg.ports = cli.opt_list("ports", &cfg.ports);
+        if cfg.ports.iter().any(|p| !(2..=MAX_PORTS).contains(p)) {
+            cli.reject(
+                "ports",
+                &format!("ports per switch must be in 2..={MAX_PORTS}"),
+            );
+        }
         cfg.samples = cli.opt_parse("samples", cfg.samples);
+        if cfg.samples == 0 {
+            cli.reject("samples", "at least one topology sample is needed");
+        }
+        // Each simulator override is checked as it lands (the presets pass
+        // `SimConfig::check`), so a rejection names the flag at fault.
+        let sim_fields: [(&str, SimField); 5] = [
+            ("packet-len", |s| &mut s.packet_len),
+            ("warmup", |s| &mut s.warmup_cycles),
+            ("measure", |s| &mut s.measure_cycles),
+            ("buffer-depth", |s| &mut s.buffer_depth),
+            ("vcs", |s| &mut s.virtual_channels),
+        ];
+        for (flag, field) in sim_fields {
+            let value = field(&mut cfg.sim);
+            *value = cli.opt_parse(flag, *value);
+            if let Err(reason) = cfg.sim.check() {
+                cli.reject(flag, reason);
+            }
+        }
         cfg.rates = cli.opt_list("rates", &cfg.rates);
-        cfg.sim.packet_len = cli.opt_parse("packet-len", cfg.sim.packet_len);
-        cfg.sim.warmup_cycles = cli.opt_parse("warmup", cfg.sim.warmup_cycles);
-        cfg.sim.measure_cycles = cli.opt_parse("measure", cfg.sim.measure_cycles);
-        cfg.sim.buffer_depth = cli.opt_parse("buffer-depth", cfg.sim.buffer_depth);
-        cfg.sim.virtual_channels = cli.opt_parse("vcs", cfg.sim.virtual_channels);
+        for &injection_rate in &cfg.rates {
+            let point = SimConfig {
+                injection_rate,
+                ..cfg.sim
+            };
+            if let Err(reason) = point.check() {
+                cli.reject("rates", reason);
+            }
+        }
         cfg.topo_seed = cli.opt_parse("seed", cfg.topo_seed);
         cfg.threads = cli.opt_parse("threads", cfg.threads).max(1);
         cfg.chunk = cli.opt_parse("chunk", cfg.chunk);
@@ -153,14 +188,12 @@ impl ExperimentConfig {
         if let Some(raw) = cli.opt("policies") {
             cfg.policies = raw
                 .split(',')
-                .map(|p| match p.trim() {
-                    "M1" | "m1" => PreorderPolicy::M1,
-                    "M2" | "m2" => PreorderPolicy::M2,
-                    "M3" | "m3" => PreorderPolicy::M3,
-                    other => {
-                        eprintln!("unknown policy {other:?}");
+                .map(|p| {
+                    let p = p.trim();
+                    PreorderPolicy::parse(p).unwrap_or_else(|| {
+                        eprintln!("unknown policy {p:?}");
                         std::process::exit(2);
-                    }
+                    })
                 })
                 .collect();
         }
@@ -279,8 +312,6 @@ pub struct GridStats {
     pub topologies_built: usize,
     /// Routing instances constructed — exactly one per `(cell, sample)`.
     pub instances_built: usize,
-    /// Wall-clock duration of the whole grid.
-    pub wall_seconds: f64,
 }
 
 /// Per-run construction cache: one topology per `(sample, ports)` and one
@@ -370,21 +401,18 @@ fn curve_seed(cfg: &ExperimentConfig, cell: usize, sample: u32) -> u64 {
 /// # Panics
 ///
 /// Panics with the [`GridError`] message if a worker shard failed to report
-/// its points; use [`try_run_grid`] to handle that case as a `Result`.
+/// its points; use [`run_grid_with_stats`] to handle that case as a
+/// `Result`.
 pub fn run_grid(cfg: &ExperimentConfig) -> GridResults {
-    match try_run_grid(cfg) {
-        Ok(results) => results,
+    match run_grid_with_stats(cfg) {
+        Ok((results, _)) => results,
         Err(e) => panic!("{e}"),
     }
 }
 
 /// [`run_grid`], reporting incomplete cells as an error instead of
-/// panicking.
-pub fn try_run_grid(cfg: &ExperimentConfig) -> Result<GridResults, GridError> {
-    run_grid_with_stats(cfg).map(|(results, _)| results)
-}
-
-/// [`try_run_grid`], also returning construction-cache and timing counters.
+/// panicking, and also returning the construction-cache counters. The
+/// whole run's wall clock goes to the `grid/run` span of `cfg.telemetry`.
 pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridStats), GridError> {
     let mut keys = Vec::new();
     for &ports in &cfg.ports {
@@ -423,7 +451,7 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
             .percent(true)
             .throttle_ms(500)
     });
-    let start = Instant::now();
+    let span = cfg.telemetry.span("grid/run");
 
     // One shard: steal a chunk of task indices, run each load point into a
     // private buffer, merge the buffer once at the end.
@@ -501,21 +529,20 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
         points_run: total,
         topologies_built: cache.topo_builds.load(Ordering::Relaxed),
         instances_built: cache.inst_builds.load(Ordering::Relaxed),
-        wall_seconds: start.elapsed().as_secs_f64(),
     };
+    span.finish();
     record_grid_telemetry(&cfg.telemetry, &stats);
     Ok((GridResults { cells }, stats))
 }
 
-/// Records one grid run into the telemetry registry: the same counters
-/// [`GridStats`] carries (points run, construction-cache builds) plus the
-/// whole-grid wall-clock span. Recorded once per run, after the shards have
-/// joined, so the hot loop never touches the registry.
+/// Records the counters [`GridStats`] carries (points run,
+/// construction-cache builds) into the telemetry registry. Recorded once
+/// per run, after the shards have joined, so the hot loop never touches the
+/// registry.
 fn record_grid_telemetry(tel: &Telemetry, stats: &GridStats) {
     if !tel.is_enabled() {
         return;
     }
-    tel.record_span("grid/run", stats.wall_seconds);
     tel.counter("grid/points_run").add(stats.points_run as u64);
     tel.counter("grid/topologies_built")
         .add(stats.topologies_built as u64);

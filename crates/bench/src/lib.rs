@@ -20,12 +20,10 @@
 //! (paper-sized), plus overrides; run with `--help` for the list.
 
 pub mod args;
-pub mod fixtures;
 pub mod grid;
 
 pub use args::{parse_args, Cli};
-pub use fixtures::{downup_fabric, topology_pool, Fabric};
 pub use grid::{
-    default_threads, run_grid, run_grid_with_stats, try_run_grid, AvgPoint, CellKey, CellResult,
+    default_threads, run_grid, run_grid_with_stats, AvgPoint, CellKey, CellResult,
     ExperimentConfig, GridError, GridResults, GridStats,
 };

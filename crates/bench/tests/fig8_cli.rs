@@ -1,0 +1,42 @@
+//! The experiment binaries refuse grid settings they cannot run: each bad
+//! value exits with status 2 and a message naming its flag, before any
+//! topology is generated, instead of panicking inside the grid.
+
+use std::process::Command;
+
+#[test]
+fn fig8_rejects_settings_the_grid_cannot_run() {
+    let cases = [
+        ("samples", "0"),
+        ("switches", "1"),
+        ("ports", "1"),
+        ("ports", "20"),
+        ("rates", "-0.1"),
+        ("rates", "nan"),
+        ("packet-len", "1"),
+        ("measure", "0"),
+    ];
+    for (flag, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig8"))
+            .arg(format!("--{flag}"))
+            .arg(value)
+            .arg("--out")
+            .arg(env!("CARGO_TARGET_TMPDIR"))
+            .output()
+            .expect("fig8 runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--{flag} {value} must be a usage error; stderr: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "--{flag} {value} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("--{flag}")),
+            "--{flag} {value}: the message must name the flag: {stderr}"
+        );
+    }
+}

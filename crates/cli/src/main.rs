@@ -257,12 +257,8 @@ fn parse_algo(o: &Opts) -> Algo {
 }
 
 fn parse_policy(o: &Opts) -> PreorderPolicy {
-    match o.get("policy").unwrap_or("M1") {
-        "M1" | "m1" => PreorderPolicy::M1,
-        "M2" | "m2" => PreorderPolicy::M2,
-        "M3" | "m3" => PreorderPolicy::M3,
-        other => fail(&format!("unknown policy {other:?}")),
-    }
+    let raw = o.get("policy").unwrap_or("M1");
+    PreorderPolicy::parse(raw).unwrap_or_else(|| fail(&format!("unknown policy {raw:?}")))
 }
 
 /// The progress mode selected by `--progress [human|json]` (Human when the
@@ -410,12 +406,15 @@ fn print_lint_report(report: &LintReport) {
     }
 }
 
-/// The battery: certify and lint every cell of a seed grid, plus a negative
-/// control (the paper's §4.3 printed PT list on the five-switch
-/// counterexample, which must be *rejected* with a minimized witness).
-/// Exits nonzero if any cell errors, any certificate fails its independent
-/// recheck, or the negative control is not caught.
-fn lint_grid(o: &Opts) -> Result<(), String> {
+/// The seed grid `lint` and `analyze --grid` sweep: the `--quick` (default)
+/// or `--full` topologies, each handed to `on_topology` and then to
+/// `on_cell` once per cell — every policy with the four tree-coordinate
+/// algorithms, then the up*/down* baselines under M1 only.
+fn for_each_grid_cell(
+    o: &Opts,
+    mut on_topology: impl FnMut(&Topology, &str),
+    mut on_cell: impl FnMut(&Topology, &str, PreorderPolicy, Algo) -> Result<(), String>,
+) -> Result<(), String> {
     let topos: &[(u32, u32, u64)] = if o.flag("full") {
         &[
             (32, 4, 1),
@@ -436,12 +435,33 @@ fn lint_grid(o: &Opts) -> Result<(), String> {
         Algo::LTurn { release: true },
         Algo::LTurn { release: false },
     ];
-    let m1_only_algos = [Algo::UpDownBfs, Algo::UpDownDfs];
+    for &(n, ports, seed) in topos {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed)
+            .map_err(|e| format!("generation failed: {e}"))?;
+        let label = format!("switches={n} ports={ports} seed={seed}");
+        on_topology(&topo, &label);
+        for policy in PreorderPolicy::ALL {
+            for algo in all_policy_algos {
+                on_cell(&topo, &label, policy, algo)?;
+            }
+        }
+        for algo in [Algo::UpDownBfs, Algo::UpDownDfs] {
+            on_cell(&topo, &label, PreorderPolicy::M1, algo)?;
+        }
+    }
+    Ok(())
+}
 
+/// The battery: certify and lint every cell of a seed grid, plus a negative
+/// control (the paper's §4.3 printed PT list on the five-switch
+/// counterexample, which must be *rejected* with a minimized witness).
+/// Exits nonzero if any cell errors, any certificate fails its independent
+/// recheck, or the negative control is not caught.
+fn lint_grid(o: &Opts) -> Result<(), String> {
     let mut cells = 0u32;
     let mut failed = 0u32;
     let mut warning_findings = 0usize;
-    let mut run_cell =
+    let run_cell =
         |topo: &Topology, label: &str, policy: PreorderPolicy, algo: Algo| -> Result<(), String> {
             cells += 1;
             let inst = algo
@@ -472,19 +492,7 @@ fn lint_grid(o: &Opts) -> Result<(), String> {
             }
             Ok(())
         };
-    for &(n, ports, seed) in topos {
-        let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed)
-            .map_err(|e| format!("generation failed: {e}"))?;
-        let label = format!("switches={n} ports={ports} seed={seed}");
-        for policy in PreorderPolicy::ALL {
-            for &algo in &all_policy_algos {
-                run_cell(&topo, &label, policy, algo)?;
-            }
-        }
-        for &algo in &m1_only_algos {
-            run_cell(&topo, &label, PreorderPolicy::M1, algo)?;
-        }
-    }
+    for_each_grid_cell(o, |_, _| {}, run_cell)?;
 
     match negative_control() {
         Ok(len) => println!(
@@ -612,7 +620,8 @@ fn cmd_simulate(o: &Opts) -> Result<(), String> {
 
 /// Static analysis: fabric statistics, then the feasibility oracle
 /// (optionally through `--scenario`), then the four whole-table audits on
-/// the surviving fabric. Exits 1 when the target is infeasible or an audit
+/// the surviving fabric, timed as the `analyze/feasibility` and
+/// `analyze/audit` spans. Exits 1 when the target is infeasible or an audit
 /// errors; `--grid` sweeps the lint seed grids instead.
 fn cmd_analyze(o: &Opts) -> Result<(), String> {
     use irnet_analyze::{analyze_faulted, audit, AnalysisReport, Feasibility};
@@ -641,7 +650,9 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
         }
         None => FaultPlan::scripted([]),
     };
+    let span = irnet_telemetry::current().span("analyze/feasibility");
     let feasibility = analyze_faulted(&topo, &plan).map_err(|e| format!("fault plan: {e}"))?;
+    span.finish();
     let report = match &feasibility {
         Feasibility::Infeasible(_) => AnalysisReport {
             target,
@@ -662,6 +673,7 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
             let inst = algo
                 .construct(audit_topo, policy, o.parse("seed", 1u64))
                 .map_err(|e| format!("construction failed: {e}"))?;
+            let _audit = irnet_telemetry::current().span("analyze/audit");
             let cert = irnet_verify::certify(&inst.cg, &inst.table);
             AnalysisReport {
                 target,
@@ -717,40 +729,28 @@ fn print_analysis(report: &irnet_analyze::AnalysisReport) {
 fn analyze_grid(o: &Opts) -> Result<(), String> {
     use irnet_analyze::{analyze_topology, audit, Feasibility, SCHEMA};
 
-    let topos: &[(u32, u32, u64)] = if o.flag("full") {
-        &[
-            (32, 4, 1),
-            (32, 4, 2),
-            (32, 4, 3),
-            (32, 8, 1),
-            (32, 8, 2),
-            (48, 4, 1),
-            (48, 8, 1),
-            (64, 4, 1),
-        ]
-    } else {
-        &[(16, 4, 1), (16, 4, 2), (24, 4, 1), (24, 8, 1)]
-    };
-    let all_policy_algos = [
-        Algo::DownUp { release: true },
-        Algo::DownUp { release: false },
-        Algo::LTurn { release: true },
-        Algo::LTurn { release: false },
-    ];
-    let m1_only_algos = [Algo::UpDownBfs, Algo::UpDownDfs];
-
     let mut cells = 0u32;
     let mut failed = 0u32;
     let mut oracle_failed = 0u32;
     let mut warning_findings = 0usize;
     let mut results: Vec<Value> = Vec::new();
     let json = o.flag("json");
-    {
-        let mut run_cell = |topo: &Topology,
-                            label: &str,
-                            policy: PreorderPolicy,
-                            algo: Algo|
-         -> Result<(), String> {
+    let oracle = |topo: &Topology, label: &str| match analyze_topology(topo) {
+        Feasibility::Feasible(w) => {
+            if !json {
+                println!(
+                    "oracle {label}: feasible ({} switches / {} channels)",
+                    w.alive_nodes, w.alive_channels
+                );
+            }
+        }
+        Feasibility::Infeasible(obs) => {
+            oracle_failed += 1;
+            println!("FAIL oracle {label}: {obs}");
+        }
+    };
+    let run_cell =
+        |topo: &Topology, label: &str, policy: PreorderPolicy, algo: Algo| -> Result<(), String> {
             cells += 1;
             let target = format!("{label} policy={policy:?} algo={algo}");
             let inst = algo
@@ -784,34 +784,7 @@ fn analyze_grid(o: &Opts) -> Result<(), String> {
             ]));
             Ok(())
         };
-        for &(n, ports, seed) in topos {
-            let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed)
-                .map_err(|e| format!("generation failed: {e}"))?;
-            let label = format!("switches={n} ports={ports} seed={seed}");
-            match analyze_topology(&topo) {
-                Feasibility::Feasible(w) => {
-                    if !json {
-                        println!(
-                            "oracle {label}: feasible ({} switches / {} channels)",
-                            w.alive_nodes, w.alive_channels
-                        );
-                    }
-                }
-                Feasibility::Infeasible(obs) => {
-                    oracle_failed += 1;
-                    println!("FAIL oracle {label}: {obs}");
-                }
-            }
-            for policy in PreorderPolicy::ALL {
-                for &algo in &all_policy_algos {
-                    run_cell(&topo, &label, policy, algo)?;
-                }
-            }
-            for &algo in &m1_only_algos {
-                run_cell(&topo, &label, PreorderPolicy::M1, algo)?;
-            }
-        }
-    }
+    for_each_grid_cell(o, oracle, run_cell)?;
     failed += oracle_failed;
     if json {
         let grid = Value::Map(vec![

@@ -106,10 +106,6 @@ pub struct FlowCurve {
     pub cluster_count: usize,
     /// Representative flit sims actually run (cache hits excluded).
     pub representative_sims: usize,
-    /// Wall seconds spent in representative sims.
-    pub rep_sim_seconds: f64,
-    /// Wall seconds spent in the analytic decomposition.
-    pub decompose_seconds: f64,
     /// The most loaded channel.
     pub bottleneck_channel: ChannelId,
     /// Its offered load per unit injection rate.
@@ -177,8 +173,6 @@ pub struct FlowPredictor<'a> {
     route_cache: BTreeMap<Vec<Signature>, EDist>,
     cluster_count: usize,
     representative_sims: usize,
-    rep_sim_seconds: f64,
-    decompose_seconds: f64,
     /// Queries answered from the per-signature hop cache instead of a
     /// fresh representative sim.
     rep_sim_cache_hits: usize,
@@ -219,15 +213,13 @@ impl<'a> FlowPredictor<'a> {
         let dx = Decomposer::new(cg, table);
         let dec = dx.decompose(cfg.max_dests);
         let (bneck, w_max) = dec.bottleneck();
-        let decompose_seconds = t0.elapsed().as_secs_f64();
-        tel.record_span("flow/decompose", decompose_seconds);
+        tel.record_span("flow/decompose", t0.elapsed().as_secs_f64());
 
         // Saturation: drive the bottleneck channel's neighborhood hard and
         // measure what it actually sustains.
         let t1 = Instant::now();
         let (sat_throughput, probe_sims) = measure_saturation(topo, base, bneck, w_max, seed, cfg);
-        let rep_sim_seconds = t1.elapsed().as_secs_f64();
-        tel.record_span("flow/rep_sim", rep_sim_seconds);
+        tel.record_span("flow/rep_sim", t1.elapsed().as_secs_f64());
         tel.counter("flow/rep_sims").add(probe_sims as u64);
 
         // Deterministic route sample, shared by all rates (routes are
@@ -267,8 +259,6 @@ impl<'a> FlowPredictor<'a> {
             route_cache: BTreeMap::new(),
             cluster_count: 0,
             representative_sims: probe_sims,
-            rep_sim_seconds,
-            decompose_seconds,
             rep_sim_cache_hits: 0,
             route_cache_hits: 0,
             route_cache_misses: 0,
@@ -341,10 +331,9 @@ impl<'a> FlowPredictor<'a> {
                 &self.cfg,
                 self.plen,
             );
-            let dt = t.elapsed().as_secs_f64();
-            self.rep_sim_seconds += dt;
+            self.tel
+                .record_span("flow/rep_sim", t.elapsed().as_secs_f64());
             self.representative_sims += 1;
-            self.tel.record_span("flow/rep_sim", dt);
             self.tel.counter("flow/rep_sims").inc();
             self.hop_cache.insert(cl.sig, hop);
         }
@@ -415,8 +404,6 @@ impl<'a> FlowPredictor<'a> {
             sat_throughput: self.sat_throughput,
             cluster_count: self.cluster_count,
             representative_sims: self.representative_sims,
-            rep_sim_seconds: self.rep_sim_seconds,
-            decompose_seconds: self.decompose_seconds,
             bottleneck_channel: bneck,
             bottleneck_unit_load: w_max,
             dests_sampled: self.dec.dests_sampled,

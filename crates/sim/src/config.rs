@@ -140,30 +140,43 @@ impl SimConfig {
         self.warmup_cycles + self.measure_cycles
     }
 
-    /// Validates the configuration, panicking with a clear message on
-    /// nonsensical values. Called by the simulator constructor.
+    /// Why this configuration cannot be simulated, if it cannot: the rules
+    /// [`SimConfig::validate`] enforces, for callers that reject bad input
+    /// instead of panicking.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.packet_len < 2 {
+            return Err("packets need a header and a tail flit");
+        }
+        if self.injection_rate.is_nan() || self.injection_rate < 0.0 {
+            return Err("negative injection rate");
+        }
+        if self.buffer_depth < 1 {
+            return Err("buffers must hold at least one flit");
+        }
+        if !(1..=8).contains(&self.virtual_channels) {
+            return Err("virtual channels must be in 1..=8 (round-robin state and \
+                 per-channel occupancy counters assume a small VC count)");
+        }
+        if self.measure_cycles == 0 {
+            return Err("nothing to measure");
+        }
+        if self.injection_sampling == InjectionSampling::Geometric
+            && self.arrivals != ArrivalProcess::Bernoulli
+        {
+            return Err(
+                "InjectionSampling::Geometric requires ArrivalProcess::Bernoulli \
+                 (on/off sources need per-cycle state updates)",
+            );
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration, panicking with the [`SimConfig::check`]
+    /// message on nonsensical values. Called by the simulator constructor.
     pub fn validate(&self) {
-        assert!(
-            self.packet_len >= 2,
-            "packets need a header and a tail flit"
-        );
-        assert!(self.injection_rate >= 0.0, "negative injection rate");
-        assert!(
-            self.buffer_depth >= 1,
-            "buffers must hold at least one flit"
-        );
-        assert!(
-            (1..=8).contains(&self.virtual_channels),
-            "virtual channels must be in 1..=8 (round-robin state and \
-             per-channel occupancy counters assume a small VC count)"
-        );
-        assert!(self.measure_cycles > 0, "nothing to measure");
-        assert!(
-            self.injection_sampling == InjectionSampling::PerCycle
-                || self.arrivals == ArrivalProcess::Bernoulli,
-            "InjectionSampling::Geometric requires ArrivalProcess::Bernoulli \
-             (on/off sources need per-cycle state updates)"
-        );
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
+        }
     }
 }
 
@@ -178,6 +191,20 @@ mod tests {
         assert_eq!(c.virtual_channels, 1);
         assert_eq!(c.route_choice, RouteChoice::AdaptiveRandom);
         c.validate();
+    }
+
+    #[test]
+    fn check_names_the_rule_validate_panics_on() {
+        let nan_rate = SimConfig {
+            injection_rate: f64::NAN,
+            ..SimConfig::default()
+        };
+        assert_eq!(nan_rate.check(), Err("negative injection rate"));
+        let no_window = SimConfig {
+            measure_cycles: 0,
+            ..SimConfig::default()
+        };
+        assert_eq!(no_window.check(), Err("nothing to measure"));
     }
 
     #[test]

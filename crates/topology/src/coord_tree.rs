@@ -38,6 +38,16 @@ impl PreorderPolicy {
             PreorderPolicy::M3 => "M3",
         }
     }
+
+    /// Parses a policy label, either case (`"M1"` or `"m1"`).
+    pub fn parse(s: &str) -> Option<PreorderPolicy> {
+        match s {
+            "M1" | "m1" => Some(PreorderPolicy::M1),
+            "M2" | "m2" => Some(PreorderPolicy::M2),
+            "M3" | "m3" => Some(PreorderPolicy::M3),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for PreorderPolicy {
@@ -365,6 +375,16 @@ mod tests {
             [(0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn policy_labels_round_trip_through_parse() {
+        for policy in PreorderPolicy::ALL {
+            let label = policy.to_string();
+            assert_eq!(PreorderPolicy::parse(&label), Some(policy));
+            assert_eq!(PreorderPolicy::parse(&label.to_lowercase()), Some(policy));
+        }
+        assert_eq!(PreorderPolicy::parse("M4"), None);
     }
 
     #[test]
