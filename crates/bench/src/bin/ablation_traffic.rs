@@ -11,7 +11,7 @@ use irnet_metrics::fairness::FairnessReport;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::report::TextTable;
 use irnet_metrics::Algo;
-use irnet_sim::{ArrivalProcess, SimConfig, Simulator, TrafficPattern};
+use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, Simulator, TrafficPattern};
 use irnet_topology::{gen, PreorderPolicy};
 
 const USAGE: &str = "ablation_traffic — traffic patterns and bursty arrivals (A8)
@@ -86,10 +86,17 @@ fn main() {
             .enumerate()
             {
                 let inst = algo.construct(&topo, PreorderPolicy::M1, s as u64).unwrap();
+                // Geometric sampling covers Bernoulli sources only; on/off
+                // sources keep the per-cycle draw.
+                let injection_sampling = match arrivals {
+                    ArrivalProcess::Bernoulli => cfg.sim.injection_sampling,
+                    ArrivalProcess::OnOff { .. } => InjectionSampling::PerCycle,
+                };
                 let sim_cfg = SimConfig {
                     injection_rate: rate,
                     traffic: pattern,
                     arrivals,
+                    injection_sampling,
                     ..cfg.sim
                 };
                 let stats =

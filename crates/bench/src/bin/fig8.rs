@@ -148,6 +148,11 @@ fn main() {
         }
         for (chart, kind) in [(lat, "latency"), (acc, "accepted")] {
             let path = format!("{out_dir}/fig8_{ports}port_{kind}.svg");
+            if chart.is_empty() {
+                // Latency is undefined until a packet is delivered.
+                eprintln!("skipped {path}: no point has a finite {kind} (no packet delivered)");
+                continue;
+            }
             std::fs::write(&path, chart.to_svg()).expect("write svg");
             eprintln!("wrote {path}");
         }

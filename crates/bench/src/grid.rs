@@ -15,7 +15,7 @@ use crate::args::Cli;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::sweep::{self, SweepCurve, SweepPoint};
 use irnet_metrics::{Algo, Instance};
-use irnet_sim::SimConfig;
+use irnet_sim::{InjectionSampling, SimConfig};
 use irnet_telemetry::{Progress, ProgressMode, Telemetry};
 use irnet_topology::{gen, PreorderPolicy, Topology, MAX_PORTS};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,6 +66,19 @@ pub struct ExperimentConfig {
 /// The [`SimConfig`] field a grid flag overrides.
 type SimField = fn(&mut SimConfig) -> &mut u32;
 
+/// The simulator setup of the paper presets: the paper's uniform Bernoulli
+/// arrivals, drawn as geometric gaps between a source's arrivals, so the
+/// inject stage costs O(arrivals) rather than O(nodes) per clock. The law
+/// is the per-cycle draw's, on another RNG stream
+/// (`tests/sampler_equivalence.rs`); [`SimConfig::default`] keeps the
+/// per-cycle reference stream that the engine's golden pins use.
+fn paper_sim() -> SimConfig {
+    SimConfig {
+        injection_sampling: InjectionSampling::Geometric,
+        ..SimConfig::default()
+    }
+}
+
 /// The default grid worker count: one per available core, so `--full`
 /// reproduction runs saturate the machine out of the box. Falls back to 1
 /// when the parallelism query fails (e.g. restricted sandboxes).
@@ -75,6 +88,7 @@ pub fn default_threads() -> usize {
 
 impl ExperimentConfig {
     /// CI-sized configuration: small networks, short runs, one policy.
+    /// Both presets sample arrivals geometrically (see `paper_sim`).
     pub fn quick() -> ExperimentConfig {
         ExperimentConfig {
             num_switches: 32,
@@ -87,7 +101,7 @@ impl ExperimentConfig {
                 packet_len: 32,
                 warmup_cycles: 500,
                 measure_cycles: 2_000,
-                ..SimConfig::default()
+                ..paper_sim()
             },
             topo_seed: 1_000,
             sim_seed: 42,
@@ -109,7 +123,7 @@ impl ExperimentConfig {
             policies: PreorderPolicy::ALL.to_vec(),
             algos: Algo::PAPER_PAIR.to_vec(),
             rates: sweep::default_rates(10),
-            sim: SimConfig::default(),
+            sim: paper_sim(),
             topo_seed: 1_000,
             sim_seed: 42,
             threads: default_threads(),

@@ -19,7 +19,7 @@ use crate::decompose::{Decomposer, Decomposition};
 use crate::edist::EDist;
 use crate::neighborhood::extract;
 use irnet_core::{DownUp, DownUpRouting};
-use irnet_sim::{SimConfig, Simulator};
+use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, Simulator};
 use irnet_telemetry::Telemetry;
 use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, Topology};
 use irnet_turns::TurnTable;
@@ -496,12 +496,7 @@ fn measure_saturation(
     let mut peak_util = 0.0f64;
     let mut sims = 0usize;
     for (i, &drive) in PROBE_DRIVES.iter().enumerate() {
-        let sim_cfg = SimConfig {
-            injection_rate: drive,
-            warmup_cycles: cfg.sat_warmup,
-            measure_cycles: cfg.sat_measure,
-            ..*base
-        };
+        let sim_cfg = internal_sim(base, drive, cfg.sat_warmup, cfg.sat_measure);
         let stats = Simulator::new(
             routing.comm_graph(),
             routing.routing_tables(),
@@ -537,6 +532,24 @@ fn measure_saturation(
         1.0
     };
     (sat.clamp(1e-3, 1.0), sims)
+}
+
+/// The caller's configuration at the predictor's own load and windows.
+/// Bernoulli sources are sampled geometrically: the predictor's sims are
+/// internal, so only the arrival law matters, and skipping idle cycles
+/// makes them O(arrivals) rather than O(nodes) per clock.
+fn internal_sim(base: &SimConfig, injection_rate: f64, warmup: u32, measure: u32) -> SimConfig {
+    let injection_sampling = match base.arrivals {
+        ArrivalProcess::Bernoulli => InjectionSampling::Geometric,
+        ArrivalProcess::OnOff { .. } => base.injection_sampling,
+    };
+    SimConfig {
+        injection_rate,
+        warmup_cycles: warmup,
+        measure_cycles: measure,
+        injection_sampling,
+        ..*base
+    }
 }
 
 /// DOWN/UP on an extracted neighborhood. Neighborhoods are internal to
@@ -580,12 +593,7 @@ fn neighborhood_sim(
     if rate < 1e-6 {
         return None;
     }
-    let sim_cfg = SimConfig {
-        injection_rate: rate,
-        warmup_cycles: cfg.rep_warmup,
-        measure_cycles: cfg.rep_measure,
-        ..*base
-    };
+    let sim_cfg = internal_sim(base, rate, cfg.rep_warmup, cfg.rep_measure);
     let stats = Simulator::new(
         routing.comm_graph(),
         routing.routing_tables(),

@@ -63,8 +63,13 @@ impl LineChart {
         });
     }
 
-    /// Renders the chart to an SVG document. Panics if every series is
-    /// empty.
+    /// Whether no series holds a point, so there is nothing to plot.
+    pub fn is_empty(&self) -> bool {
+        self.series.iter().all(|s| s.points.is_empty())
+    }
+
+    /// Renders the chart to an SVG document. Panics if the chart
+    /// [`is_empty`](LineChart::is_empty).
     pub fn to_svg(&self) -> String {
         let (w, h) = (self.width as f64, self.height as f64);
         let (ml, mr, mt, mb) = (70.0, 20.0, 40.0, 55.0); // margins
@@ -264,6 +269,7 @@ mod tests {
         let mut c = LineChart::new("t", "x", "y");
         c.add_series("s", vec![(0.0, 1.0), (1.0, f64::NAN), (2.0, 3.0)]);
         assert_eq!(c.series[0].points.len(), 2);
+        assert!(!c.is_empty());
         let svg = c.to_svg();
         assert_eq!(svg.matches("<circle").count(), 2);
     }
@@ -276,6 +282,14 @@ mod tests {
         assert!(svg.contains("a &lt; b &amp; c"));
         assert!(svg.contains("s&lt;1&gt;"));
         assert!(!svg.contains("a < b"));
+    }
+
+    #[test]
+    fn a_chart_of_non_finite_points_is_empty() {
+        let mut c = LineChart::new("t", "x", "y");
+        assert!(c.is_empty());
+        c.add_series("s", vec![(0.0, f64::NAN), (1.0, f64::INFINITY)]);
+        assert!(c.is_empty());
     }
 
     #[test]

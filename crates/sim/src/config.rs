@@ -56,7 +56,8 @@ pub enum InjectionSampling {
     /// network costs zero RNG calls per clock. Statistically identical
     /// arrival law to [`InjectionSampling::PerCycle`] but a different RNG
     /// stream (it has its own determinism pins). Only valid with
-    /// [`ArrivalProcess::Bernoulli`].
+    /// [`ArrivalProcess::Bernoulli`]. The paper grid presets and the flow
+    /// predictor's internal sims use it.
     Geometric,
 }
 

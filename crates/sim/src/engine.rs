@@ -153,6 +153,10 @@ pub struct Simulator<'a> {
     /// Per-source next scheduled arrival, keyed `(cycle, node)` — only
     /// used by [`InjectionSampling::Geometric`].
     next_arrival: BinaryHeap<Reverse<(u32, NodeId)>>,
+    /// Whether each node has an entry in `next_arrival`. A node holds at
+    /// most one, so an entry that outlives its node's death cannot be
+    /// doubled by a revival or a rate change.
+    arrival_pending: Vec<bool>,
 
     /// Attached structured-event sink ([`Simulator::attach_recorder`]);
     /// `None` by default, so the hot path pays one branch per hook when
@@ -263,6 +267,7 @@ impl<'a> Simulator<'a> {
             work: WorkCounters::default(),
             scratch: Vec::with_capacity(64),
             next_arrival: BinaryHeap::new(),
+            arrival_pending: vec![false; n],
             recorder: None,
             reconfigs: Vec::new(),
             next_reconfig: 0,
@@ -380,6 +385,7 @@ impl<'a> Simulator<'a> {
         );
         if self.cfg.injection_sampling == InjectionSampling::Geometric {
             self.next_arrival.clear();
+            self.arrival_pending.fill(false);
             self.arm_geometric_arrivals();
         }
     }
@@ -395,10 +401,23 @@ impl<'a> Simulator<'a> {
             return;
         }
         for v in 0..n {
-            let skip = geometric_skip(&mut self.rng, self.inject_p);
-            self.next_arrival
-                .push(Reverse((self.now.saturating_add(skip), v)));
+            self.schedule_arrival(v, self.now);
         }
+    }
+
+    /// Draws node `v`'s geometric gap and schedules its next arrival that
+    /// many idle cycles after `from`. Callers keep one pending arrival per
+    /// node (`arrival_pending`).
+    fn schedule_arrival(&mut self, v: NodeId, from: u32) {
+        debug_assert!(
+            !self.arrival_pending[v as usize],
+            "node {v} already has a pending arrival"
+        );
+        let skip = geometric_skip(&mut self.rng, self.inject_p);
+        self.work.arrival_samples += 1;
+        self.arrival_pending[v as usize] = true;
+        self.next_arrival
+            .push(Reverse((from.saturating_add(skip), v)));
     }
 
     /// Advances the clock by one cycle (public stepping for custom loops;
@@ -744,15 +763,17 @@ impl<'a> Simulator<'a> {
             }
             // The processor restarts in the quiescent state.
             self.src_on[v as usize] = false;
+            // A dead node's arrival stream ends when its pending arrival
+            // comes due, and the revival restarts it. An arrival drawn
+            // before the death and not yet due is still a valid next
+            // arrival (the geometric gap is memoryless), so the revival
+            // keeps it instead of adding a second stream.
             if self.cfg.injection_sampling == InjectionSampling::Geometric
                 && self.inject_p > 0.0
                 && self.cg.num_nodes() >= 2
+                && !self.arrival_pending[v as usize]
             {
-                // Its arrival stream ended at death (dead arrivals are
-                // dropped without re-arm): schedule a fresh first arrival.
-                let skip = geometric_skip(&mut self.rng, self.inject_p);
-                self.next_arrival
-                    .push(Reverse((self.now.saturating_add(1 + skip), v)));
+                self.schedule_arrival(v, self.now + 1);
             }
         }
         for &c in &epoch.dead_channels {
@@ -1013,6 +1034,7 @@ impl<'a> Simulator<'a> {
                 // A dead processor generates nothing (and costs no draw).
                 continue;
             }
+            self.work.arrival_samples += 1;
             let mut on = self.src_on[v as usize];
             let arrived = arrivals.arrives(&mut self.rng, &mut on, p);
             self.src_on[v as usize] = on;
@@ -1031,14 +1053,13 @@ impl<'a> Simulator<'a> {
                 break;
             }
             self.next_arrival.pop();
+            self.arrival_pending[v as usize] = false;
             if self.node_dead[v as usize] {
                 // A dead source's arrival stream ends: drop without re-arm.
                 continue;
             }
             self.generate_packet(v);
-            let skip = geometric_skip(&mut self.rng, self.inject_p);
-            self.next_arrival
-                .push(Reverse((self.now.saturating_add(1 + skip), v)));
+            self.schedule_arrival(v, self.now + 1);
         }
     }
 
@@ -1717,10 +1738,11 @@ enum Visit {
 }
 
 /// Scheduling work of a run: how many entries each stage visited,
-/// whatever they then did, plus the header arbitration attempts. The
-/// dense reference core visits every channel and input every clock; the
-/// active-set core only occupied entries that are not parked. Unlike wall
-/// time, the counts are exact per seed, so a test can pin them.
+/// whatever they then did, plus the header arbitration attempts and the
+/// inject stage's arrival samples. The dense reference core visits every
+/// channel and input every clock; the active-set core only occupied
+/// entries that are not parked. Unlike wall time, the counts are exact
+/// per seed, so a test can pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Channels examined by the link stage.
@@ -1729,6 +1751,11 @@ pub struct WorkCounters {
     pub crossbar_visits: u64,
     /// Header arbitration attempts.
     pub arbitrations: u64,
+    /// Arrival-process samples: one per live node per clock under
+    /// [`InjectionSampling::PerCycle`] (at a positive load), one per drawn
+    /// gap under [`InjectionSampling::Geometric`] — O(nodes) versus
+    /// O(arrivals) per clock. The same for both cores.
+    pub arrival_samples: u64,
 }
 
 /// Index of the `k`-th (0-based) set bit of `mask`.
@@ -2585,6 +2612,98 @@ mod tests {
         );
     }
 
+    /// A switch that dies and revives under geometric sampling keeps one
+    /// arrival stream. Its arrival drawn before the death can still be
+    /// pending at the revival, and so can one that a rate change made
+    /// during the outage re-armed; neither may be doubled by the revival,
+    /// or the node offers twice its load for the rest of the run.
+    #[test]
+    fn switch_revival_keeps_one_geometric_arrival_per_node() {
+        use irnet_topology::{FaultEvent, FaultKind, FaultPlan};
+        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 5).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let epochs = (0..topo.num_nodes())
+            .find_map(|node| {
+                let plan = FaultPlan::scripted([FaultEvent::recovering(
+                    600,
+                    FaultKind::Switch { node },
+                    2_600,
+                )]);
+                full_repair(&topo, &r, &plan).ok()
+            })
+            .expect("some switch fault must be repairable");
+        let dead = epochs[0].dead_nodes[0];
+        for core in [EngineCore::ActiveSet, EngineCore::DenseReference] {
+            for rate_change_at in [None, Some(1_000)] {
+                for seed in 0..50 {
+                    let cfg = SimConfig {
+                        engine_core: core,
+                        packet_len: 8,
+                        injection_rate: 0.002,
+                        warmup_cycles: 0,
+                        measure_cycles: 4_000,
+                        injection_sampling: InjectionSampling::Geometric,
+                        ..SimConfig::default()
+                    };
+                    let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, seed);
+                    for e in &epochs {
+                        sim.schedule_reconfig(e);
+                    }
+                    for cycle in 0..3_000 {
+                        if Some(cycle) == rate_change_at {
+                            sim.set_injection_rate(0.002);
+                        }
+                        sim.step();
+                    }
+                    let pending = sim
+                        .next_arrival
+                        .iter()
+                        .filter(|Reverse((_, v))| *v == dead)
+                        .count();
+                    assert!(
+                        pending <= 1,
+                        "{core:?}, seed {seed}, rate change {rate_change_at:?}: \
+                         revived node {dead} holds {pending} pending arrivals"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The inject stage's arrival samples are exact: per-cycle sampling
+    /// draws once per node per clock, geometric sampling once per node to
+    /// start and once more per generated packet.
+    #[test]
+    fn arrival_samples_count_the_inject_stage_draws() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 5).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let n = topo.num_nodes() as u64;
+        for core in [EngineCore::ActiveSet, EngineCore::DenseReference] {
+            let run = |sampling| {
+                let cfg = SimConfig {
+                    engine_core: core,
+                    injection_sampling: sampling,
+                    ..quick_cfg(0.2)
+                };
+                let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 1);
+                assert!(!sim.run_in_place());
+                (
+                    sim.work_counters().arrival_samples,
+                    sim.packets.len() as u64,
+                )
+            };
+            let cycles = u64::from(quick_cfg(0.2).total_cycles());
+            let (per_cycle, _) = run(InjectionSampling::PerCycle);
+            assert_eq!(per_cycle, n * cycles, "{core:?}");
+            let (geometric, packets) = run(InjectionSampling::Geometric);
+            assert_eq!(geometric, n + packets, "{core:?}");
+            assert!(
+                geometric < per_cycle / 10,
+                "{core:?}: {geometric} vs {per_cycle}"
+            );
+        }
+    }
+
     /// A link fault at moderate load, and a switch death at high load.
     /// Packets bound for a dead switch are dropped lazily when their
     /// headers next arbitrate, so those drops land in the middle of the
@@ -2653,6 +2772,7 @@ mod tests {
             println!("active {active_work:?}\ndense {dense_work:?}");
         }
         assert_eq!(active_work, ACTIVE_WORK_GOLDEN);
+        assert_eq!(active_work.arrival_samples, dense_work.arrival_samples);
         assert!(active_work.crossbar_visits < dense_work.crossbar_visits);
         assert!(active_work.link_visits < dense_work.link_visits);
         assert!(active_work.arbitrations < dense_work.arbitrations);
@@ -2662,6 +2782,7 @@ mod tests {
         link_visits: 27_524,
         crossbar_visits: 44_972,
         arbitrations: 7_683,
+        arrival_samples: 28_800,
     };
 
     /// A wedged ring parks every worm in the active core; the forensics

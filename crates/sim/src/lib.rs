@@ -28,7 +28,8 @@
 //! than the network size, and a dense reference scan kept for
 //! differential testing.
 //! [`InjectionSampling::Geometric`] additionally removes the per-node
-//! per-cycle RNG draw at low loads (opt-in; its own RNG stream).
+//! per-cycle RNG draw (its own RNG stream; the paper grid presets use it,
+//! while the default stays the per-cycle reference stream).
 //!
 //! ```
 //! use irnet_topology::gen;
