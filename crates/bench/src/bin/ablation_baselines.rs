@@ -14,6 +14,7 @@ options: same as fig8 (see `fig8 --help`)";
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
     let mut cfg = ExperimentConfig::from_cli(&cli);
+    cfg.policies.truncate(1);
     cfg.algos = vec![
         Algo::UpDownBfs,
         Algo::UpDownDfs,

@@ -7,51 +7,43 @@
 //!
 //! Usage: `ablation_misroute [--quick|--full] [--samples N] ...`
 
-use irnet_bench::{parse_args, ExperimentConfig};
-use irnet_metrics::paper::PaperMetrics;
+use irnet_bench::{parse_args, run_grid, ExperimentConfig};
 use irnet_metrics::report::TextTable;
-use irnet_metrics::sweep;
 use irnet_metrics::Algo;
-use irnet_sim::SimConfig;
-use irnet_topology::{gen, PreorderPolicy};
 
 const USAGE: &str = "ablation_misroute — minimal vs non-minimal escape routing (A12)
 options: same as fig8 (see `fig8 --help`)";
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let cfg = ExperimentConfig::from_cli(&cli);
+    let mut cfg = ExperimentConfig::from_cli(&cli);
+    cfg.policies.truncate(1);
+    cfg.ports.truncate(1);
+    cfg.algos = Algo::PAPER_PAIR.to_vec();
     let variants: [(&str, Option<u32>, u32); 4] = [
         ("minimal only (paper)", None, 0),
         ("misroute after 2, budget 2", Some(2), 2),
         ("misroute after 8, budget 4", Some(8), 4),
         ("misroute after 32, budget 8", Some(32), 8),
     ];
+    let results: Vec<_> = variants
+        .iter()
+        .map(|&(_, patience, budget)| {
+            let mut variant = cfg.clone();
+            variant.sim.misroute_patience = patience;
+            variant.sim.max_detours = budget;
+            run_grid(&variant)
+        })
+        .collect();
 
-    for algo in [
-        Algo::LTurn { release: true },
-        Algo::DownUp { release: true },
-    ] {
+    for &algo in &cfg.algos {
         let mut table =
             TextTable::new(&["escape policy", "max thpt", "latency @ sat", "traffic load"]);
-        for (label, patience, budget) in variants {
-            let mut sat = Vec::new();
-            for s in 0..cfg.samples {
-                let topo = gen::random_irregular(
-                    gen::IrregularParams::paper(cfg.num_switches, cfg.ports[0]),
-                    cfg.topo_seed + s as u64,
-                )
-                .unwrap();
-                let inst = algo.construct(&topo, PreorderPolicy::M1, s as u64).unwrap();
-                let base = SimConfig {
-                    misroute_patience: patience,
-                    max_detours: budget,
-                    ..cfg.sim
-                };
-                let curve = sweep::sweep(&inst, &base, &cfg.rates, cfg.sim_seed + s as u64);
-                sat.push(curve.saturation().metrics);
-            }
-            let m = PaperMetrics::mean(sat.iter());
+        for ((label, ..), grid) in variants.iter().zip(&results) {
+            let m = grid
+                .cell(cfg.ports[0], cfg.policies[0], algo)
+                .unwrap()
+                .saturation;
             table.row(vec![
                 label.to_string(),
                 format!("{:.4}", m.accepted_traffic),

@@ -5,20 +5,22 @@
 //!
 //! Usage: `ablation_root [--quick|--full] [--samples N] ...`
 
-use irnet_bench::{parse_args, ExperimentConfig};
-use irnet_core::DownUp;
-use irnet_metrics::paper::PaperMetrics;
+use irnet_bench::{parse_args, run_grid, ExperimentConfig};
 use irnet_metrics::report::TextTable;
-use irnet_metrics::sweep;
-use irnet_metrics::Instance;
-use irnet_topology::{gen, RootPolicy};
+use irnet_metrics::Algo;
+use irnet_topology::gen;
 
 const USAGE: &str = "ablation_root — smallest-id vs center spanning-tree root (A10)
 options: same as fig8 (see `fig8 --help`)";
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let cfg = ExperimentConfig::from_cli(&cli);
+    let mut cfg = ExperimentConfig::from_cli(&cli);
+    cfg.policies.truncate(1);
+    cfg.ports.truncate(1);
+    cfg.algos = vec![Algo::DownUp { release: true }, Algo::DownUpCenterRoot];
+    let (ports, policy) = (cfg.ports[0], cfg.policies[0]);
+    let results = run_grid(&cfg);
 
     let mut table = TextTable::new(&[
         "root policy",
@@ -28,35 +30,21 @@ fn main() {
         "hot spot %",
         "leaf util",
     ]);
-    for (label, root) in [
-        ("smallest id (paper)", RootPolicy::Smallest),
-        ("center", RootPolicy::Center),
-    ] {
+    for (&algo, label) in cfg.algos.iter().zip(["smallest id (paper)", "center"]) {
+        // Static pass: tree depth and route length need no simulation.
         let mut depth = 0.0;
         let mut hops = 0.0;
-        let mut sat = Vec::new();
         for s in 0..cfg.samples {
-            let topo = gen::random_irregular(
-                gen::IrregularParams::paper(cfg.num_switches, cfg.ports[0]),
-                cfg.topo_seed + s as u64,
-            )
-            .unwrap();
-            let routing = DownUp::new().root(root).construct(&topo).unwrap();
-            let (tree, cg, tbl, tables) = routing.into_parts();
-            depth += tree.max_level() as f64;
-            hops += tables.avg_route_len(&cg);
-            let inst = Instance {
-                tree,
-                cg,
-                table: tbl,
-                tables,
-                spans: None,
-            };
-            let curve = sweep::sweep(&inst, &cfg.sim, &cfg.rates, cfg.sim_seed + s as u64);
-            sat.push(curve.saturation().metrics);
+            let seed = cfg.topo_seed + s as u64;
+            let topo =
+                gen::random_irregular(gen::IrregularParams::paper(cfg.num_switches, ports), seed)
+                    .unwrap();
+            let inst = algo.construct(&topo, policy, seed).unwrap();
+            depth += inst.tree.max_level() as f64;
+            hops += inst.tables.avg_route_len(&inst.cg);
         }
         let n = cfg.samples as f64;
-        let m = PaperMetrics::mean(sat.iter());
+        let m = results.cell(ports, policy, algo).unwrap().saturation;
         table.row(vec![
             label.to_string(),
             format!("{:.1}", depth / n),
@@ -67,8 +55,8 @@ fn main() {
         ]);
     }
     println!(
-        "\nRoot-selection ablation (DOWN/UP, {} switches, {}-port, {} samples):\n",
-        cfg.num_switches, cfg.ports[0], cfg.samples
+        "\nRoot-selection ablation (DOWN/UP, {} switches, {ports}-port, {} samples):\n",
+        cfg.num_switches, cfg.samples
     );
     println!("{}", table.render());
 }

@@ -6,10 +6,9 @@
 //!
 //! Usage: `ablation_routechoice [--quick|--full] [--samples N] ...`
 
-use irnet_bench::{parse_args, ExperimentConfig};
+use irnet_bench::{parse_args, run_grid, ExperimentConfig};
 use irnet_metrics::levels::LevelProfile;
 use irnet_metrics::report::TextTable;
-use irnet_metrics::sweep;
 use irnet_metrics::Algo;
 use irnet_sim::{RouteChoice, SimConfig, Simulator};
 use irnet_topology::{gen, PreorderPolicy};
@@ -19,7 +18,10 @@ options: same as fig8 (see `fig8 --help`)";
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let cfg = ExperimentConfig::from_cli(&cli);
+    let mut cfg = ExperimentConfig::from_cli(&cli);
+    cfg.policies.truncate(1);
+    cfg.ports.truncate(1);
+    cfg.algos = vec![Algo::DownUp { release: true }];
     let choices = [
         ("adaptive random (paper)", RouteChoice::AdaptiveRandom),
         ("oblivious random", RouteChoice::ObliviousRandom),
@@ -34,24 +36,12 @@ fn main() {
         "hot spot %",
     ]);
     for (label, choice) in choices {
-        let mut sat = Vec::new();
-        for s in 0..cfg.samples {
-            let topo = gen::random_irregular(
-                gen::IrregularParams::paper(cfg.num_switches, cfg.ports[0]),
-                cfg.topo_seed + s as u64,
-            )
-            .unwrap();
-            let inst = Algo::DownUp { release: true }
-                .construct(&topo, PreorderPolicy::M1, s as u64)
-                .unwrap();
-            let base = SimConfig {
-                route_choice: choice,
-                ..cfg.sim
-            };
-            let curve = sweep::sweep(&inst, &base, &cfg.rates, cfg.sim_seed + s as u64);
-            sat.push(curve.saturation().metrics);
-        }
-        let m = irnet_metrics::paper::PaperMetrics::mean(sat.iter());
+        let mut variant = cfg.clone();
+        variant.sim.route_choice = choice;
+        let m = run_grid(&variant)
+            .cell(cfg.ports[0], cfg.policies[0], cfg.algos[0])
+            .unwrap()
+            .saturation;
         table.row(vec![
             label.to_string(),
             format!("{:.4}", m.accepted_traffic),

@@ -27,7 +27,9 @@ fn construct_seconds(cfg: &ExperimentConfig, n: u32) -> f64 {
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let base = ExperimentConfig::from_cli(&cli);
+    let mut base = ExperimentConfig::from_cli(&cli);
+    base.policies.truncate(1);
+    base.ports.truncate(1);
     let sizes: Vec<u32> = cli.opt_list(
         "sizes",
         if cli.flag("full") {

@@ -12,7 +12,9 @@ options: same as fig8 (see `fig8 --help`)";
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let base = ExperimentConfig::from_cli(&cli);
+    let mut base = ExperimentConfig::from_cli(&cli);
+    base.policies.truncate(1);
+    base.ports.truncate(1);
 
     let mut depth_table = TextTable::new(&[
         "buffer depth",

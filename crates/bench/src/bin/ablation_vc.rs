@@ -13,7 +13,9 @@ options: same as fig8 (see `fig8 --help`)";
 
 fn main() {
     let cli = parse_args(std::env::args(), USAGE);
-    let base = ExperimentConfig::from_cli(&cli);
+    let mut base = ExperimentConfig::from_cli(&cli);
+    base.policies.truncate(1);
+    base.ports.truncate(1);
 
     let mut table = TextTable::new(&[
         "virtual channels",

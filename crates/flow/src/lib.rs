@@ -39,30 +39,3 @@ pub use decompose::{Decomposer, Decomposition};
 pub use edist::EDist;
 pub use neighborhood::{extract, Neighborhood};
 pub use predict::{predict, FlowConfig, FlowCurve, FlowPoint, FlowPredictor};
-
-use irnet_metrics::Instance;
-use irnet_sim::SimConfig;
-use irnet_topology::Topology;
-
-/// Predicts the latency/throughput curve for a constructed [`Instance`] —
-/// the flow-backend twin of [`irnet_metrics::sweep::sweep`]. `rates`,
-/// `seed`, and `base` mean exactly what they mean there.
-pub fn predict_instance(
-    topo: &Topology,
-    inst: &Instance,
-    base: &SimConfig,
-    rates: &[f64],
-    seed: u64,
-    cfg: &FlowConfig,
-) -> FlowCurve {
-    predict(
-        topo,
-        &inst.tree,
-        &inst.cg,
-        &inst.table,
-        base,
-        rates,
-        seed,
-        cfg,
-    )
-}

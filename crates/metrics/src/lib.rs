@@ -18,7 +18,7 @@ pub mod sweep;
 
 use irnet_baselines::{lturn, updown, BaselineError};
 use irnet_core::{ConstructError, DownUp, PhaseSpans};
-use irnet_topology::{CommGraph, CoordinatedTree, PreorderPolicy, Topology};
+use irnet_topology::{CommGraph, CoordinatedTree, PreorderPolicy, RootPolicy, Topology};
 use irnet_turns::{RoutingTables, TurnTable};
 
 /// A routing algorithm under evaluation.
@@ -30,6 +30,9 @@ pub enum Algo {
         /// Run the Phase-3 release pass.
         release: bool,
     },
+    /// DOWN/UP with its spanning tree rooted at a graph center instead of
+    /// the smallest node id (the A10 ablation).
+    DownUpCenterRoot,
     /// The L-turn baseline (reconstruction; optionally without its release
     /// pass).
     LTurn {
@@ -54,6 +57,7 @@ impl Algo {
         match self {
             Algo::DownUp { release: true } => "DOWN/UP",
             Algo::DownUp { release: false } => "DOWN/UP (no release)",
+            Algo::DownUpCenterRoot => "DOWN/UP (center root)",
             Algo::LTurn { release: true } => "L-turn",
             Algo::LTurn { release: false } => "L-turn (no release)",
             Algo::UpDownBfs => "up*/down* (BFS)",
@@ -80,6 +84,12 @@ impl Algo {
                 .release(release)
                 .construct(topo)?
                 .into_parts(),
+            Algo::DownUpCenterRoot => DownUp::new()
+                .policy(policy)
+                .seed(seed)
+                .root(RootPolicy::Center)
+                .construct(topo)?
+                .into_parts(),
             Algo::LTurn { release } => lturn::construct_with(
                 topo,
                 lturn::LTurnOptions {
@@ -93,7 +103,7 @@ impl Algo {
             Algo::UpDownDfs => updown::construct_dfs(topo)?.into_parts(),
         };
         // DOWN/UP records its own `construction` span tree.
-        if !matches!(self, Algo::DownUp { .. }) {
+        if !matches!(self, Algo::DownUp { .. } | Algo::DownUpCenterRoot) {
             irnet_telemetry::current().record_span("construction", t0.elapsed().as_secs_f64());
         }
         Ok(Instance {
@@ -173,6 +183,7 @@ mod tests {
         for algo in [
             Algo::DownUp { release: true },
             Algo::DownUp { release: false },
+            Algo::DownUpCenterRoot,
             Algo::LTurn { release: true },
             Algo::LTurn { release: false },
             Algo::UpDownBfs,
@@ -185,5 +196,12 @@ mod tests {
             );
             assert!(!algo.label().is_empty());
         }
+        // A 3x3 mesh's center is its middle switch, not node 0.
+        let mesh = gen::mesh(3, 3).unwrap();
+        let center = Algo::DownUpCenterRoot
+            .construct(&mesh, PreorderPolicy::M1, 0)
+            .unwrap();
+        assert_eq!(center.tree.root(), RootPolicy::Center.pick(&mesh));
+        assert_eq!(center.tree.root(), 4);
     }
 }

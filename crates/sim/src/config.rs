@@ -127,15 +127,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's configuration at a given offered load, with run lengths
-    /// sized for the 128-switch experiments.
-    pub fn paper(injection_rate: f64) -> SimConfig {
-        SimConfig {
-            injection_rate,
-            ..SimConfig::default()
-        }
-    }
-
     /// Total simulated cycles.
     pub fn total_cycles(&self) -> u32 {
         self.warmup_cycles + self.measure_cycles

@@ -80,12 +80,6 @@ impl SimStats {
         }
     }
 
-    /// Offered load actually generated, in flits per clock per node.
-    pub fn offered_traffic(&self, packet_len: u32) -> f64 {
-        self.packets_generated as f64 * packet_len as f64
-            / (self.cycles as f64 * self.num_nodes as f64)
-    }
-
     /// Utilization of one output channel: average flits per clock crossing
     /// it (paper §5, Table 1 definition).
     pub fn channel_utilization(&self, c: ChannelId) -> f64 {
@@ -211,7 +205,6 @@ mod tests {
         assert!((s.accepted_traffic() - 0.5).abs() < 1e-12);
         assert!((s.avg_latency() - 250.0).abs() < 1e-12);
         assert!((s.channel_utilization(0) - 0.5).abs() < 1e-12);
-        assert!((s.offered_traffic(20) - 0.6).abs() < 1e-12);
     }
 
     #[test]

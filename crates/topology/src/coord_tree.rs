@@ -257,7 +257,8 @@ impl CoordinatedTree {
         })
     }
 
-    /// The root of the spanning tree (always node 0).
+    /// The root of the spanning tree (node 0 unless built with
+    /// [`RootPolicy::Center`]).
     #[inline]
     pub fn root(&self) -> NodeId {
         self.root

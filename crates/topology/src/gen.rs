@@ -134,24 +134,6 @@ pub fn random_irregular(params: IrregularParams, seed: u64) -> Result<Topology, 
     Topology::new(n, ports, links)
 }
 
-/// The paper's sample set: `count` random irregular networks of
-/// `num_nodes` switches and `ports` ports, seeded `base_seed..base_seed+count`.
-pub fn paper_samples(
-    num_nodes: u32,
-    ports: u32,
-    count: u32,
-    base_seed: u64,
-) -> Result<Vec<Topology>, TopologyError> {
-    (0..count)
-        .map(|i| {
-            random_irregular(
-                IrregularParams::paper(num_nodes, ports),
-                base_seed + i as u64,
-            )
-        })
-        .collect()
-}
-
 /// Parameters for the clustered (rack-based) generator.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusteredParams {
@@ -400,17 +382,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.num_links(), 39);
-    }
-
-    #[test]
-    fn paper_samples_are_distinct() {
-        let samples = paper_samples(32, 4, 4, 100).unwrap();
-        assert_eq!(samples.len(), 4);
-        for i in 0..samples.len() {
-            for j in (i + 1)..samples.len() {
-                assert_ne!(samples[i].links(), samples[j].links());
-            }
-        }
     }
 
     #[test]

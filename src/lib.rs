@@ -76,9 +76,7 @@ pub mod prelude {
         plan_epochs_timeline_with, plan_epochs_with, DownUp, DownUpRouting, EpochRepair,
         ReconfigEpoch, RepairSpans, RepairStrategy,
     };
-    pub use irnet_flow::{
-        predict, predict_instance, FlowConfig, FlowCurve, FlowPoint, FlowPredictor,
-    };
+    pub use irnet_flow::{predict, FlowConfig, FlowCurve, FlowPoint, FlowPredictor};
     pub use irnet_metrics::paper::PaperMetrics;
     pub use irnet_metrics::sweep;
     pub use irnet_metrics::{Algo, Instance};
