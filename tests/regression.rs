@@ -150,3 +150,84 @@ fn print_golden() {
         stats.packets_delivered, stats.flits_delivered, stats.latency_sum
     );
 }
+
+/// 64-bit FNV-1a over the links of `topos`, each link as its two endpoints
+/// in little-endian bytes. Unlike the sum fingerprint above, it changes when
+/// the same links come out in another order.
+fn links_fnv<'a>(topos: impl IntoIterator<Item = &'a Topology>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for t in topos {
+        for &(a, b) in t.links() {
+            for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn generator_link_order_is_stable() {
+    // (switches, ports, fill, seeds, FNV-1a over the fabrics' links in seed
+    // order): the paper grid's samples (`ExperimentConfig::full`), the
+    // 2048-switch benchmark fabrics, a half fill and the 2-port path case.
+    let cases: [(u32, u32, f64, std::ops::Range<u64>, u64); 6] = [
+        (128, 4, 1.0, 1_000..1_010, 0x24c6_8775_94f4_03c5),
+        (128, 8, 1.0, 1_000..1_010, 0xf5d2_7762_39e1_cdba),
+        (2048, 8, 1.0, 0..3, 0x2973_b385_8202_1f95),
+        (96, 6, 0.5, 4..5, 0x9a32_3a37_414c_6bf5),
+        (40, 2, 1.0, 11..12, 0x4ef6_7d8e_debc_6af5),
+        (1, 4, 1.0, 0..1, 0xcbf2_9ce4_8422_2325),
+    ];
+    for (num_nodes, ports, fill, seeds, want) in cases {
+        let params = gen::IrregularParams {
+            num_nodes,
+            ports,
+            fill,
+        };
+        let topos: Vec<Topology> = seeds
+            .clone()
+            .map(|s| gen::random_irregular(params, s).unwrap())
+            .collect();
+        let got = links_fnv(&topos);
+        if std::env::var("PRINT_GOLDEN").is_ok() {
+            println!("({num_nodes}, {ports}, {fill}, {seeds:?}) -> {got:#018x}");
+            continue;
+        }
+        assert_eq!(
+            got, want,
+            "random_irregular links changed for {num_nodes}x{ports} fill {fill} seeds {seeds:?}"
+        );
+    }
+}
+
+#[test]
+fn generator_errors_are_stable() {
+    let err = |num_nodes, ports, fill| {
+        gen::random_irregular(
+            gen::IrregularParams {
+                num_nodes,
+                ports,
+                fill,
+            },
+            3,
+        )
+        .unwrap_err()
+        .to_string()
+    };
+    assert_eq!(
+        err(5, 0, 1.0),
+        "generator constraint violated: need at least one port per switch to \
+         connect the network"
+    );
+    assert_eq!(
+        err(6, 1, 1.0),
+        "generator constraint violated: ran out of free ports while building \
+         the spanning tree (2 of 6 nodes attached; ports = 1)"
+    );
+    assert_eq!(
+        err(6, 4, 1.5),
+        "generator constraint violated: fill 1.5 outside 0..=1"
+    );
+}
