@@ -142,7 +142,12 @@ impl DownUp {
         self.timed_phases(topo).map(|(phases, _)| phases)
     }
 
-    /// Phases 1–3 with the wall-clock seconds of each.
+    /// Phases 1–3 with the wall-clock seconds of each. Phase 3's decisions
+    /// go to [`irnet_telemetry::current`]: the counters
+    /// `construction/phase3_candidates` and `construction/phase3_released`
+    /// and the gauge `construction/phase3_closure_bytes`, so
+    /// [`DownUp::construct_phases`] callers (the flow path, repair epochs)
+    /// report them too.
     fn timed_phases(self, topo: &Topology) -> Result<(Phases, [f64; 3]), ConstructError> {
         // Phase 1: coordinated tree + communication graph.
         let start = Instant::now();
@@ -155,12 +160,23 @@ impl DownUp {
         let phase2 = start.elapsed().as_secs_f64();
         // Phase 3: release redundant per-node prohibitions.
         let start = Instant::now();
-        let released = if self.release {
-            phase3::cycle_detection(&cg, &mut table)
-        } else {
-            Vec::new()
-        };
+        let pass = self
+            .release
+            .then(|| phase3::cycle_detection(&cg, &mut table));
         let phase3 = start.elapsed().as_secs_f64();
+        let released = match pass {
+            Some(pass) => {
+                let tel = irnet_telemetry::current();
+                tel.counter("construction/phase3_candidates")
+                    .add(pass.candidates as u64);
+                tel.counter("construction/phase3_released")
+                    .add(pass.released.len() as u64);
+                tel.gauge("construction/phase3_closure_bytes")
+                    .set(pass.closure_bytes as f64);
+                pass.released
+            }
+            None => Vec::new(),
+        };
         Ok(((tree, cg, table, released), [phase1, phase2, phase3]))
     }
 }

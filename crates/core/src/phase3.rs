@@ -37,30 +37,45 @@ pub struct ReleasedTurn {
     pub out_ch: ChannelId,
 }
 
+/// What one `cycle_detection` pass decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Phase3 {
+    /// The released turns, in pass order.
+    pub released: Vec<ReleasedTurn>,
+    /// Candidate turns tested.
+    pub candidates: usize,
+    /// Heap bytes of the pass's reachability closure.
+    pub closure_bytes: usize,
+}
+
 /// Runs the paper's `cycle_detection` release pass over `table`, mutating
-/// it in place. Returns the turns that were released.
+/// it in place. Returns the released turns and the pass's work.
 ///
 /// Only `T(LU_CROSS → RD_TREE)` and `T(RU_CROSS → RD_TREE)` are candidates
-/// (paper §4.3). Complexity: `O(k · |E⃗|)` where `k` is the number of
-/// candidate pairs — each test is one DFS over the channel dependency
-/// graph, matching the paper's `O(d · |V|²)` bound. The graph is built
-/// once; each committed release layers a single edge onto an incremental
-/// [`irnet_turns::PathOracle`] instead of triggering a rebuild, and the
-/// DFS reuses a visit-stamp buffer, so the pass allocates nothing per
-/// candidate (the Phase-3 fast path for 1024+-switch fabrics).
-pub fn cycle_detection(cg: &CommGraph, table: &mut TurnTable) -> Vec<ReleasedTurn> {
-    let released = release_redundant_turns(cg, table, |in_ch, out_ch| {
+/// (paper §4.3). The paper runs one DFS per candidate, `O(k · |E⃗|)` for
+/// `k` candidates (its `O(d · |V|²)` bound). This pass answers every test
+/// from the reachability closure of [`release_redundant_turns`] instead:
+/// one bitset sweep of the dependency graph per 64 distinct `RD_TREE`
+/// out-channels, then a row update per release. The decisions are the
+/// same, candidate for candidate.
+pub fn cycle_detection(cg: &CommGraph, table: &mut TurnTable) -> Phase3 {
+    let pass = release_redundant_turns(cg, table, |in_ch, out_ch| {
         matches!(cg.direction(in_ch), Direction::LuCross | Direction::RuCross)
             && cg.direction(out_ch) == Direction::RdTree
     });
-    released
-        .into_iter()
-        .map(|(in_ch, out_ch)| ReleasedTurn {
-            node: cg.channels().sink(in_ch),
-            in_ch,
-            out_ch,
-        })
-        .collect()
+    Phase3 {
+        released: pass
+            .released
+            .into_iter()
+            .map(|(in_ch, out_ch)| ReleasedTurn {
+                node: cg.channels().sink(in_ch),
+                in_ch,
+                out_ch,
+            })
+            .collect(),
+        candidates: pass.candidates,
+        closure_bytes: pass.closure_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -83,7 +98,7 @@ mod tests {
             let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), seed).unwrap();
             let (cg, mut table) = downup_table(&topo);
             let before = table.num_prohibited_turns(&cg);
-            let released = cycle_detection(&cg, &mut table);
+            let released = cycle_detection(&cg, &mut table).released;
             let after = table.num_prohibited_turns(&cg);
             assert_eq!(before - after, released.len());
             let dep = ChannelDepGraph::build(&cg, &table);
@@ -98,7 +113,7 @@ mod tests {
     fn released_turns_are_up_cross_to_rd_tree_only() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(32, 8), 5).unwrap();
         let (cg, mut table) = downup_table(&topo);
-        for r in cycle_detection(&cg, &mut table) {
+        for r in cycle_detection(&cg, &mut table).released {
             assert!(matches!(
                 cg.direction(r.in_ch),
                 Direction::LuCross | Direction::RuCross
@@ -114,8 +129,8 @@ mod tests {
     fn release_pass_is_idempotent() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), 2).unwrap();
         let (cg, mut table) = downup_table(&topo);
-        let first = cycle_detection(&cg, &mut table);
-        let second = cycle_detection(&cg, &mut table);
+        let first = cycle_detection(&cg, &mut table).released;
+        let second = cycle_detection(&cg, &mut table).released;
         assert!(
             second.is_empty(),
             "second pass released {} more turns",
@@ -125,7 +140,7 @@ mod tests {
         // and re-running reproduces it.
         if let Some(&r) = first.first() {
             table.prohibit(&cg, r.in_ch, r.out_ch);
-            let again = cycle_detection(&cg, &mut table);
+            let again = cycle_detection(&cg, &mut table).released;
             assert_eq!(again, vec![r]);
         }
     }
@@ -138,7 +153,7 @@ mod tests {
         for seed in 0..8 {
             let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), seed).unwrap();
             let (cg, mut table) = downup_table(&topo);
-            total += cycle_detection(&cg, &mut table).len();
+            total += cycle_detection(&cg, &mut table).released.len();
         }
         assert!(
             total > 0,

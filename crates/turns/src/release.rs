@@ -15,19 +15,40 @@
 //! (input port, output port) order, and each release commits before the next
 //! test — the deterministic sequential pass the paper describes.
 //!
-//! Releasing one turn adds exactly one edge to the dependency graph, so the
-//! pass never rebuilds it: the base graph is built once and committed
-//! releases are layered on top through a [`PathOracle`], whose reusable
-//! visit-stamp buffer also removes the per-query visited-set allocation.
-//! On 1024+-switch fabrics this turns the release pass from the Phase-3
-//! bottleneck into noise (see DESIGN.md §13).
+//! The pass answers every test from a reachability closure instead of one
+//! graph search per candidate. Let `X` be the distinct in-channels and `Y`
+//! the distinct out-channels of the candidates. `C[y] ⊆ X` holds the
+//! in-channels `y` reaches (including `y` itself), so `(x, y)` is rejected
+//! iff `x ∈ C[y]`. One bitset sweep of the base graph in topological order
+//! fills `C`, 64 sources per machine word. A release adds the edge `x → y`,
+//! and afterwards a channel reaches everything `y` reaches iff it reached
+//! `x`: `y` cannot reach `x`, or the turn would not have been released, so
+//! no path from `y` uses the new edge. The release therefore ORs `C[y]`
+//! into every row that contains `x`, and `C` stays exact.
+//!
+//! Cost: the sweep is `O(⌈|Y|/64⌉ · |E⃗|)` word operations, each release
+//! `O(|Y| · |X|/64)`, and `C` takes `|X| · |Y| / 8` bytes. A cyclic base
+//! graph has no topological order; there the sweep repeats until nothing
+//! changes, so the answers stay exact (DESIGN.md §13).
 
-use crate::cdg::{ChannelDepGraph, PathOracle};
+use crate::cdg::ChannelDepGraph;
 use crate::turn_table::TurnTable;
 use irnet_topology::{ChannelId, CommGraph};
 
+/// What a release pass decided, and what its reachability closure cost.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReleasePass {
+    /// The released `(in_ch, out_ch)` pairs, in pass order.
+    pub released: Vec<(ChannelId, ChannelId)>,
+    /// Candidates tested: prohibited, non-U-turn pairs the filter accepted.
+    pub candidates: usize,
+    /// Heap bytes of the reachability closure `C`.
+    pub closure_bytes: usize,
+}
+
 /// Releases every redundant prohibited turn accepted by `candidate`,
-/// mutating `table`; returns the released `(in_ch, out_ch)` pairs.
+/// mutating `table`. The filter sees each prohibited, non-U-turn pair once,
+/// in pass order.
 ///
 /// The resulting table is deadlock-free whenever the input table was: each
 /// release is individually checked against the up-to-date dependency graph
@@ -36,29 +57,151 @@ pub fn release_redundant_turns(
     cg: &CommGraph,
     table: &mut TurnTable,
     mut candidate: impl FnMut(ChannelId, ChannelId) -> bool,
-) -> Vec<(ChannelId, ChannelId)> {
+) -> ReleasePass {
     let ch = cg.channels();
-    let mut released = Vec::new();
-    let dep = ChannelDepGraph::build(cg, table);
-    let mut oracle = PathOracle::new(&dep);
+    let mut pairs = Vec::new();
     for v in 0..cg.num_nodes() {
         for &in_ch in ch.inputs(v) {
             for &out_ch in ch.outputs(v) {
-                if out_ch == ch.reverse(in_ch)
-                    || table.is_allowed(cg, in_ch, out_ch)
-                    || !candidate(in_ch, out_ch)
+                if out_ch != ch.reverse(in_ch)
+                    && !table.is_allowed(cg, in_ch, out_ch)
+                    && candidate(in_ch, out_ch)
                 {
-                    continue;
-                }
-                if !oracle.has_path(out_ch, in_ch) {
-                    table.release(cg, in_ch, out_ch);
-                    released.push((in_ch, out_ch));
-                    oracle.add_edge(in_ch, out_ch);
+                    pairs.push((in_ch, out_ch));
                 }
             }
         }
     }
-    released
+    // Dense indices of the distinct in-channels (X) and out-channels (Y).
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let pairs: Vec<(usize, usize)> = {
+        let nch = cg.num_channels() as usize;
+        let (mut x_of, mut y_of) = (vec![u32::MAX; nch], vec![u32::MAX; nch]);
+        let index = |c: ChannelId, of: &mut Vec<u32>, list: &mut Vec<ChannelId>| {
+            if of[c as usize] == u32::MAX {
+                of[c as usize] = list.len() as u32;
+                list.push(c);
+            }
+            of[c as usize] as usize
+        };
+        pairs
+            .into_iter()
+            .map(|(x, y)| (index(x, &mut x_of, &mut xs), index(y, &mut y_of, &mut ys)))
+            .collect()
+    };
+    let mut closure = Closure::build(&ChannelDepGraph::build(cg, table), &xs, &ys);
+    let mut released = Vec::new();
+    for &(xi, yi) in &pairs {
+        if !closure.reaches(yi, xi) {
+            closure.add_edge(xi, yi);
+            table.release(cg, xs[xi], ys[yi]);
+            released.push((xs[xi], ys[yi]));
+        }
+    }
+    ReleasePass {
+        released,
+        candidates: pairs.len(),
+        closure_bytes: closure.bits.len() * std::mem::size_of::<u64>(),
+    }
+}
+
+/// The reachability closure `C`: row `y` is a bitset over the indices of
+/// `X`, `words` machine words long.
+struct Closure {
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl Closure {
+    /// Fills `C[y]` for every `y` in `ys` from the base graph `dep`.
+    fn build(dep: &ChannelDepGraph, xs: &[ChannelId], ys: &[ChannelId]) -> Closure {
+        let words = xs.len().div_ceil(64);
+        let mut bits = vec![0u64; ys.len() * words];
+        let (order, acyclic) = sweep_order(dep);
+        // `reach[c]` bit `b`: source `64 * batch + b` reaches channel `c`.
+        let mut reach = vec![0u64; order.len()];
+        for (batch, sources) in ys.chunks(64).enumerate() {
+            reach.fill(0);
+            for (b, &y) in sources.iter().enumerate() {
+                reach[y as usize] |= 1 << b;
+            }
+            // One pass in topological order is exact. A cyclic base has no
+            // such order: pass again until nothing changes.
+            loop {
+                let mut changed = false;
+                for &c in &order {
+                    let from = reach[c as usize];
+                    if from == 0 {
+                        continue;
+                    }
+                    for &s in dep.successors(c) {
+                        let to = reach[s as usize] | from;
+                        changed |= to != reach[s as usize];
+                        reach[s as usize] = to;
+                    }
+                }
+                if acyclic || !changed {
+                    break;
+                }
+            }
+            for (xi, &x) in xs.iter().enumerate() {
+                let mut sources = reach[x as usize];
+                while sources != 0 {
+                    let yi = batch * 64 + sources.trailing_zeros() as usize;
+                    sources &= sources - 1;
+                    bits[yi * words + xi / 64] |= 1 << (xi % 64);
+                }
+            }
+        }
+        Closure { bits, words }
+    }
+
+    /// Whether `ys[yi]` reaches `xs[xi]`.
+    fn reaches(&self, yi: usize, xi: usize) -> bool {
+        self.bits[yi * self.words + xi / 64] >> (xi % 64) & 1 == 1
+    }
+
+    /// Adds the edge `xs[xi] → ys[yi]`, which must not close a cycle:
+    /// every row that contains `xi` gains row `yi`.
+    fn add_edge(&mut self, xi: usize, yi: usize) {
+        let w = self.words;
+        let row: Vec<u64> = self.bits[yi * w..(yi + 1) * w].to_vec();
+        for r in self.bits.chunks_exact_mut(w) {
+            if r[xi / 64] >> (xi % 64) & 1 == 1 {
+                for (a, &b) in r.iter_mut().zip(&row) {
+                    *a |= b;
+                }
+            }
+        }
+    }
+}
+
+/// Every channel of `dep`, in topological order when `dep` is acyclic
+/// (Kahn's algorithm), and whether it is. Channels on or behind a cycle
+/// follow in id order.
+fn sweep_order(dep: &ChannelDepGraph) -> (Vec<ChannelId>, bool) {
+    let n = dep.num_channels();
+    let mut indeg = vec![0u32; n as usize];
+    for c in 0..n {
+        for &s in dep.successors(c) {
+            indeg[s as usize] += 1;
+        }
+    }
+    let mut order: Vec<ChannelId> = (0..n).filter(|&c| indeg[c as usize] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let c = order[head];
+        head += 1;
+        for &s in dep.successors(c) {
+            indeg[s as usize] -= 1;
+            if indeg[s as usize] == 0 {
+                order.push(s);
+            }
+        }
+    }
+    let acyclic = order.len() == n as usize;
+    order.extend((0..n).filter(|&c| indeg[c as usize] > 0));
+    (order, acyclic)
 }
 
 #[cfg(test)]
@@ -83,7 +226,7 @@ mod tests {
             });
             let dep0 = ChannelDepGraph::build(&cg, &table);
             assert!(dep0.is_acyclic());
-            let released = release_redundant_turns(&cg, &mut table, |_, _| true);
+            let released = release_redundant_turns(&cg, &mut table, |_, _| true).released;
             let dep1 = ChannelDepGraph::build(&cg, &table);
             assert!(
                 dep1.is_acyclic(),
@@ -142,7 +285,7 @@ mod tests {
             };
             let mut fast_table = make_table();
             let mut naive_table = make_table();
-            let fast = release_redundant_turns(&cg, &mut fast_table, |_, _| true);
+            let fast = release_redundant_turns(&cg, &mut fast_table, |_, _| true).released;
             let naive = release_naive(&cg, &mut naive_table, |_, _| true);
             assert_eq!(fast, naive, "release decisions diverged (seed {seed})");
             assert_eq!(fast_table, naive_table, "tables diverged (seed {seed})");
@@ -155,8 +298,8 @@ mod tests {
         let tree = CoordinatedTree::build(&topo, PreorderPolicy::M1, 0).unwrap();
         let cg = CommGraph::build(&topo, &tree);
         let mut table = TurnTable::from_direction_rule(&cg, |_, _| false);
-        let released = release_redundant_turns(&cg, &mut table, |_, _| false);
-        assert!(released.is_empty());
+        let pass = release_redundant_turns(&cg, &mut table, |_, _| false);
+        assert_eq!(pass, ReleasePass::default());
         assert_eq!(table, TurnTable::from_direction_rule(&cg, |_, _| false));
     }
 }
