@@ -91,9 +91,10 @@
 //! ```
 //!
 //! * `construction` holds one entry per fabric: `topology_seconds` is the
-//!   random-irregular generation time, `construct_seconds` the DOWN/UP
-//!   routing construction time (Phases 1–3: spanning tree, prefix
-//!   restrictions, release pass), each the fastest of `reps` runs, and
+//!   random-irregular generation time (the `topology/gen` span),
+//!   `construct_seconds` the DOWN/UP routing construction time (the
+//!   `construction` span: Phases 1–3 and the routing-table build), each
+//!   the fastest of `reps` runs, and
 //!   `construct_micros_per_switch` = `construct_seconds / switches` in µs —
 //!   the normalized metric regression runs track across sizes. The
 //!   `phase*_seconds`/`tables_seconds` spans break the fastest
@@ -273,44 +274,44 @@ fn measure_cycles(switches: u32) -> u32 {
 }
 
 /// Builds the fabric for `switches`, timing topology generation and
-/// DOWN/UP construction separately (fastest of `reps` attempts each). The
-/// per-phase breakdown is read from the telemetry span tree each run
-/// records (a fresh registry per rep, so "fastest run" picks a coherent
+/// DOWN/UP construction separately (fastest of `reps` attempts each). Both
+/// timings are read from the telemetry span tree each run records: the
+/// `topology/gen` span and the `construction` span with its per-phase
+/// children (a fresh registry per rep, so "fastest run" picks a coherent
 /// set of spans rather than a mix of reps).
 fn build_fabric(switches: u32, ports: u32, seed: u64, reps: u32) -> (Fabric, ConstructionResult) {
     let params = gen::IrregularParams::paper(switches, ports);
     let mut topo_best = f64::INFINITY;
-    let mut topo = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let t = gen::random_irregular(params, seed).expect("topology generation failed");
-        topo_best = topo_best.min(start.elapsed().as_secs_f64());
-        topo = Some(t);
-    }
-    let topo = topo.expect("at least one rep");
     let mut construct_best = f64::INFINITY;
     let mut best_snap: Option<Snapshot> = None;
-    let mut routing = None;
+    let mut fabric = None;
     for _ in 0..reps.max(1) {
         let tel = Telemetry::enabled();
-        let start = Instant::now();
-        let r = tel
-            .scope(|| DownUp::new().construct(&topo))
-            .expect("routing construction failed");
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < construct_best {
-            construct_best = elapsed;
-            best_snap = Some(tel.snapshot());
+        let (topo, routing) = tel.scope(|| {
+            let span = tel.span("topology/gen");
+            let topo = gen::random_irregular(params, seed).expect("topology generation failed");
+            span.finish();
+            let routing = DownUp::new()
+                .construct(&topo)
+                .expect("routing construction failed");
+            (topo, routing)
+        });
+        let snap = tel.snapshot();
+        let sec = |path: &str| snap.span_seconds(path).unwrap_or(0.0);
+        topo_best = topo_best.min(sec("topology/gen"));
+        if sec("construction") < construct_best {
+            construct_best = sec("construction");
+            best_snap = Some(snap);
         }
-        routing = Some(r);
+        fabric = Some(Fabric { topo, routing });
     }
-    let routing = routing.expect("at least one rep");
+    let fabric = fabric.expect("at least one rep");
     let snap = best_snap.expect("at least one rep");
     let sec = |path: &str| snap.span_seconds(path).unwrap_or(0.0);
     let stats = ConstructionResult {
         switches,
         ports,
-        channels: routing.comm_graph().num_channels(),
+        channels: fabric.routing.comm_graph().num_channels(),
         topology_seconds: topo_best,
         construct_seconds: construct_best,
         construct_micros_per_switch: construct_best * 1e6 / f64::from(switches),
@@ -319,7 +320,7 @@ fn build_fabric(switches: u32, ports: u32, seed: u64, reps: u32) -> (Fabric, Con
         phase3_seconds: sec("construction/phase3"),
         tables_seconds: sec("construction/tables"),
     };
-    (Fabric { topo, routing }, stats)
+    (fabric, stats)
 }
 
 /// Times the repair of a single cross-link failure (the first non-tree

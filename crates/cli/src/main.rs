@@ -239,6 +239,7 @@ fn load_topology(o: &Opts) -> Result<Topology, String> {
         let n = o.parse("switches", 64u32);
         let ports = o.parse("ports", 4u32);
         let seed = o.parse("seed", 1u64);
+        let _span = irnet_telemetry::current().span("topology/gen");
         gen::random_irregular(gen::IrregularParams::paper(n, ports), seed)
             .map_err(|e| format!("generation failed: {e}"))
     }

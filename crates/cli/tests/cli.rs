@@ -670,7 +670,9 @@ fn sweep_with_telemetry_is_bit_identical_and_writes_a_snapshot() {
     let json = std::fs::read_to_string(&snap_path).unwrap();
     let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
     assert_eq!(snap.counter("sim/runs"), Some(2), "one sim per load point");
+    assert_eq!(snap.span("topology/gen").map(|s| s.count), Some(1));
     assert!(snap.span("construction").is_some());
+    assert!(snap.counter("construction/phase3_candidates").is_some());
     assert!(snap.span("sim/run").is_some());
     std::fs::remove_file(snap_path).ok();
 }

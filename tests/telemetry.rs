@@ -94,6 +94,31 @@ proptest! {
     }
 }
 
+/// Phase 3 reports what it decided on both construction entry points, and
+/// the phases-only path stays bit-identical with a registry attached.
+#[test]
+fn phase3_decisions_are_recorded_on_both_entry_points() {
+    let topo = gen::random_irregular(gen::IrregularParams::paper(64, 8), 3).unwrap();
+    let (_, _, plain_table, plain_released) = DownUp::new().construct_phases(&topo).unwrap();
+    let phases_tel = Telemetry::enabled();
+    let (_, _, table, released) = phases_tel
+        .scope(|| DownUp::new().construct_phases(&topo))
+        .unwrap();
+    assert_eq!(table, plain_table);
+    assert_eq!(released, plain_released);
+    assert!(!released.is_empty());
+    let construct_tel = Telemetry::enabled();
+    construct_tel
+        .scope(|| DownUp::new().construct(&topo))
+        .unwrap();
+    for snap in [phases_tel.snapshot(), construct_tel.snapshot()] {
+        let count = |name| snap.counter(name).unwrap();
+        assert_eq!(count("construction/phase3_released"), released.len() as u64);
+        assert!(count("construction/phase3_candidates") > released.len() as u64);
+        assert!(snap.gauges["construction/phase3_closure_bytes"] > 0.0);
+    }
+}
+
 /// A synthetic registry covering every instrumented subsystem with
 /// deterministic values (exact binary fractions, so float rendering is
 /// stable). Construction, repair (incl. fault/recovery epoch counters),
