@@ -31,7 +31,7 @@ pub use adaptivity::{adaptivity, AdaptivityStats};
 pub use cdg::{ChannelCycle, ChannelDepGraph, PathOracle};
 pub use dirgraph::{DirGraph, Movement};
 pub use export::{export_tables, parse_exported, ExportedTables};
-pub use release::release_redundant_turns;
+pub use release::{release_redundant_turns, ReleasePass};
 pub use routing::{PatchStats, RoutingError, RoutingTables, INJECTION_SLOT};
 pub use turn_table::TurnTable;
 pub use verify::{verify_routing, VerifyReport};
