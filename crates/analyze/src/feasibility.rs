@@ -322,10 +322,9 @@ pub fn analyze_faulted(topo: &Topology, plan: &FaultPlan) -> Result<Feasibility,
 
 /// The oracle verdict together with the degradation it was computed from.
 ///
-/// Epoch repair needs both the gate's verdict and the degradation;
-/// running [`analyze_faulted`] and then [`Topology::degrade_detailed`]
-/// would resolve the same plan into the same survivor masks twice. This
-/// entry point resolves the plan once: a feasible verdict hands back both the constructive witness and
+/// Epoch repair needs both the gate's verdict and the degradation of the
+/// same survivor masks. [`analyze_and_degrade_masks`] computes both in one
+/// pass: a feasible verdict hands back both the constructive witness and
 /// the compact [`DegradedTopology`] the rebuild needs.
 #[derive(Debug, Clone)]
 pub enum AnalyzedDegrade {
@@ -340,31 +339,6 @@ pub enum AnalyzedDegrade {
     },
     /// Provably unroutable, with the minimized obstruction.
     Infeasible(Obstruction),
-}
-
-/// Runs the oracle on `topo` degraded by `plan` and, when feasible, also
-/// compacts the survivors — resolving the fault plan exactly once for both
-/// answers (see [`AnalyzedDegrade`]).
-///
-/// # Errors
-///
-/// Only plans naming unknown links or switches fail; partitioned or empty
-/// survivor sets are an [`AnalyzedDegrade::Infeasible`] verdict.
-pub fn analyze_and_degrade(
-    topo: &Topology,
-    plan: &FaultPlan,
-) -> Result<AnalyzedDegrade, FaultError> {
-    let (node_dead, link_dead) = topo.fault_masks(plan)?;
-    match analyze_survivors(topo, &node_dead, &link_dead) {
-        Feasibility::Infeasible(o) => Ok(AnalyzedDegrade::Infeasible(o)),
-        Feasibility::Feasible(witness) => {
-            // The oracle just proved the survivors connected and non-empty,
-            // so compaction cannot fail; propagate rather than panic to
-            // keep the contract honest.
-            let degraded = Box::new(topo.degrade_from_masks(&node_dead, &link_dead)?);
-            Ok(AnalyzedDegrade::Feasible { witness, degraded })
-        }
-    }
 }
 
 /// Runs the oracle on explicit survivor masks (as carried by a
@@ -382,8 +356,8 @@ pub fn analyze_masks(topo: &Topology, node_dead: &[bool], link_dead: &[bool]) ->
     analyze_survivors(topo, node_dead, link_dead)
 }
 
-/// Mask-based twin of [`analyze_and_degrade`]: judges explicit survivor
-/// masks and, when feasible, compacts the survivors in the same pass.
+/// Judges explicit survivor masks (as [`analyze_masks`] does) and, when
+/// feasible, compacts the survivors in the same pass.
 ///
 /// # Errors
 ///

@@ -28,8 +28,7 @@ mod report;
 
 pub use audits::{audit, AuditReport, StretchHistogram, STRETCH_WARN};
 pub use feasibility::{
-    analyze_and_degrade, analyze_and_degrade_masks, analyze_digraph, analyze_faulted,
-    analyze_masks, analyze_topology, AnalyzedDegrade, Digraph, DigraphFeasibility, Feasibility,
-    Obstruction, Witness, DEAD,
+    analyze_and_degrade_masks, analyze_digraph, analyze_faulted, analyze_masks, analyze_topology,
+    AnalyzedDegrade, Digraph, DigraphFeasibility, Feasibility, Obstruction, Witness, DEAD,
 };
 pub use report::{AnalysisReport, SCHEMA};

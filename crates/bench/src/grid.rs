@@ -51,16 +51,10 @@ pub struct ExperimentConfig {
     /// Tasks handed to a shard per steal from the shared cursor; `0` picks
     /// a heuristic from the task count. Any value yields identical output.
     pub chunk: usize,
-    /// Emit completed/total/elapsed/ETA progress lines to stderr
-    /// (`--progress`).
-    pub progress: bool,
-    /// Progress format: the established human lines or JSONL heartbeats
-    /// (`--progress human|json`).
-    pub progress_mode: ProgressMode,
-    /// Telemetry sink: the grid records its construction-cache counters,
-    /// point count, and wall-clock span here. Disabled by default (one
-    /// branch per record on the disabled path).
-    pub telemetry: Telemetry,
+    /// Emit completed/total/elapsed/ETA progress to stderr in this
+    /// format: the established human lines or JSONL heartbeats
+    /// (`--progress [human|json]`). `None` is silent.
+    pub progress: Option<ProgressMode>,
 }
 
 /// The [`SimConfig`] field a grid flag overrides.
@@ -107,9 +101,7 @@ impl ExperimentConfig {
             sim_seed: 42,
             threads: default_threads(),
             chunk: 0,
-            progress: false,
-            progress_mode: ProgressMode::Human,
-            telemetry: Telemetry::disabled(),
+            progress: None,
         }
     }
 
@@ -128,9 +120,7 @@ impl ExperimentConfig {
             sim_seed: 42,
             threads: default_threads(),
             chunk: 0,
-            progress: false,
-            progress_mode: ProgressMode::Human,
-            telemetry: Telemetry::disabled(),
+            progress: None,
         }
     }
 
@@ -192,12 +182,13 @@ impl ExperimentConfig {
         cfg.topo_seed = cli.opt_parse("seed", cfg.topo_seed);
         cfg.threads = cli.opt_parse("threads", cfg.threads).max(1);
         cfg.chunk = cli.opt_parse("chunk", cfg.chunk);
-        cfg.progress = cfg.progress || cli.flag("progress") || cli.opt("progress").is_some();
         if let Some(raw) = cli.opt("progress") {
-            cfg.progress_mode = ProgressMode::parse(raw).unwrap_or_else(|| {
+            cfg.progress = Some(ProgressMode::parse(raw).unwrap_or_else(|| {
                 eprintln!("unknown progress mode {raw:?} (expected human or json)");
                 std::process::exit(2);
-            });
+            }));
+        } else if cli.flag("progress") {
+            cfg.progress = cfg.progress.or(Some(ProgressMode::Human));
         }
         if let Some(raw) = cli.opt("policies") {
             cfg.policies = raw
@@ -426,7 +417,9 @@ pub fn run_grid(cfg: &ExperimentConfig) -> GridResults {
 
 /// [`run_grid`], reporting incomplete cells as an error instead of
 /// panicking, and also returning the construction-cache counters. The
-/// whole run's wall clock goes to the `grid/run` span of `cfg.telemetry`.
+/// grid records into [`irnet_telemetry::current`]: a `grid/run` span
+/// guard times the whole run, and each shard thread re-enters that handle's
+/// scope, so construction and every point record there too.
 pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridStats), GridError> {
     let mut keys = Vec::new();
     for &ports in &cfg.ports {
@@ -460,12 +453,13 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
     // flow-backend sweeps (the grid always runs the exact flit engine).
     // Throttled to one line per half second; races between shards resolve
     // inside the emitter so only one prints per window.
-    let progress = cfg.progress.then(|| {
-        Progress::new("grid[flit]", total, cfg.progress_mode)
+    let progress = cfg.progress.map(|mode| {
+        Progress::new("grid[flit]", total, mode)
             .percent(true)
             .throttle_ms(500)
     });
-    let span = cfg.telemetry.span("grid/run");
+    let tel = irnet_telemetry::current();
+    let span = tel.span("grid/run");
 
     // One shard: steal a chunk of task indices, run each load point into a
     // private buffer, merge the buffer once at the end.
@@ -494,14 +488,14 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
         }
         merged.lock().unwrap().append(&mut local);
     };
-    // Construction and every point record into `cfg.telemetry`, so each
-    // thread doing grid work enters its scope.
+    // Construction and every point record into `tel`, so each worker
+    // thread enters its scope.
     if threads <= 1 {
-        cfg.telemetry.scope(run_shard);
+        run_shard();
     } else {
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| cfg.telemetry.scope(run_shard));
+                scope.spawn(|| tel.scope(run_shard));
             }
         });
     }
@@ -545,7 +539,7 @@ pub fn run_grid_with_stats(cfg: &ExperimentConfig) -> Result<(GridResults, GridS
         instances_built: cache.inst_builds.load(Ordering::Relaxed),
     };
     span.finish();
-    record_grid_telemetry(&cfg.telemetry, &stats);
+    record_grid_telemetry(&tel, &stats);
     Ok((GridResults { cells }, stats))
 }
 
@@ -631,9 +625,7 @@ mod tests {
             sim_seed: 9,
             threads: 1,
             chunk: 0,
-            progress: false,
-            progress_mode: ProgressMode::Human,
-            telemetry: Telemetry::disabled(),
+            progress: None,
         }
     }
 
@@ -682,13 +674,13 @@ mod tests {
         let mut cfg = tiny();
         cfg.threads = 4;
         cfg.chunk = 1;
-        cfg.telemetry = Telemetry::enabled();
-        let (results, stats) = run_grid_with_stats(&cfg).unwrap();
+        let tel = Telemetry::enabled();
+        let (results, stats) = tel.scope(|| run_grid_with_stats(&cfg)).unwrap();
         assert_eq!(results.cells.len(), 2);
         assert_eq!(stats.points_run, 2 * 2 * 2); // cells × samples × rates
         assert_eq!(stats.topologies_built, 2); // 1 port count × 2 samples
         assert_eq!(stats.instances_built, 4); // 2 cells × 2 samples
-        let snap = cfg.telemetry.snapshot();
+        let snap = tel.snapshot();
         assert_eq!(snap.counter("grid/points_run"), Some(8));
         assert_eq!(snap.counter("grid/topologies_built"), Some(2));
         assert_eq!(snap.counter("grid/instances_built"), Some(4));

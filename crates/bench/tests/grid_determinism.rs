@@ -29,9 +29,7 @@ fn tiny() -> ExperimentConfig {
         sim_seed: 23,
         threads: 1,
         chunk: 0,
-        progress: false,
-        progress_mode: irnet_telemetry::ProgressMode::Human,
-        telemetry: irnet_telemetry::Telemetry::disabled(),
+        progress: None,
     }
 }
 
@@ -80,10 +78,10 @@ fn grid_with_telemetry_attached_is_bit_exact() {
     let mut cfg = tiny();
     cfg.threads = 4;
     cfg.chunk = 2;
-    cfg.telemetry = irnet_telemetry::Telemetry::enabled();
-    let (results, stats) = run_grid_with_stats(&cfg).unwrap();
+    let tel = irnet_telemetry::Telemetry::enabled();
+    let (results, stats) = tel.scope(|| run_grid_with_stats(&cfg)).unwrap();
     assert_bit_exact(baseline(), &results, "telemetry attached");
-    let snap = cfg.telemetry.snapshot();
+    let snap = tel.snapshot();
     assert_eq!(
         snap.counter("grid/points_run"),
         Some(stats.points_run as u64)

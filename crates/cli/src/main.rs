@@ -584,13 +584,10 @@ fn cmd_simulate(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let start = std::time::Instant::now();
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64)).run();
-    irnet_sim::record_run_telemetry(
-        &irnet_telemetry::current(),
-        &stats,
-        start.elapsed().as_secs_f64(),
-    );
+    irnet_sim::record_run_telemetry(&tel, &stats, span.finish());
     let m = PaperMetrics::compute(&stats, &inst.cg, &inst.tree);
     println!(
         "offered load     : {:.4} flits/clock/node",
@@ -932,7 +929,6 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
         }
         "flow" => {
             let cfg = irnet_flow::FlowConfig::default();
-            let start = std::time::Instant::now();
             let mut pred = irnet_flow::FlowPredictor::build(
                 &topo,
                 &inst.tree,
@@ -946,7 +942,7 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
                 prog.message(&format!(
                     "sweep[{backend}]: predictor built (decompose + saturation probe), \
                      elapsed {:.1}s",
-                    start.elapsed().as_secs_f64()
+                    prog.elapsed_seconds()
                 ));
             }
             let points: Vec<_> = rates
@@ -1186,12 +1182,13 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     for e in &epochs {
         sim.schedule_reconfig(&e.epoch);
     }
-    let sim_start = std::time::Instant::now();
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let stalled = sim.run_in_place();
-    let sim_wall = sim_start.elapsed().as_secs_f64();
+    let sim_wall = span.finish();
     let incident = stalled.then(|| irnet_obs::deadlock_incident(&sim));
     let stats = sim.finish_with(stalled);
-    irnet_sim::record_run_telemetry(&irnet_telemetry::current(), &stats, sim_wall);
+    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
     let all_certified = certs
         .iter()
         .all(irnet_verify::EpochCertificates::is_deadlock_free);
@@ -1208,17 +1205,6 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
                         "strategy".to_string(),
                         Value::Str(strategy.name().to_string()),
                     ),
-                    (
-                        "classify_seconds".to_string(),
-                        Value::F64(s.classify_seconds),
-                    ),
-                    ("phases_seconds".to_string(), Value::F64(s.phases_seconds)),
-                    ("patch_seconds".to_string(), Value::F64(s.patch_seconds)),
-                    (
-                        "recertify_seconds".to_string(),
-                        Value::F64(s.recertify_seconds),
-                    ),
-                    ("total_seconds".to_string(), Value::F64(s.total_seconds())),
                     (
                         "touched_switches".to_string(),
                         Value::U64(u64::from(s.touched_switches)),
@@ -1370,13 +1356,7 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
             );
             let s = &e.spans;
             println!(
-                "  repair         : {:.3} ms (classify {:.3} + phases {:.3} + \
-                 patch {:.3} + recertify {:.3}), {} switch(es) / {} row(s) touched, {}",
-                s.total_seconds() * 1e3,
-                s.classify_seconds * 1e3,
-                s.phases_seconds * 1e3,
-                s.patch_seconds * 1e3,
-                s.recertify_seconds * 1e3,
+                "  repair         : {} switch(es) / {} row(s) touched, {}",
                 s.touched_switches,
                 s.touched_rows,
                 if s.patched_in_place {
@@ -1577,6 +1557,8 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     }
     let last_epoch = epochs.iter().map(|e| e.epoch.cycle).max().unwrap_or(0);
     let horizon = cfg.total_cycles().max(last_epoch.saturating_add(1_000));
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let mut stalled = false;
     while sim.now() < horizon {
         sim.tick();
@@ -1585,7 +1567,9 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
             break;
         }
     }
+    let sim_wall = span.finish();
     let stats = sim.finish_with(stalled);
+    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
     let all_feasible = infeasible_at.is_none();
     let conserved = stats.flits_conserved();
     let passed = all_feasible && all_certified && conserved && !stats.deadlocked;
@@ -1904,6 +1888,8 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     } else {
         total
     };
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let mut injecting = true;
     let mut stalled = false;
     while sim.now() < horizon {
@@ -1923,12 +1909,14 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
             break;
         }
     }
+    let sim_wall = span.finish();
     if let Some(s) = sampler.as_mut() {
         s.force_sample(&sim);
     }
 
     let incident = stalled.then(|| deadlock_incident(&sim));
     let stats = sim.finish_with(stalled);
+    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
 
     if let Some(incident) = &incident {
         write_incident(o, incident)?;

@@ -524,6 +524,126 @@ fn soak_report_is_byte_stable_and_passes_its_invariants() {
     std::fs::remove_file(out2).ok();
 }
 
+#[test]
+fn faults_json_is_byte_stable_with_and_without_telemetry() {
+    let scenario = tmpfile("stable-scenario.json");
+    let snap_path = tmpfile("faults-tel.json");
+    let topo = irnet_topology::gen::random_irregular(
+        irnet_topology::gen::IrregularParams::paper(24, 4),
+        3,
+    )
+    .unwrap();
+    let (a, b) = topo.link(0);
+    std::fs::write(
+        &scenario,
+        format!(r#"{{"version":2,"events":[{{"cycle":600,"link":[{a},{b}],"recovers_at":900}}]}}"#),
+    )
+    .unwrap();
+    let base = [
+        "faults",
+        "--switches",
+        "24",
+        "--ports",
+        "4",
+        "--seed",
+        "3",
+        "--rate",
+        "0.1",
+        "--packet-len",
+        "8",
+        "--warmup",
+        "200",
+        "--measure",
+        "1500",
+        "--repair",
+        "incremental",
+        "--json",
+        "--scenario",
+        scenario.to_str().unwrap(),
+    ];
+    let first = irnet(&base);
+    let second = irnet(&base);
+    let mut with_tel: Vec<&str> = base.to_vec();
+    with_tel.extend(["--telemetry", snap_path.to_str().unwrap()]);
+    let observed = irnet(&with_tel);
+    let report = String::from_utf8_lossy(&first.stdout).to_string();
+    assert!(report.contains("\"repair\": {"), "{report}");
+    assert!(!report.contains("_seconds\""), "{report}");
+    assert_eq!(
+        first.stdout, second.stdout,
+        "faults --json must be byte-stable"
+    );
+    assert_eq!(
+        first.stdout, observed.stdout,
+        "--telemetry must not change stdout"
+    );
+    let json = std::fs::read_to_string(&snap_path).unwrap();
+    let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+    // The stage timings the report no longer carries: one span per epoch.
+    assert_eq!(snap.span("repair").map(|s| s.count), Some(2));
+    assert_eq!(snap.span("repair/recertify").map(|s| s.count), Some(2));
+    assert_eq!(snap.span("sim/run").map(|s| s.count), Some(1));
+    std::fs::remove_file(scenario).ok();
+    std::fs::remove_file(snap_path).ok();
+}
+
+#[test]
+fn soak_and_trace_record_their_simulator_run() {
+    let soak_snap = tmpfile("soak-tel.json");
+    let r = irnet(&[
+        "soak",
+        "--switches",
+        "32",
+        "--ports",
+        "4",
+        "--seed",
+        "2",
+        "--events",
+        "3",
+        "--rate",
+        "0.1",
+        "--packet-len",
+        "8",
+        "--warmup",
+        "400",
+        "--measure",
+        "3000",
+        "--chaos-seed",
+        "11",
+        "--out",
+        "/dev/null",
+        "--telemetry",
+        soak_snap.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        r.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&r.stderr)
+    );
+    let trace_snap = tmpfile("trace-tel.json");
+    let r = trace_link_failure(&[
+        "--out",
+        "/dev/null",
+        "--telemetry",
+        trace_snap.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        r.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&r.stderr)
+    );
+    for path in [&soak_snap, &trace_snap] {
+        let json = std::fs::read_to_string(path).unwrap();
+        let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+        assert_eq!(snap.span("sim/run").map(|s| s.count), Some(1), "{json}");
+        assert_eq!(snap.counter("sim/runs"), Some(1), "{json}");
+        assert!(snap.counter("sim/cycles").is_some_and(|c| c > 0), "{json}");
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// `trace` on the shipped 128-switch link failure, over a window just
 /// long enough to span the fault at cycle 3011.
 fn trace_link_failure(extra: &[&str]) -> Output {

@@ -1,10 +1,10 @@
 use crate::phase2;
 use crate::phase3::{self, ReleasedTurn};
+use irnet_telemetry::{Span, Telemetry};
 use irnet_topology::{
     CommGraph, CoordinatedTree, PreorderPolicy, RootPolicy, Topology, TopologyError,
 };
 use irnet_turns::{RoutingError, RoutingTables, TurnTable};
-use std::time::Instant;
 
 /// Errors from [`DownUp::construct`].
 #[derive(Debug)]
@@ -93,23 +93,20 @@ impl DownUp {
     }
 
     /// Runs the three construction phases on `topo`, then builds the
-    /// shortest-legal-path routing tables. Each stage is timed once into
-    /// [`irnet_telemetry::current`]'s span tree: `construction` with its
-    /// `phase1`/`phase2`/`phase3`/`tables` children; the tables' size is
-    /// the `construction/table_bytes` gauge
+    /// shortest-legal-path routing tables. Each stage is timed by a span
+    /// guard in [`irnet_telemetry::current`]'s span tree: `construction`
+    /// with its `phase1`/`phase2`/`phase3`/`tables` children; the tables'
+    /// size is the `construction/table_bytes` gauge
     /// ([`RoutingTables::heap_bytes`]).
     pub fn construct(self, topo: &Topology) -> Result<DownUpRouting, ConstructError> {
-        let ((tree, cg, table, released), [phase1, phase2, phase3]) = self.timed_phases(topo)?;
-        // Shortest legal paths; also proves connectivity (Theorem 1).
-        let start = Instant::now();
-        let tables = RoutingTables::build(&cg, &table)?;
-        let tables_seconds = start.elapsed().as_secs_f64();
         let tel = irnet_telemetry::current();
-        tel.record_span("construction", phase1 + phase2 + phase3 + tables_seconds);
-        tel.record_span("construction/phase1", phase1);
-        tel.record_span("construction/phase2", phase2);
-        tel.record_span("construction/phase3", phase3);
-        tel.record_span("construction/tables", tables_seconds);
+        let span = tel.span("construction");
+        let (tree, cg, table, released) = self.phases(topo, &span)?;
+        // Shortest legal paths; also proves connectivity (Theorem 1).
+        let stage = span.child("tables");
+        let tables = RoutingTables::build(&cg, &table)?;
+        stage.finish();
+        span.finish();
         tel.gauge("construction/table_bytes")
             .set(tables.heap_bytes() as f64);
         Ok(DownUpRouting {
@@ -134,36 +131,37 @@ impl DownUp {
     /// dominates construction cost at scale. Incremental repair
     /// (`crates/core/src/incremental.rs`) uses this to recompute the
     /// prohibition set cheaply and then patch the previous epoch's routing
-    /// tables in place instead of rebuilding them.
+    /// tables in place instead of rebuilding them. Records no
+    /// `construction` span: its callers time it as a stage of their own.
     pub fn construct_phases(
         self,
         topo: &Topology,
     ) -> Result<(CoordinatedTree, CommGraph, TurnTable, Vec<ReleasedTurn>), ConstructError> {
-        self.timed_phases(topo).map(|(phases, _)| phases)
+        self.phases(topo, &Telemetry::disabled().span("construction"))
     }
 
-    /// Phases 1–3 with the wall-clock seconds of each. Phase 3's decisions
+    /// Phases 1–3, each timed as a child of `span`. Phase 3's decisions
     /// go to [`irnet_telemetry::current`]: the counters
     /// `construction/phase3_candidates` and `construction/phase3_released`
     /// and the gauge `construction/phase3_closure_bytes`, so
     /// [`DownUp::construct_phases`] callers (the flow path, repair epochs)
     /// report them too.
-    fn timed_phases(self, topo: &Topology) -> Result<(Phases, [f64; 3]), ConstructError> {
+    fn phases(self, topo: &Topology, span: &Span) -> Result<Phases, ConstructError> {
         // Phase 1: coordinated tree + communication graph.
-        let start = Instant::now();
+        let stage = span.child("phase1");
         let tree = self.build_tree(topo)?;
         let cg = CommGraph::build(topo, &tree);
-        let phase1 = start.elapsed().as_secs_f64();
+        stage.finish();
         // Phase 2: apply the 18 globally prohibited turns.
-        let start = Instant::now();
+        let stage = span.child("phase2");
         let mut table = TurnTable::from_direction_rule(&cg, phase2::turn_allowed);
-        let phase2 = start.elapsed().as_secs_f64();
+        stage.finish();
         // Phase 3: release redundant per-node prohibitions.
-        let start = Instant::now();
+        let stage = span.child("phase3");
         let pass = self
             .release
             .then(|| phase3::cycle_detection(&cg, &mut table));
-        let phase3 = start.elapsed().as_secs_f64();
+        stage.finish();
         let released = match pass {
             Some(pass) => {
                 let tel = irnet_telemetry::current();
@@ -177,7 +175,7 @@ impl DownUp {
             }
             None => Vec::new(),
         };
-        Ok(((tree, cg, table, released), [phase1, phase2, phase3]))
+        Ok((tree, cg, table, released))
     }
 }
 

@@ -10,7 +10,8 @@
 //! function.
 //!
 //! [`plan_epochs_timeline_with`] therefore splits each epoch into four
-//! measured stages (surfaced as [`RepairSpans`]):
+//! stages, each timed as a child of the epoch's `repair` span (what each
+//! stage touched is surfaced as [`RepairStats`]):
 //!
 //! 1. **classify** — feed the timeline step's down masks through the
 //!    feasibility gate + degradation (shared masks, see `irnet-analyze`)
@@ -54,7 +55,6 @@ use irnet_topology::{
 };
 use irnet_turns::{RoutingTables, TurnTable};
 use irnet_verify::union_acyclic_delta;
-use std::time::Instant;
 
 /// How [`plan_epochs_timeline_with`] repairs each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,23 +89,11 @@ impl RepairStrategy {
     }
 }
 
-/// Wall-clock spans and touched-region counters of one epoch repair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairSpans {
-    /// Fault-plan resolution, feasibility gate, degradation, and
-    /// classification of the newly dead elements.
-    pub classify_seconds: f64,
-    /// Phases 1–3 on the survivors plus the lift back into the original
-    /// channel space.
-    pub phases_seconds: f64,
-    /// Routing-table production: the in-place patch, or the full masked
-    /// rebuild when the delta was too large (or the strategy is
-    /// [`RepairStrategy::Full`]).
-    pub patch_seconds: f64,
-    /// Delta re-certification of the old∪new dependency union (zero under
-    /// [`RepairStrategy::Full`], which leaves certification to the
-    /// caller).
-    pub recertify_seconds: f64,
+/// Touched-region and fault-classification counters of one epoch repair.
+/// Its stage timings are the `repair/*` spans of
+/// [`irnet_telemetry::current`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepairStats {
     /// Switches whose routing-table rows were rewritten.
     pub touched_switches: u32,
     /// `(destination, node, input)` mask rows rewritten.
@@ -132,21 +120,14 @@ pub struct RepairSpans {
     pub recertified: Option<bool>,
 }
 
-impl RepairSpans {
-    /// Total repair time across all stages.
-    pub fn total_seconds(&self) -> f64 {
-        self.classify_seconds + self.phases_seconds + self.patch_seconds + self.recertify_seconds
-    }
-}
-
-/// One repaired epoch plus how long each stage of its repair took.
+/// One repaired epoch plus what its repair touched.
 #[derive(Debug, Clone)]
 pub struct EpochRepair {
     /// The reconfiguration epoch, identical in content under either
     /// [`RepairStrategy`].
     pub epoch: ReconfigEpoch,
-    /// Stage timings and touched-region counters.
-    pub spans: RepairSpans,
+    /// Touched-region and fault-classification counters.
+    pub spans: RepairStats,
 }
 
 /// Patch when fewer than one row in [`PATCH_DENSITY`] changed; beyond
@@ -204,11 +185,11 @@ pub fn plan_epochs_with(
 /// delta is dense and the patch bookkeeping cannot win — and still get the
 /// O(delta) union re-certification.
 ///
-/// Every epoch's stage timings land in [`irnet_telemetry::current`]'s span
-/// tree (`repair` and its `classify`/`phases`/`patch`/`recertify`
-/// children — the same single measurements that fill [`RepairSpans`]),
-/// the touched-region and fault classification counters accumulate there,
-/// and `progress`, if given, is ticked once per repaired epoch.
+/// Every epoch is timed by span guards in [`irnet_telemetry::current`]'s
+/// span tree (`repair` and its `classify`/`phases`/`patch`/`recertify`
+/// children; `recertify` is opened under both strategies, so every path
+/// counts one call per epoch), the [`RepairStats`] counters accumulate
+/// there, and `progress`, if given, is ticked once per repaired epoch.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub fn plan_epochs_timeline_with(
     topo: &Topology,
@@ -233,7 +214,8 @@ pub fn plan_epochs_timeline_with(
         // gate and the degradation, and its delta lists are the newly
         // dead/revived elements — no diffing against the previous epoch
         // needed.
-        let t0 = Instant::now();
+        let span = tel.span("repair");
+        let classify = span.child("classify");
         let deg = match analyze_and_degrade_masks(topo, &step.node_down, &step.link_down)? {
             AnalyzedDegrade::Feasible { degraded, .. } => *degraded,
             AnalyzedDegrade::Infeasible(obstruction) => {
@@ -293,15 +275,15 @@ pub fn plan_epochs_timeline_with(
                 }
             }
         }
-        let classify_seconds = t0.elapsed().as_secs_f64();
+        classify.finish();
 
         // Stage 2: Phases 1–3 on the survivors + lift. Shared verbatim by
         // both strategies, so the repaired turn tables are identical.
-        let t1 = Instant::now();
+        let phases = span.child("phases");
         let (new_tree, new_cg, compact_table, _released) =
             builder.construct_phases(&deg.topology)?;
         let lifted = lift_repair(cg, &deg, &new_cg, &compact_table);
-        let phases_seconds = t1.elapsed().as_secs_f64();
+        phases.finish();
 
         let old_table: &TurnTable = epochs.last().map_or(base_table, |e| &e.epoch.new_table);
 
@@ -309,7 +291,7 @@ pub fn plan_epochs_timeline_with(
         // steps always rebuild: `patch_masked`'s invalidation is seeded
         // from newly-*dead* resources, and a revived link improves costs
         // network-wide anyway, so the delta is dense by nature.
-        let t2 = Instant::now();
+        let patch = span.child("patch");
         let mut patched_in_place = false;
         let (tables, touched_switches, touched_rows) = if strategy == RepairStrategy::Incremental
             && step.is_down_only()
@@ -343,13 +325,13 @@ pub fn plan_epochs_timeline_with(
             let rows = cg.channels().num_channels() as u64 + u64::from(cg.num_nodes());
             ((tables), alive as u32, alive as u64 * rows)
         };
-        let patch_seconds = t2.elapsed().as_secs_f64();
+        patch.finish();
 
         // Stage 4: delta re-certification of the transition union. A
         // cyclic union is reported, not fatal — it matches the verdict
         // the exhaustive `certify_transition` union certificate carries,
         // and callers decide what to do with it (the CLI reports both).
-        let t3 = Instant::now();
+        let recertify = span.child("recertify");
         let recertified = if strategy == RepairStrategy::Incremental {
             Some(
                 union_acyclic_delta(cg, old_table, &lifted.new_table, &lifted.dead_channel).is_ok(),
@@ -357,7 +339,7 @@ pub fn plan_epochs_timeline_with(
         } else {
             None
         };
-        let recertify_seconds = t3.elapsed().as_secs_f64();
+        recertify.finish();
 
         let epoch = ReconfigEpoch {
             cycle,
@@ -375,11 +357,7 @@ pub fn plan_epochs_timeline_with(
             flipped_channels: lifted.flipped_channels,
             tables,
         };
-        let spans = RepairSpans {
-            classify_seconds,
-            phases_seconds,
-            patch_seconds,
-            recertify_seconds,
+        let stats = RepairStats {
             touched_switches,
             touched_rows,
             tree_link_faults,
@@ -389,8 +367,12 @@ pub fn plan_epochs_timeline_with(
             patched_in_place,
             recertified,
         };
-        record_repair_telemetry(&tel, &spans, step.is_down_only());
-        epochs.push(EpochRepair { epoch, spans });
+        span.finish();
+        record_repair_telemetry(&tel, &stats, step.is_down_only());
+        epochs.push(EpochRepair {
+            epoch,
+            spans: stats,
+        });
         if let Some(p) = progress {
             p.tick(epochs.len());
         }
@@ -400,18 +382,12 @@ pub fn plan_epochs_timeline_with(
     Ok(epochs)
 }
 
-/// Feeds one epoch's [`RepairSpans`] into the registry: the `repair` span
-/// subtree (the same four measurements, so the two views cannot
-/// disagree) plus the touched-region / classification counters.
-fn record_repair_telemetry(tel: &Telemetry, spans: &RepairSpans, down_only: bool) {
+/// Feeds one epoch's [`RepairStats`] into the registry: the epoch counts
+/// plus the touched-region / classification counters.
+fn record_repair_telemetry(tel: &Telemetry, stats: &RepairStats, down_only: bool) {
     if !tel.is_enabled() {
         return;
     }
-    tel.record_span("repair", spans.total_seconds());
-    tel.record_span("repair/classify", spans.classify_seconds);
-    tel.record_span("repair/phases", spans.phases_seconds);
-    tel.record_span("repair/patch", spans.patch_seconds);
-    tel.record_span("repair/recertify", spans.recertify_seconds);
     tel.counter("repair/epochs").inc();
     tel.counter(if down_only {
         "repair/epochs_down"
@@ -420,23 +396,23 @@ fn record_repair_telemetry(tel: &Telemetry, spans: &RepairSpans, down_only: bool
     })
     .inc();
     tel.counter("repair/touched_switches")
-        .add(u64::from(spans.touched_switches));
-    tel.counter("repair/touched_rows").add(spans.touched_rows);
+        .add(u64::from(stats.touched_switches));
+    tel.counter("repair/touched_rows").add(stats.touched_rows);
     tel.counter("repair/tree_link_faults")
-        .add(u64::from(spans.tree_link_faults));
+        .add(u64::from(stats.tree_link_faults));
     tel.counter("repair/cross_link_faults")
-        .add(u64::from(spans.cross_link_faults));
+        .add(u64::from(stats.cross_link_faults));
     tel.counter("repair/leaf_switch_faults")
-        .add(u64::from(spans.leaf_switch_faults));
+        .add(u64::from(stats.leaf_switch_faults));
     tel.counter("repair/internal_switch_faults")
-        .add(u64::from(spans.internal_switch_faults));
-    tel.counter(if spans.patched_in_place {
+        .add(u64::from(stats.internal_switch_faults));
+    tel.counter(if stats.patched_in_place {
         "repair/patched_in_place"
     } else {
         "repair/full_rebuilds"
     })
     .inc();
-    if let Some(ok) = spans.recertified {
+    if let Some(ok) = stats.recertified {
         tel.counter(if ok {
             "repair/recertified_ok"
         } else {

@@ -36,6 +36,6 @@ pub mod repair;
 
 pub use builder::{ConstructError, DownUp, DownUpRouting, PhaseSpans};
 pub use incremental::{
-    plan_epochs_timeline_with, plan_epochs_with, EpochRepair, RepairSpans, RepairStrategy,
+    plan_epochs_timeline_with, plan_epochs_with, EpochRepair, RepairStats, RepairStrategy,
 };
 pub use repair::{ReconfigEpoch, RepairError};

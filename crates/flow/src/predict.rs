@@ -25,7 +25,6 @@ use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, Topology};
 use irnet_turns::TurnTable;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Tuning knobs for the flow-level backend. The defaults are what
 /// `flow_validate` calibrates against the exact engine.
@@ -209,17 +208,17 @@ impl<'a> FlowPredictor<'a> {
         let plen = base.packet_len.max(1);
 
         // Stage 1: analytic per-channel loads.
-        let t0 = Instant::now();
+        let decompose = tel.span("flow/decompose");
         let dx = Decomposer::new(cg, table);
         let dec = dx.decompose(cfg.max_dests);
         let (bneck, w_max) = dec.bottleneck();
-        tel.record_span("flow/decompose", t0.elapsed().as_secs_f64());
+        decompose.finish();
 
         // Saturation: drive the bottleneck channel's neighborhood hard and
         // measure what it actually sustains.
-        let t1 = Instant::now();
+        let rep_sim = tel.span("flow/rep_sim");
         let (sat_throughput, probe_sims) = measure_saturation(topo, base, bneck, w_max, seed, cfg);
-        tel.record_span("flow/rep_sim", t1.elapsed().as_secs_f64());
+        rep_sim.finish();
         tel.counter("flow/rep_sims").add(probe_sims as u64);
 
         // Deterministic route sample, shared by all rates (routes are
@@ -321,7 +320,7 @@ impl<'a> FlowPredictor<'a> {
                 self.tel.counter("flow/rep_sim_cache_hits").inc();
                 continue;
             }
-            let t = Instant::now();
+            let rep_sim = self.tel.span("flow/rep_sim");
             let hop = hop_distribution(
                 self.topo,
                 self.base,
@@ -331,8 +330,7 @@ impl<'a> FlowPredictor<'a> {
                 &self.cfg,
                 self.plen,
             );
-            self.tel
-                .record_span("flow/rep_sim", t.elapsed().as_secs_f64());
+            rep_sim.finish();
             self.representative_sims += 1;
             self.tel.counter("flow/rep_sims").inc();
             self.hop_cache.insert(cl.sig, hop);

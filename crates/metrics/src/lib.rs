@@ -67,16 +67,19 @@ impl Algo {
 
     /// Constructs the routing over `topo` using the coordinated-tree
     /// `policy` (ignored by up\*/down\*, which has no preorder component)
-    /// and `seed` (used by the `M2` policy). Construction time lands in
-    /// [`irnet_telemetry::current`]'s span tree as `construction` (with the
-    /// per-phase children for DOWN/UP, whose constructor reports them).
+    /// and `seed` (used by the `M2` policy). A span guard times
+    /// construction in [`irnet_telemetry::current`]'s span tree as
+    /// `construction` (DOWN/UP's constructor opens it itself, with its
+    /// per-phase children).
     pub fn construct(
         self,
         topo: &Topology,
         policy: PreorderPolicy,
         seed: u64,
     ) -> Result<Instance, AlgoError> {
-        let t0 = std::time::Instant::now();
+        // DOWN/UP records its own `construction` span tree.
+        let span = (!matches!(self, Algo::DownUp { .. } | Algo::DownUpCenterRoot))
+            .then(|| irnet_telemetry::current().span("construction"));
         let (tree, cg, table, tables) = match self {
             Algo::DownUp { release } => DownUp::new()
                 .policy(policy)
@@ -102,10 +105,7 @@ impl Algo {
             Algo::UpDownBfs => updown::construct_bfs(topo)?.into_parts(),
             Algo::UpDownDfs => updown::construct_dfs(topo)?.into_parts(),
         };
-        // DOWN/UP records its own `construction` span tree.
-        if !matches!(self, Algo::DownUp { .. } | Algo::DownUpCenterRoot) {
-            irnet_telemetry::current().record_span("construction", t0.elapsed().as_secs_f64());
-        }
+        drop(span);
         Ok(Instance {
             tree,
             cg,

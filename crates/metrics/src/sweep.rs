@@ -75,24 +75,20 @@ pub fn point_seed(seed: u64, rate_index: usize) -> u64 {
     seed.wrapping_add(rate_index as u64)
 }
 
-/// Runs one operating point. The run's wall time lands in
-/// [`irnet_telemetry::current`]'s `sim/run` span and its throughput
-/// counters in `sim/*` (see [`irnet_sim::record_run_telemetry`]).
-/// Strictly observational — the registry is written once, after the
-/// simulation finishes, so the point's result is bit-identical with or
-/// without telemetry.
+/// Runs one operating point. A `sim/run` span guard times the run in
+/// [`irnet_telemetry::current`]'s span tree, and its throughput counters
+/// land in `sim/*` (see [`irnet_sim::record_run_telemetry`]). Strictly
+/// observational — the simulator never reads the registry, so the
+/// point's result is bit-identical with or without telemetry.
 pub fn run_point(inst: &Instance, base: &SimConfig, rate: f64, seed: u64) -> SweepPoint {
     let cfg = SimConfig {
         injection_rate: rate,
         ..*base
     };
-    let t0 = std::time::Instant::now();
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let stats = Simulator::new(&inst.cg, &inst.tables, cfg, seed).run();
-    irnet_sim::record_run_telemetry(
-        &irnet_telemetry::current(),
-        &stats,
-        t0.elapsed().as_secs_f64(),
-    );
+    irnet_sim::record_run_telemetry(&tel, &stats, span.finish());
     SweepPoint {
         offered: rate,
         deadlocked: stats.deadlocked,

@@ -480,21 +480,6 @@ impl<'a> Simulator<'a> {
         self.buffered_flits
     }
 
-    /// Flits that ever entered the network (whole run, warm-up included).
-    pub fn injected_flit_total(&self) -> u64 {
-        self.injected_flits_total
-    }
-
-    /// Flits handed to a local processor (whole run, warm-up included).
-    pub fn delivered_flit_total(&self) -> u64 {
-        self.delivered_flits_total
-    }
-
-    /// Flits dropped by reconfiguration barriers so far.
-    pub fn dropped_flit_total(&self) -> u64 {
-        self.dropped_flits
-    }
-
     /// Scheduling work of the run so far. Deterministic per seed and
     /// core, so a test can pin it exactly where wall time is noise.
     pub fn work_counters(&self) -> WorkCounters {

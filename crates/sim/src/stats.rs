@@ -132,17 +132,18 @@ impl SimStats {
     }
 }
 
-/// Feeds one finished run's throughput into a telemetry registry: the
-/// `sim/run` span (`wall_seconds` of wall clock), delivered-work counters,
-/// the `sim/cycles_per_sec` throughput gauge, and a log2 histogram of run
-/// lengths. Strictly post-run — the simulator's hot path never sees the
-/// registry, so attaching telemetry cannot perturb a run (proptest-pinned
-/// in `tests/telemetry.rs`).
+/// Feeds one finished run's throughput into a telemetry registry:
+/// delivered-work counters, the `sim/cycles_per_sec` throughput gauge, and
+/// a log2 histogram of run lengths. The caller times the run with a
+/// `sim/run` span guard and passes the guard's
+/// [`finish`](irnet_telemetry::Span::finish) seconds as `wall_seconds`.
+/// Strictly post-run — the simulator's hot path never sees the registry,
+/// so attaching telemetry cannot perturb a run (proptest-pinned in
+/// `tests/telemetry.rs`).
 pub fn record_run_telemetry(tel: &irnet_telemetry::Telemetry, stats: &SimStats, wall_seconds: f64) {
     if !tel.is_enabled() {
         return;
     }
-    tel.record_span("sim/run", wall_seconds);
     tel.counter("sim/runs").inc();
     tel.counter("sim/cycles").add(u64::from(stats.cycles));
     tel.counter("sim/flits_delivered")

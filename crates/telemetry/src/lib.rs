@@ -41,9 +41,13 @@
 //! tel.counter("sim/runs").inc();
 //! tel.gauge("sim/cycles_per_sec").set(1.5e6);
 //! tel.histogram("sim/run_cycles").record(10_000);
-//! tel.record_span("construction/phase1", 0.002);
+//! {
+//!     let construction = tel.span("construction");
+//!     let _phase1 = construction.child("phase1");
+//! } // both guards record their wall time here
 //! let snap = tel.snapshot();
 //! assert_eq!(snap.counter("sim/runs"), Some(1));
+//! assert_eq!(snap.span("construction/phase1").map(|s| s.count), Some(1));
 //! assert!(snap.to_json().contains("irnet-telemetry-v1"));
 //! ```
 
@@ -175,17 +179,13 @@ impl Telemetry {
     /// the span tree when the guard drops (or [`Span::finish`] is
     /// called). Nest with [`Span::child`].
     pub fn span(&self, path: &str) -> Span {
-        Span {
-            tel: self.clone(),
-            path: path.to_string(),
-            start: self.inner.as_ref().map(|_| Instant::now()),
-        }
+        Span::open(self, || path.to_string())
     }
 
-    /// Adds an externally measured duration to the span at `path`. This
-    /// is how already-instrumented code (one `Instant` measurement, two
-    /// views) feeds the tree without timing twice, and how the golden
-    /// test records deterministic values.
+    /// Adds an externally measured duration to the span at `path`. Stages
+    /// time themselves with [`Telemetry::span`] guards; this is for values
+    /// measured elsewhere, such as the deterministic durations the golden
+    /// snapshot tests record.
     pub fn record_span(&self, path: &str, seconds: f64) {
         if let Some(i) = &self.inner {
             let mut spans = i.spans.lock().unwrap();
@@ -314,13 +314,20 @@ pub struct Span {
 }
 
 impl Span {
+    /// Starts a span on `tel`. The path is built only when `tel` is
+    /// enabled, so a span of a disabled handle allocates nothing.
+    fn open(tel: &Telemetry, path: impl FnOnce() -> String) -> Span {
+        let live = tel.is_enabled();
+        Span {
+            tel: tel.clone(),
+            path: if live { path() } else { String::new() },
+            start: live.then(Instant::now),
+        }
+    }
+
     /// Opens a child span under this one's path.
     pub fn child(&self, name: &str) -> Span {
-        Span {
-            tel: self.tel.clone(),
-            path: format!("{}/{}", self.path, name),
-            start: self.start.map(|_| Instant::now()),
-        }
+        Span::open(&self.tel, || format!("{}/{}", self.path, name))
     }
 
     /// Stops the span now and returns the elapsed seconds it recorded
@@ -395,6 +402,17 @@ mod tests {
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(snap.spans.is_empty());
+    }
+
+    #[test]
+    fn spans_of_a_disabled_handle_allocate_and_record_nothing() {
+        let tel = Telemetry::disabled();
+        let root = tel.span("repair");
+        let child = root.child("classify");
+        assert_eq!(child.path.capacity(), 0);
+        assert_eq!(child.finish(), 0.0);
+        assert_eq!(root.finish(), 0.0);
+        assert!(tel.snapshot().spans.is_empty());
     }
 
     #[test]

@@ -122,6 +122,11 @@ impl Progress {
         }
     }
 
+    /// Wall-clock seconds since this emitter was created.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
     /// The formatted line for `done` units after `elapsed` seconds —
     /// split out so tests can pin the exact bytes.
     fn line(&self, done: usize, elapsed: f64) -> String {

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use irnet_baselines::{lturn, updown, BaselineRouting};
     pub use irnet_core::{
         plan_epochs_timeline_with, plan_epochs_with, DownUp, DownUpRouting, EpochRepair,
-        ReconfigEpoch, RepairSpans, RepairStrategy,
+        ReconfigEpoch, RepairStats, RepairStrategy,
     };
     pub use irnet_flow::{predict, FlowConfig, FlowCurve, FlowPoint, FlowPredictor};
     pub use irnet_metrics::paper::PaperMetrics;
