@@ -38,7 +38,7 @@ mod exit;
 use irnet_core::RepairStrategy;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::{sweep, Algo, Instance};
-use irnet_sim::{SimConfig, Simulator};
+use irnet_sim::{SimConfig, SimStats, Simulator};
 use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
 use irnet_topology::{
     gen, topology_from_json, topology_to_json, CommGraph, CoordinatedTree, PreorderPolicy, Topology,
@@ -580,14 +580,27 @@ fn sim_config(o: &Opts) -> SimConfig {
     }
 }
 
+/// Runs `sim` to completion under a `sim/run` span and records its
+/// `sim/*` counters in the current telemetry registry.
+fn run_measured(sim: Simulator<'_>) -> SimStats {
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
+    let stats = sim.run();
+    span.finish();
+    irnet_sim::record_run_telemetry(&tel, &stats);
+    stats
+}
+
 fn cmd_simulate(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64)).run();
-    irnet_sim::record_run_telemetry(&tel, &stats, span.finish());
+    let stats = run_measured(Simulator::new(
+        &inst.cg,
+        &inst.tables,
+        cfg,
+        o.parse("sim-seed", 7u64),
+    ));
     let m = PaperMetrics::compute(&stats, &inst.cg, &inst.tree);
     println!(
         "offered load     : {:.4} flits/clock/node",
@@ -1003,7 +1016,12 @@ fn cmd_render(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64)).run();
+    let stats = run_measured(Simulator::new(
+        &inst.cg,
+        &inst.tables,
+        cfg,
+        o.parse("sim-seed", 7u64),
+    ));
     let svg = render_network(
         &topo,
         &inst.tree,
@@ -1054,6 +1072,8 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         virtual_channels: o.parse("vcs", 1u32),
         ..SimConfig::default()
     };
+    let tel = irnet_telemetry::current();
+    let span = tel.span("sim/run");
     let result = replay(
         &inst.cg,
         &inst.tables,
@@ -1062,6 +1082,8 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         o.parse("sim-seed", 7u64),
         10_000_000,
     );
+    span.finish();
+    irnet_sim::record_run_telemetry(&tel, &result.stats);
     println!("packets          : {}", trace.len());
     match result.makespan {
         Some(m) => println!("makespan         : {m} clocks"),
@@ -1185,10 +1207,10 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
     let stalled = sim.run_in_place();
-    let sim_wall = span.finish();
+    span.finish();
     let incident = stalled.then(|| irnet_obs::deadlock_incident(&sim));
     let stats = sim.finish_with(stalled);
-    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
+    irnet_sim::record_run_telemetry(&tel, &stats);
     let all_certified = certs
         .iter()
         .all(irnet_verify::EpochCertificates::is_deadlock_free);
@@ -1567,9 +1589,9 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
             break;
         }
     }
-    let sim_wall = span.finish();
+    span.finish();
     let stats = sim.finish_with(stalled);
-    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
+    irnet_sim::record_run_telemetry(&tel, &stats);
     let all_feasible = infeasible_at.is_none();
     let conserved = stats.flits_conserved();
     let passed = all_feasible && all_certified && conserved && !stats.deadlocked;
@@ -1909,14 +1931,14 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
             break;
         }
     }
-    let sim_wall = span.finish();
+    span.finish();
     if let Some(s) = sampler.as_mut() {
         s.force_sample(&sim);
     }
 
     let incident = stalled.then(|| deadlock_incident(&sim));
     let stats = sim.finish_with(stalled);
-    irnet_sim::record_run_telemetry(&tel, &stats, sim_wall);
+    irnet_sim::record_run_telemetry(&tel, &stats);
 
     if let Some(incident) = &incident {
         write_incident(o, incident)?;
@@ -1957,7 +1979,12 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = Simulator::new(&inst.cg, &inst.tables, cfg, o.parse("sim-seed", 7u64)).run();
+    let stats = run_measured(Simulator::new(
+        &inst.cg,
+        &inst.tables,
+        cfg,
+        o.parse("sim-seed", 7u64),
+    ));
     print!(
         "{}",
         irnet_obs::render_top(&stats, &inst.cg, o.parse("k", 10usize))

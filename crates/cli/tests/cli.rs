@@ -644,6 +644,46 @@ fn soak_and_trace_record_their_simulator_run() {
     }
 }
 
+#[test]
+fn top_render_and_replay_record_their_simulator_run() {
+    let cases: [(&str, &[&str]); 3] = [
+        ("top", &[]),
+        ("render", &["--out", "/dev/null"]),
+        ("replay", &["--trace-packets", "40", "--packet-len", "8"]),
+    ];
+    for (cmd, extra) in cases {
+        let snap_path = tmpfile(&format!("{cmd}-tel.json"));
+        let mut args = vec![
+            cmd,
+            "--switches",
+            "16",
+            "--warmup",
+            "200",
+            "--measure",
+            "1000",
+            "--telemetry",
+            snap_path.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let r = irnet(&args);
+        assert_eq!(
+            r.status.code(),
+            Some(0),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&r.stderr)
+        );
+        let json = std::fs::read_to_string(&snap_path).unwrap();
+        let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+        assert_eq!(snap.counter("sim/runs"), Some(1), "{cmd}: {json}");
+        assert_eq!(snap.span("sim/run").map(|s| s.count), Some(1), "{cmd}");
+        assert!(
+            snap.counter("sim/cycles").is_some_and(|c| c > 0),
+            "{cmd}: {json}"
+        );
+        std::fs::remove_file(snap_path).ok();
+    }
+}
+
 /// `trace` on the shipped 128-switch link failure, over a window just
 /// long enough to span the fault at cycle 3011.
 fn trace_link_failure(extra: &[&str]) -> Output {

@@ -88,7 +88,8 @@ pub fn run_point(inst: &Instance, base: &SimConfig, rate: f64, seed: u64) -> Swe
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
     let stats = Simulator::new(&inst.cg, &inst.tables, cfg, seed).run();
-    irnet_sim::record_run_telemetry(&tel, &stats, span.finish());
+    span.finish();
+    irnet_sim::record_run_telemetry(&tel, &stats);
     SweepPoint {
         offered: rate,
         deadlocked: stats.deadlocked,

@@ -3,6 +3,7 @@ use crate::config::{EngineCore, InjectionSampling, RouteChoice, SimConfig};
 use crate::hist::Histogram;
 use crate::record::{BlockedWorm, Recorder, SimEvent};
 use crate::stats::SimStats;
+use crate::traffic::ArrivalProcess;
 use irnet_core::ReconfigEpoch;
 use irnet_topology::{ChannelId, CommGraph, NodeId};
 use irnet_turns::{RoutingTables, INJECTION_SLOT};
@@ -1009,8 +1010,43 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// One arrival-process draw per node per cycle (the seed RNG stream).
+    /// One arrival-process draw per live node per cycle (the seed RNG
+    /// stream).
     fn inject_per_cycle(&mut self) {
+        if self.cfg.arrivals != ArrivalProcess::Bernoulli {
+            self.inject_per_node();
+            return;
+        }
+        // Each maximal run of live nodes is one Bernoulli scan: the RNG
+        // skips to the next hit, the hit node draws its destination, and
+        // the scan resumes after it. Every draw decides as `gen_bool` does
+        // (see `rand::bernoulli_threshold`), so the stream is the per-node
+        // loop's, and dead nodes still cost no draw.
+        let n = self.cg.num_nodes() as usize;
+        let t = rand::bernoulli_threshold(self.inject_p);
+        let mut v = 0;
+        while v < n {
+            if self.node_dead[v] {
+                v += 1;
+                continue;
+            }
+            let end = self.node_dead[v..]
+                .iter()
+                .position(|&dead| dead)
+                .map_or(n, |k| v + k);
+            self.work.arrival_samples += (end - v) as u64;
+            while v < end {
+                v += self.rng.failures_before(t, (end - v) as u64) as usize;
+                if v < end {
+                    self.generate_packet(v as NodeId);
+                    v += 1;
+                }
+            }
+        }
+    }
+
+    /// The per-node arrival loop for stateful (on/off) sources.
+    fn inject_per_node(&mut self) {
         let n = self.cg.num_nodes();
         let p = self.inject_p;
         let arrivals = self.cfg.arrivals;

@@ -1,5 +1,6 @@
 use crate::hist::Histogram;
 use irnet_topology::{ChannelId, CommGraph, NodeId};
+use std::sync::{Mutex, PoisonError};
 
 /// Raw measurement counters plus derived metrics for one simulation run.
 ///
@@ -132,20 +133,24 @@ impl SimStats {
     }
 }
 
+/// Serializes the `sim/cycles_per_sec` updates of concurrent runs, so the
+/// last run to record reads every earlier run's cycles and seconds.
+static RATE_UPDATE: Mutex<()> = Mutex::new(());
+
 /// Feeds one finished run's throughput into a telemetry registry:
 /// delivered-work counters, the `sim/cycles_per_sec` throughput gauge, and
 /// a log2 histogram of run lengths. The caller times the run with a
-/// `sim/run` span guard and passes the guard's
-/// [`finish`](irnet_telemetry::Span::finish) seconds as `wall_seconds`.
+/// `sim/run` span guard and calls this once the guard has finished, so the
+/// gauge is the aggregate over the registry, Σ `sim/cycles` / Σ `sim/run`
+/// seconds, rather than the last run's rate.
 /// Strictly post-run — the simulator's hot path never sees the registry,
 /// so attaching telemetry cannot perturb a run (proptest-pinned in
 /// `tests/telemetry.rs`).
-pub fn record_run_telemetry(tel: &irnet_telemetry::Telemetry, stats: &SimStats, wall_seconds: f64) {
+pub fn record_run_telemetry(tel: &irnet_telemetry::Telemetry, stats: &SimStats) {
     if !tel.is_enabled() {
         return;
     }
     tel.counter("sim/runs").inc();
-    tel.counter("sim/cycles").add(u64::from(stats.cycles));
     tel.counter("sim/flits_delivered")
         .add(stats.flits_delivered);
     tel.counter("sim/packets_delivered")
@@ -156,12 +161,16 @@ pub fn record_run_telemetry(tel: &irnet_telemetry::Telemetry, stats: &SimStats, 
     if stats.deadlocked {
         tel.counter("sim/deadlocks").inc();
     }
-    if wall_seconds > 0.0 {
-        tel.gauge("sim/cycles_per_sec")
-            .set(f64::from(stats.cycles) / wall_seconds);
-    }
     tel.histogram("sim/run_cycles")
         .record(u64::from(stats.cycles));
+    let cycles = tel.counter("sim/cycles");
+    let _serial = RATE_UPDATE.lock().unwrap_or_else(PoisonError::into_inner);
+    cycles.add(u64::from(stats.cycles));
+    let seconds = tel.span_stat("sim/run").map_or(0.0, |s| s.seconds);
+    if seconds > 0.0 {
+        tel.gauge("sim/cycles_per_sec")
+            .set(cycles.get() as f64 / seconds);
+    }
 }
 
 #[cfg(test)]
@@ -241,5 +250,25 @@ mod tests {
         let p50 = s.latency_quantile(0.5).unwrap();
         assert!((190..=310).contains(&p50), "median {p50}");
         assert!(s.latency_quantile(0.99).unwrap() >= p50);
+    }
+
+    #[test]
+    fn cycles_per_sec_aggregates_over_the_registry() {
+        // Two runs of different lengths and rates: 1000 cycles in 0.5 s
+        // (2000/s), then 3000 cycles in 0.5 s (6000/s). The gauge is the
+        // aggregate 4000 cycles / 1 s, not the last run's 6000/s.
+        let tel = irnet_telemetry::Telemetry::enabled();
+        let mut s = stats();
+        tel.record_span("sim/run", 0.5);
+        record_run_telemetry(&tel, &s);
+        let snap = tel.snapshot();
+        assert_eq!(snap.gauges.get("sim/cycles_per_sec"), Some(&2000.0));
+        s.cycles = 3000;
+        tel.record_span("sim/run", 0.5);
+        record_run_telemetry(&tel, &s);
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter("sim/runs"), Some(2));
+        assert_eq!(snap.counter("sim/cycles"), Some(4000));
+        assert_eq!(snap.gauges.get("sim/cycles_per_sec"), Some(&4000.0));
     }
 }

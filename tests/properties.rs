@@ -328,3 +328,42 @@ proptest! {
         }
     }
 }
+
+/// The arrival probabilities the Bernoulli-scan property covers: the
+/// smallest positive one, the benchmark's low load, a half, the largest
+/// below one, and one.
+const SCAN_PS: [f64; 5] = [
+    1.0 / (1u64 << 53) as f64,
+    0.000_625,
+    0.5,
+    1.0 - 1.0 / (1u64 << 53) as f64,
+    1.0,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `ChaCha8Rng::failures_before` (the buffered scan behind per-cycle
+    /// arrivals) counts the same misses as a `gen_bool` loop and leaves
+    /// the stream where that loop leaves it, from an odd word offset and
+    /// across refills.
+    #[test]
+    fn bernoulli_scan_matches_the_gen_bool_loop(
+        (seed, p_index, lead, limit) in (0u64..1_000_000, 0usize..5, 0u32..40, 0u64..200),
+    ) {
+        use rand::{Rng, RngCore, SeedableRng};
+        let p = SCAN_PS[p_index];
+        let t = rand::bernoulli_threshold(p);
+        let mut scan = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut looped = scan.clone();
+        // An odd number of leading 32-bit draws.
+        for _ in 0..2 * lead + 1 {
+            prop_assert_eq!(scan.next_u32(), looped.next_u32());
+        }
+        for _ in 0..8 {
+            let want = (0..limit).find(|_| looped.gen_bool(p)).unwrap_or(limit);
+            prop_assert_eq!(scan.failures_before(t, limit), want);
+            prop_assert_eq!(scan.next_u32(), looped.next_u32());
+        }
+    }
+}

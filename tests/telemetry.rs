@@ -49,7 +49,8 @@ proptest! {
             let run_span = run_tel.span("sim/run");
             let instrumented = Simulator::new(
                 observed.comm_graph(), observed.routing_tables(), cfg, seed ^ 0x7e1).run();
-            irnet::sim::record_run_telemetry(&run_tel, &instrumented, run_span.finish());
+            run_span.finish();
+            irnet::sim::record_run_telemetry(&run_tel, &instrumented);
             prop_assert_eq!(&bare, &instrumented, "core {:?} perturbed by telemetry", core);
             let rsnap = run_tel.snapshot();
             prop_assert_eq!(rsnap.counter("sim/runs"), Some(1));
