@@ -958,3 +958,38 @@ fn sweep_human_progress_lines_are_unchanged() {
     assert!(final_line.contains("elapsed"), "{final_line}");
     assert!(final_line.contains("eta"), "{final_line}");
 }
+
+/// A 300-switch, 2-port fabric is a chain whose routes run up to 298
+/// hops, so its tables take two-byte cost cells. `routes` must print the
+/// same bytes over them as over one-byte cells.
+#[test]
+fn routes_over_two_byte_costs_print_the_pinned_output() {
+    let snap_path = tmpfile("routes300-tel.json");
+    let r = irnet(&[
+        "routes",
+        "--switches",
+        "300",
+        "--ports",
+        "2",
+        "--seed",
+        "1",
+        "--telemetry",
+        snap_path.to_str().unwrap(),
+    ]);
+    assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
+    let hops: [u32; 33] = [
+        0, 106, 285, 60, 118, 286, 47, 67, 89, 291, 143, 188, 12, 181, 207, 290, 99, 25, 215, 142,
+        242, 249, 159, 250, 227, 59, 43, 295, 245, 241, 212, 17, 299,
+    ];
+    let route: Vec<String> = hops.iter().map(u32::to_string).collect();
+    let want = format!(
+        "avg route length: 99.835\nmax route length: 298\nsample route 0 -> 299: {}\n",
+        route.join(" -(RD_TREE)-> ")
+    );
+    assert_eq!(String::from_utf8_lossy(&r.stdout), want);
+    // Two-byte cells: 2·n·C + 4·n·P + 2·n·(P + 1), n = 300, C = 600, P = 2.
+    let json = std::fs::read_to_string(&snap_path).unwrap();
+    let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+    assert_eq!(snap.gauges["construction/table_bytes"], 364_200.0);
+    std::fs::remove_file(snap_path).ok();
+}

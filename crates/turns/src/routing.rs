@@ -1,8 +1,8 @@
 use crate::cdg::ChannelDepGraph;
 use crate::turn_table::TurnTable;
-use irnet_topology::{ChannelId, CommGraph, NodeId};
+use irnet_topology::{ChannelId, ChannelTable, CommGraph, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Input-slot index used for freshly injected packets (no input channel).
 /// Input port `q` maps to slot `q + 1`.
@@ -59,56 +59,134 @@ pub struct PatchStats {
 }
 
 /// CSR transpose (predecessor lists) of a dependency graph, for reverse
-/// BFS/Dijkstra propagation: returns `(offsets, preds)` with the
-/// predecessors of channel `c` at `preds[offsets[c]..offsets[c + 1]]`.
-fn transpose(dep: &ChannelDepGraph) -> (Vec<u32>, Vec<u32>) {
-    let nch = dep.num_channels();
-    let mut indeg = vec![0u32; nch as usize];
-    for c in 0..nch {
-        for &s in dep.successors(c) {
-            indeg[s as usize] += 1;
-        }
-    }
-    let mut toff = vec![0u32; nch as usize + 1];
-    for i in 0..nch as usize {
-        toff[i + 1] = toff[i] + indeg[i];
-    }
-    let mut cursor = toff[..nch as usize].to_vec();
-    let mut pred = vec![0u32; dep.num_edges()];
-    for c in 0..nch {
-        for &s in dep.successors(c) {
-            pred[cursor[s as usize] as usize] = c;
-            cursor[s as usize] += 1;
-        }
-    }
-    (toff, pred)
+/// BFS/Dijkstra propagation.
+struct Preds {
+    /// The predecessors of channel `c` are `pred[off[c]..off[c + 1]]`.
+    off: Vec<u32>,
+    pred: Vec<ChannelId>,
 }
 
-/// Turn-constrained shortest-path routing tables.
-///
-/// For every destination `t` the table stores, per channel `c`, the minimal
-/// number of channels a packet must still traverse given that it traverses
-/// `c` first (`cost`). That is the only per-destination array: the bitmask
-/// of output ports lying on *some* minimal legal path ("shortest possible
-/// paths", as the paper's simulation uses) is derived at lookup from a
-/// `cost` row and two small per-switch rows — each port's output channel
-/// and each input slot's turn-legal port mask. At each hop the simulator
-/// picks among that mask — randomly or adaptively — which keeps the route
-/// set inside the deadlock-free turn set.
+impl Preds {
+    fn build(dep: &ChannelDepGraph) -> Preds {
+        let nch = dep.num_channels();
+        let mut indeg = vec![0u32; nch as usize];
+        for c in 0..nch {
+            for &s in dep.successors(c) {
+                indeg[s as usize] += 1;
+            }
+        }
+        let mut off = vec![0u32; nch as usize + 1];
+        for i in 0..nch as usize {
+            off[i + 1] = off[i] + indeg[i];
+        }
+        let mut cursor = off[..nch as usize].to_vec();
+        let mut pred = vec![0u32; dep.num_edges()];
+        for c in 0..nch {
+            for &s in dep.successors(c) {
+                pred[cursor[s as usize] as usize] = c;
+                cursor[s as usize] += 1;
+            }
+        }
+        Preds { off, pred }
+    }
+
+    /// The channels with a dependency edge into `c`.
+    fn of(&self, c: ChannelId) -> &[ChannelId] {
+        &self.pred[self.off[c as usize] as usize..self.off[c as usize + 1] as usize]
+    }
+}
+
+/// One `cost` cell. The fill, the patch and the mask lookup are each
+/// written once over this trait and run at whichever width the table
+/// holds. Each width's largest value means unreachable, so unreachable
+/// sorts after every finite cost at both widths.
+trait Cost: Copy + Ord + Send + Sync {
+    /// The unreachable marker.
+    const INF: Self;
+    /// The cost as the public `u16` (`INF` is `u16::MAX`).
+    fn get(self) -> u16;
+    /// The cell holding `v` (`u16::MAX` is `INF`), or `None` if a finite
+    /// `v` does not fit.
+    fn fit(v: u16) -> Option<Self>;
+}
+
+impl Cost for u8 {
+    const INF: u8 = u8::MAX;
+    #[inline]
+    fn get(self) -> u16 {
+        if self == u8::MAX {
+            u16::MAX
+        } else {
+            u16::from(self)
+        }
+    }
+    #[inline]
+    fn fit(v: u16) -> Option<u8> {
+        match v {
+            u16::MAX => Some(u8::MAX),
+            0..=254 => Some(v as u8),
+            _ => None,
+        }
+    }
+}
+
+impl Cost for u16 {
+    const INF: u16 = u16::MAX;
+    #[inline]
+    fn get(self) -> u16 {
+        self
+    }
+    #[inline]
+    fn fit(v: u16) -> Option<u16> {
+        Some(v)
+    }
+}
+
+/// The `cost` array at the narrowest width its finite costs fit: one byte
+/// per cell while every finite cost is at most 254, two bytes otherwise.
+/// The width is a function of the costs alone, never of how they were
+/// reached, so equal tables compare equal and report equal `heap_bytes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutingTables {
-    num_nodes: u32,
-    num_channels: u32,
-    slots: usize,
-    /// `cost[t as usize * num_channels + c]`, `u16::MAX` = unreachable.
-    cost: Vec<u16>,
-    /// `out_ch[v * (slots - 1) + p]`: the output channel on port `p` of `v`
-    /// (ports `v` lacks hold 0; no turn row ever names them).
-    out_ch: Vec<ChannelId>,
-    /// `turn[v * slots + slot]`: the output ports a packet arriving at `v`
-    /// on `slot` may legally take — every port at the injection slot, none
-    /// at a dead switch.
-    turn: Vec<u16>,
+enum Costs {
+    Narrow(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+impl Costs {
+    /// Narrows wide cells when every finite cost fits one byte again.
+    fn refit(&mut self) {
+        if let Costs::Wide(wide) = self {
+            if wide.iter().all(|&c| u8::fit(c).is_some()) {
+                // Every cell is at most 254 or `u16::MAX`, which truncates
+                // to the narrow `INF`.
+                *self = Costs::Narrow(wide.iter().map(|&c| c as u8).collect());
+            }
+        }
+    }
+}
+
+/// Why a fill or patch at one cell width stopped early.
+enum Stop {
+    /// A real failure, reported as is.
+    Routing(RoutingError),
+    /// A finite cost does not fit the cell width: redo it wider.
+    Overflow,
+}
+
+impl From<RoutingError> for Stop {
+    fn from(e: RoutingError) -> Stop {
+        Stop::Routing(e)
+    }
+}
+
+impl Stop {
+    /// The routing error of a stop that is not a one-byte overflow.
+    fn wide(self) -> RoutingError {
+        match self {
+            Stop::Routing(e) => e,
+            Stop::Overflow => unreachable!("u16 cells hold every cost"),
+        }
+    }
 }
 
 /// Turn-legal port mask of every `(switch, input slot)`, laid out as
@@ -131,8 +209,148 @@ fn turn_rows(cg: &CommGraph, table: &TurnTable, alive: Option<&[bool]>, slots: u
 
 /// Whether some channel of `outs` has a finite cost in `cost_row` — the
 /// connectivity check of one `(source, destination)` pair.
-fn reaches(outs: &[ChannelId], cost_row: &[u16]) -> bool {
-    outs.iter().any(|&c| cost_row[c as usize] != u16::MAX)
+fn reaches<C: Cost>(outs: &[ChannelId], cost_row: &[C]) -> bool {
+    outs.iter().any(|&c| cost_row[c as usize] != C::INF)
+}
+
+/// The per-destination reverse BFS of a table build.
+struct Fill<'a> {
+    n: u32,
+    ch: &'a ChannelTable,
+    preds: Preds,
+    dead_channel: Option<&'a [bool]>,
+    alive_node: Option<&'a [bool]>,
+}
+
+impl Fill<'_> {
+    fn ch_dead(&self, c: ChannelId) -> bool {
+        self.dead_channel.is_some_and(|d| d[c as usize])
+    }
+
+    fn node_alive(&self, v: NodeId) -> bool {
+        self.alive_node.is_none_or(|a| a[v as usize])
+    }
+
+    /// Fills destination `t`'s row (all `INF` on entry) and checks that
+    /// every alive source reaches `t`.
+    fn dest<C: Cost>(
+        &self,
+        t: NodeId,
+        cost_row: &mut [C],
+        queue: &mut Vec<ChannelId>,
+    ) -> Result<(), Stop> {
+        if !self.node_alive(t) {
+            return Ok(()); // dead destinations keep INF costs
+        }
+        let ch = self.ch;
+        queue.clear();
+        // Seeds: channels whose sink is the destination cost exactly 1.
+        let one = C::fit(1).expect("every width holds cost 1");
+        for &c in ch.inputs(t) {
+            if !self.ch_dead(c) {
+                cost_row[c as usize] = one;
+                queue.push(c);
+            }
+        }
+        // Breadth-first, one level at a time: the unreached predecessors
+        // of `queue[head..end]`, which cost `d`, cost `d + 1`.
+        let (mut head, mut d) = (0, 1);
+        while head < queue.len() {
+            let end = queue.len();
+            d += 1;
+            let cell = C::fit(d);
+            for i in head..end {
+                for &p in self.preds.of(queue[i]) {
+                    if !self.ch_dead(p) && cost_row[p as usize] == C::INF {
+                        cost_row[p as usize] = cell.ok_or(Stop::Overflow)?;
+                        queue.push(p);
+                    }
+                }
+            }
+            head = end;
+        }
+
+        // Connectivity: every alive source needs a finite-cost output.
+        // Dead channels never acquire a finite cost.
+        match (0..self.n)
+            .find(|&v| v != t && self.node_alive(v) && !reaches(ch.outputs(v), cost_row))
+        {
+            Some(v) => Err(RoutingError::Disconnected { src: v, dst: t }.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Every destination's row on `workers` threads. The result, and on
+    /// failure the stop reported, are the serial fill's: the stop is the
+    /// one of the smallest failing destination.
+    fn rows<C: Cost>(&self, workers: usize) -> Result<Vec<C>, Stop> {
+        let (n, row_nch) = (self.n as usize, self.ch.num_channels() as usize);
+        let mut cost = vec![C::INF; n * row_nch];
+        if workers <= 1 || row_nch == 0 {
+            let mut queue = Vec::with_capacity(row_nch);
+            for t in 0..n {
+                let cost_row = &mut cost[t * row_nch..(t + 1) * row_nch];
+                self.dest(t as NodeId, cost_row, &mut queue)?;
+            }
+            return Ok(cost);
+        }
+        // One destination = one disjoint `cost` row, so the fill is
+        // embarrassingly parallel: contiguous destination chunks, one
+        // scoped worker each, any partition bit-identical. Joining in
+        // chunk order and keeping each worker's first stop makes the
+        // reported stop the serial one: the failing destination is minimal
+        // within its chunk, and earlier chunks hold smaller destinations.
+        let per = n.div_ceil(workers);
+        std::thread::scope(|s| {
+            let mut handles = Vec::with_capacity(workers);
+            for (k, cost_c) in cost.chunks_mut(per * row_nch).enumerate() {
+                handles.push(s.spawn(move || {
+                    let mut queue = Vec::with_capacity(row_nch);
+                    for (i, cost_row) in cost_c.chunks_mut(row_nch).enumerate() {
+                        self.dest((k * per + i) as NodeId, cost_row, &mut queue)?;
+                    }
+                    Ok(())
+                }));
+            }
+            let mut first: Result<(), Stop> = Ok(());
+            for h in handles {
+                let r = h.join().expect("routing-table worker panicked");
+                if first.is_ok() {
+                    first = r;
+                }
+            }
+            first
+        })?;
+        Ok(cost)
+    }
+}
+
+/// Turn-constrained shortest-path routing tables.
+///
+/// For every destination `t` the table stores, per channel `c`, the minimal
+/// number of channels a packet must still traverse given that it traverses
+/// `c` first (`cost`). That is the only per-destination array: the bitmask
+/// of output ports lying on *some* minimal legal path ("shortest possible
+/// paths", as the paper's simulation uses) is derived at lookup from a
+/// `cost` row and two small per-switch rows — each port's output channel
+/// and each input slot's turn-legal port mask. At each hop the simulator
+/// picks among that mask — randomly or adaptively — which keeps the route
+/// set inside the deadlock-free turn set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoutingTables {
+    num_nodes: u32,
+    num_channels: u32,
+    slots: usize,
+    /// `cost[t as usize * num_channels + c]`, one byte per cell while
+    /// every finite cost fits, two bytes otherwise.
+    cost: Costs,
+    /// `out_ch[v * (slots - 1) + p]`: the output channel on port `p` of `v`
+    /// (ports `v` lacks hold 0; no turn row ever names them).
+    out_ch: Vec<ChannelId>,
+    /// `turn[v * slots + slot]`: the output ports a packet arriving at `v`
+    /// on `slot` may legally take — every port at the injection slot, none
+    /// at a dead switch.
+    turn: Vec<u16>,
 }
 
 impl RoutingTables {
@@ -181,60 +399,24 @@ impl RoutingTables {
         alive_node: Option<&[bool]>,
         threads: usize,
     ) -> Result<RoutingTables, RoutingError> {
-        let ch_dead = |c: ChannelId| dead_channel.is_some_and(|d| d[c as usize]);
-        let node_alive = |v: NodeId| alive_node.is_none_or(|a| a[v as usize]);
         let n = cg.num_nodes();
-        let nch = cg.num_channels();
         let ch = cg.channels();
-        let dep = ChannelDepGraph::build(cg, table);
-
-        // Transpose of the dependency graph for reverse BFS.
-        let (toff, pred) = transpose(&dep);
+        let preds = Preds::build(&ChannelDepGraph::build(cg, table));
+        let fill = Fill {
+            n,
+            ch,
+            preds,
+            dead_channel,
+            alive_node,
+        };
 
         let max_ports = (0..n).map(|v| ch.outputs(v).len()).max().unwrap_or(0);
         let slots = max_ports + 1;
-        let mut cost = vec![u16::MAX; n as usize * nch as usize];
         let mut out_ch = vec![0; n as usize * max_ports];
         for v in 0..n {
             let outs = ch.outputs(v);
             out_ch[v as usize * max_ports..][..outs.len()].copy_from_slice(outs);
         }
-
-        // One destination = one disjoint `cost` row, so the per-destination
-        // fill is embarrassingly parallel. The closure writes only its own
-        // row; any thread partition therefore produces bit-identical tables.
-        let fill_dest = |t: NodeId,
-                         cost_row: &mut [u16],
-                         queue: &mut VecDeque<ChannelId>|
-         -> Result<(), RoutingError> {
-            if !node_alive(t) {
-                return Ok(()); // dead destinations keep MAX costs
-            }
-            queue.clear();
-            // Seeds: channels whose sink is the destination cost exactly 1.
-            for &c in ch.inputs(t) {
-                if !ch_dead(c) {
-                    cost_row[c as usize] = 1;
-                    queue.push_back(c);
-                }
-            }
-            while let Some(c) = queue.pop_front() {
-                let d = cost_row[c as usize];
-                for &p in &pred[toff[c as usize] as usize..toff[c as usize + 1] as usize] {
-                    if !ch_dead(p) && cost_row[p as usize] == u16::MAX {
-                        cost_row[p as usize] = d + 1;
-                        queue.push_back(p);
-                    }
-                }
-            }
-
-            // Connectivity: every alive source needs a finite-cost output.
-            // Dead channels never acquire a finite cost.
-            match (0..n).find(|&v| v != t && node_alive(v) && !reaches(ch.outputs(v), cost_row)) {
-                Some(v) => Err(RoutingError::Disconnected { src: v, dst: t }),
-                None => Ok(()),
-            }
-        };
 
         let workers = match threads {
             0 if n < PARALLEL_BUILD_MIN_NODES => 1,
@@ -243,47 +425,19 @@ impl RoutingTables {
         }
         .clamp(1, n.max(1) as usize);
 
-        let row_nch = nch as usize;
-        if workers <= 1 || row_nch == 0 {
-            let mut queue = VecDeque::with_capacity(row_nch);
-            for t in 0..n as usize {
-                let cost_row = &mut cost[t * row_nch..(t + 1) * row_nch];
-                fill_dest(t as NodeId, cost_row, &mut queue)?;
-            }
-        } else {
-            // Contiguous destination chunks, one scoped worker each. Joining
-            // in chunk order and keeping each worker's first failure makes
-            // the reported error the serial one: the failing destination is
-            // minimal within its chunk, and earlier chunks hold smaller
-            // destinations.
-            let per = (n as usize).div_ceil(workers);
-            let first_err = std::thread::scope(|s| {
-                let fill = &fill_dest;
-                let mut handles = Vec::with_capacity(workers);
-                for (k, cost_c) in cost.chunks_mut(per * row_nch).enumerate() {
-                    handles.push(s.spawn(move || {
-                        let mut queue = VecDeque::with_capacity(row_nch);
-                        for (i, cost_row) in cost_c.chunks_mut(row_nch).enumerate() {
-                            fill((k * per + i) as NodeId, cost_row, &mut queue)?;
-                        }
-                        Ok(())
-                    }));
-                }
-                let mut first: Result<(), RoutingError> = Ok(());
-                for h in handles {
-                    let r = h.join().expect("routing-table worker panicked");
-                    if first.is_ok() {
-                        first = r;
-                    }
-                }
-                first
-            });
-            first_err?;
-        }
+        // One-byte cells first; the first finite cost above 254 redoes the
+        // fill at two bytes. The narrow pass stops at the smallest failing
+        // destination, and every smaller one filled identically at both
+        // widths, so a `Disconnected` it reports is the wide build's too.
+        let cost = match fill.rows::<u8>(workers) {
+            Ok(narrow) => Costs::Narrow(narrow),
+            Err(Stop::Overflow) => Costs::Wide(fill.rows::<u16>(workers).map_err(Stop::wide)?),
+            Err(Stop::Routing(e)) => return Err(e),
+        };
 
         Ok(RoutingTables {
             num_nodes: n,
-            num_channels: nch,
+            num_channels: cg.num_channels(),
             slots,
             cost,
             out_ch,
@@ -326,6 +480,11 @@ impl RoutingTables {
     /// O(destinations × delta) instead of the full build's
     /// O(destinations × dependency edges).
     ///
+    /// The cell width follows the costs as in the full build: a one-byte
+    /// table whose patch needs a cost above 254 is widened in place at
+    /// that destination, and a two-byte table narrows again once every
+    /// finite cost fits.
+    ///
     /// # Errors
     ///
     /// [`RoutingError::Disconnected`] if some alive pair loses every
@@ -337,7 +496,7 @@ impl RoutingTables {
     /// tables `self` was built over.
     // The argument list mirrors `build_masked` plus the three delta inputs;
     // bundling them into a struct would only move the noise to the caller.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     pub fn patch_masked(
         &mut self,
         cg: &CommGraph,
@@ -389,188 +548,66 @@ impl RoutingTables {
         // Dependency graph of the new table (dead channels are isolated in
         // it) and its transpose, shared across destinations.
         let dep = ChannelDepGraph::build(cg, new_table);
-        let (toff, pred) = transpose(&dep);
-        let preds = |c: ChannelId| &pred[toff[c as usize] as usize..toff[c as usize + 1] as usize];
-
-        let mut stats = PatchStats {
-            removed_edges: removed.len(),
-            added_edges: added.len(),
-            ..PatchStats::default()
+        let mut patch = Patch {
+            ch,
+            stats: PatchStats {
+                removed_edges: removed.len(),
+                added_edges: added.len(),
+                ..PatchStats::default()
+            },
+            preds: Preds::build(&dep),
+            dep,
+            removed,
+            added,
+            turn_dirty_nodes,
+            dead_channel,
+            alive_node,
+            newly_dead_channels,
+            newly_dead_nodes,
+            saved_gen: vec![0; nch as usize],
+            saved_val: vec![0; nch as usize],
+            saved_list: Vec::new(),
+            node_gen: vec![0; n as usize],
+            dirty_nodes: Vec::new(),
+            switch_touched: vec![false; n as usize],
+            queue: Vec::new(),
+            invalidated: Vec::new(),
+            heap: BinaryHeap::new(),
         };
-        // Per-destination scratch, stamped by `t + 1` so nothing is cleared
-        // between destinations. `saved_*` records each channel's pre-patch
-        // cost the first time it is overwritten; the final changed set is
-        // the records whose value really differs.
-        let mut saved_gen = vec![0u32; nch as usize];
-        let mut saved_val = vec![0u16; nch as usize];
-        let mut saved_list: Vec<ChannelId> = Vec::new();
-        let mut node_gen = vec![0u32; n as usize];
-        let mut dirty_nodes: Vec<NodeId> = Vec::new();
-        let mut switch_touched = vec![false; n as usize];
-        let mut queue: Vec<ChannelId> = Vec::new();
-        let mut invalidated: Vec<ChannelId> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(u16, ChannelId)>> = BinaryHeap::new();
 
+        let row_nch = nch as usize;
         for t in 0..n {
-            let base = t as usize * nch as usize;
-            if !alive_node[t as usize] {
-                // A newly dead destination surrenders its whole row;
-                // previously dead destinations are already blank.
-                if newly_dead_nodes.contains(&t) {
-                    self.cost[base..base + nch as usize].fill(u16::MAX);
+            let row = t as usize * row_nch..(t as usize + 1) * row_nch;
+            let done = match &mut self.cost {
+                Costs::Narrow(cost) => patch.dest(t, &mut cost[row.clone()]),
+                Costs::Wide(cost) => patch.dest(t, &mut cost[row.clone()]),
+            };
+            match (done, &self.cost) {
+                (Ok(()), _) => {}
+                // A one-byte row overflowed: widen the table, put back the
+                // row's pre-patch costs and redo `t` at two bytes.
+                (Err(Stop::Overflow), Costs::Narrow(narrow)) => {
+                    let mut wide: Vec<u16> = narrow.iter().map(|&c| c.get()).collect();
+                    patch.restore(&mut wide[row.clone()]);
+                    patch.dest(t, &mut wide[row]).map_err(Stop::wide)?;
+                    self.cost = Costs::Wide(wide);
                 }
-                continue;
-            }
-            let gen = t + 1;
-            saved_list.clear();
-            invalidated.clear();
-            queue.clear();
-
-            // Suspect seeds: a removed edge (u, v) only matters where it
-            // carried u's shortest path — evaluated against the *pre-patch*
-            // costs, before newly dead channels are zapped below.
-            for &(u, v) in &removed {
-                if dead_channel[u as usize] {
-                    continue;
-                }
-                let cu = self.cost[base + u as usize];
-                let cv = self.cost[base + v as usize];
-                if cu != u16::MAX && cv != u16::MAX && cu == cv + 1 {
-                    queue.push(u);
-                }
-            }
-            for &d in newly_dead_channels {
-                let idx = base + d as usize;
-                if self.cost[idx] != u16::MAX {
-                    if saved_gen[d as usize] != gen {
-                        saved_gen[d as usize] = gen;
-                        saved_val[d as usize] = self.cost[idx];
-                        saved_list.push(d);
-                    }
-                    self.cost[idx] = u16::MAX;
-                }
-            }
-
-            // Invalidate: a channel keeps its cost only while some
-            // successor still supports it at cost − 1. Invalidating a
-            // supporter re-enqueues its dependents, so the cascade reaches
-            // a fixpoint even when support chains are examined out of
-            // order (support sums of +1 cannot cycle).
-            while let Some(p) = queue.pop() {
-                let cp = self.cost[base + p as usize];
-                if cp == u16::MAX || dead_channel[p as usize] || ch.sink(p) == t {
-                    continue; // settled, dead, or an always-cost-1 seed
-                }
-                let supported = dep.successors(p).iter().any(|&s| {
-                    let cs = self.cost[base + s as usize];
-                    cs != u16::MAX && cs + 1 == cp
-                });
-                if supported {
-                    continue;
-                }
-                if saved_gen[p as usize] != gen {
-                    saved_gen[p as usize] = gen;
-                    saved_val[p as usize] = cp;
-                    saved_list.push(p);
-                }
-                self.cost[base + p as usize] = u16::MAX;
-                invalidated.push(p);
-                for &q in preds(p) {
-                    if self.cost[base + q as usize] == cp + 1 {
-                        queue.push(q);
-                    }
-                }
-            }
-
-            // Decrease: every finite cost left standing is an achievable
-            // upper bound, so the exact costs are reached by lowering alone.
-            // A cost can drop only where a channel's support crosses into
-            // the invalidated region or runs over an added edge: seed each
-            // invalidated channel from its best successor, each added edge
-            // where it improves, and relax predecessors to the fixpoint.
-            // Previously unreachable channels are just costs of `u16::MAX`
-            // to lower.
-            heap.clear();
-            for &u in &invalidated {
-                let best = dep
-                    .successors(u)
-                    .iter()
-                    .map(|&s| self.cost[base + s as usize])
-                    .min();
-                if let Some(cs) = best.filter(|&c| c != u16::MAX) {
-                    heap.push(Reverse((cs + 1, u)));
-                }
-            }
-            for &(u, v) in &added {
-                let cv = self.cost[base + v as usize];
-                if cv != u16::MAX && cv + 1 < self.cost[base + u as usize] {
-                    heap.push(Reverse((cv + 1, u)));
-                }
-            }
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d >= self.cost[base + u as usize] {
-                    continue;
-                }
-                if saved_gen[u as usize] != gen {
-                    saved_gen[u as usize] = gen;
-                    saved_val[u as usize] = self.cost[base + u as usize];
-                    saved_list.push(u);
-                }
-                self.cost[base + u as usize] = d;
-                for &q in preds(u) {
-                    if d + 1 < self.cost[base + q as usize] {
-                        heap.push(Reverse((d + 1, q)));
-                    }
-                }
-            }
-
-            // Dirty switches: a changed output-channel cost or a changed
-            // turn mask changes the derived candidate masks; nothing else
-            // can.
-            dirty_nodes.clear();
-            let mut changed_any = false;
-            for &c in &saved_list {
-                if self.cost[base + c as usize] != saved_val[c as usize] {
-                    changed_any = true;
-                    stats.changed_costs += 1;
-                    let v = ch.start(c);
-                    if alive_node[v as usize] && v != t && node_gen[v as usize] != gen {
-                        node_gen[v as usize] = gen;
-                        dirty_nodes.push(v);
-                    }
-                }
-            }
-            for &v in &turn_dirty_nodes {
-                if alive_node[v as usize] && v != t && node_gen[v as usize] != gen {
-                    node_gen[v as usize] = gen;
-                    dirty_nodes.push(v);
-                }
-            }
-            if changed_any || !dirty_nodes.is_empty() {
-                stats.touched_destinations += 1;
-            }
-
-            // Re-check the dirty rows' connectivity as the full build does.
-            let cost_row = &self.cost[base..base + nch as usize];
-            for &v in &dirty_nodes {
-                stats.touched_rows += 1;
-                if !switch_touched[v as usize] {
-                    switch_touched[v as usize] = true;
-                    stats.touched_switches += 1;
-                }
-                if !reaches(ch.outputs(v), cost_row) {
-                    return Err(RoutingError::Disconnected { src: v, dst: t });
-                }
+                (Err(stop), _) => return Err(stop.wide()),
             }
         }
-        Ok(stats)
+        self.cost.refit();
+        Ok(patch.stats)
     }
 
     /// Bytes held by the table arrays: each array's length times its
     /// element size. Deterministic for a given fabric, unlike RSS.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(&self.cost[..]) + size_of_val(&self.out_ch[..]) + size_of_val(&self.turn[..])
+        let cost = match &self.cost {
+            Costs::Narrow(c) => size_of_val(&c[..]),
+            Costs::Wide(c) => size_of_val(&c[..]),
+        };
+        cost + size_of_val(&self.out_ch[..]) + size_of_val(&self.turn[..])
     }
 
     /// Number of switches.
@@ -587,7 +624,11 @@ impl RoutingTables {
     /// (`u16::MAX` if that is a dead end).
     #[inline]
     pub fn cost(&self, t: NodeId, c: ChannelId) -> u16 {
-        self.cost[t as usize * self.num_channels as usize + c as usize]
+        let i = t as usize * self.num_channels as usize + c as usize;
+        match &self.cost {
+            Costs::Narrow(cost) => cost[i].get(),
+            Costs::Wide(cost) => cost[i],
+        }
     }
 
     /// Both candidate masks of a packet to `t` at `v` arriving on `slot`,
@@ -600,15 +641,24 @@ impl RoutingTables {
         if v == t {
             return (0, 0);
         }
-        let cost_row = &self.cost[t as usize * self.num_channels as usize..];
+        match &self.cost {
+            Costs::Narrow(cost) => self.masks_in(cost, t, v, slot),
+            Costs::Wide(cost) => self.masks_in(cost, t, v, slot),
+        }
+    }
+
+    /// [`RoutingTables::candidate_masks`] over `cost` cells of one width.
+    #[inline]
+    fn masks_in<C: Cost>(&self, cost: &[C], t: NodeId, v: NodeId, slot: usize) -> (u16, u16) {
+        let cost_row = &cost[t as usize * self.num_channels as usize..];
         let outs = &self.out_ch[v as usize * (self.slots - 1)..];
         let mut allowed = self.turn[v as usize * self.slots + slot];
-        let (mut best, mut min, mut any) = (u16::MAX, 0u16, 0u16);
+        let (mut best, mut min, mut any) = (C::INF, 0u16, 0u16);
         while allowed != 0 {
             let p = allowed.trailing_zeros() as usize;
             allowed &= allowed - 1;
             let cost = cost_row[outs[p] as usize];
-            if cost == u16::MAX {
+            if cost == C::INF {
                 continue;
             }
             any |= 1 << p;
@@ -701,6 +751,202 @@ impl RoutingTables {
             }
         }
         max
+    }
+}
+
+/// The per-destination repair of [`RoutingTables::patch_masked`]: the
+/// turn-table delta, the new dependency graph and its transpose, and
+/// scratch stamped by `t + 1` so nothing is cleared between destinations.
+struct Patch<'a> {
+    ch: &'a ChannelTable,
+    dep: ChannelDepGraph,
+    preds: Preds,
+    removed: Vec<(ChannelId, ChannelId)>,
+    added: Vec<(ChannelId, ChannelId)>,
+    turn_dirty_nodes: Vec<NodeId>,
+    dead_channel: &'a [bool],
+    alive_node: &'a [bool],
+    newly_dead_channels: &'a [ChannelId],
+    newly_dead_nodes: &'a [NodeId],
+    /// `saved_*` records each channel's pre-patch cost the first time it
+    /// is overwritten; the final changed set is the records whose value
+    /// really differs.
+    saved_gen: Vec<u32>,
+    saved_val: Vec<u16>,
+    saved_list: Vec<ChannelId>,
+    node_gen: Vec<u32>,
+    dirty_nodes: Vec<NodeId>,
+    switch_touched: Vec<bool>,
+    queue: Vec<ChannelId>,
+    invalidated: Vec<ChannelId>,
+    heap: BinaryHeap<Reverse<(u16, ChannelId)>>,
+    stats: PatchStats,
+}
+
+impl Patch<'_> {
+    /// Records `c`'s pre-patch cost `cost` unless already recorded for
+    /// the destination stamped `gen`.
+    fn save(&mut self, gen: u32, c: ChannelId, cost: u16) {
+        if self.saved_gen[c as usize] != gen {
+            self.saved_gen[c as usize] = gen;
+            self.saved_val[c as usize] = cost;
+            self.saved_list.push(c);
+        }
+    }
+
+    /// Repairs destination `t`'s row. Stops with [`Stop::Overflow`] when a
+    /// lowered cost does not fit the cell width, before it touches the
+    /// statistics; [`Patch::restore`] then undoes the row.
+    fn dest<C: Cost>(&mut self, t: NodeId, row: &mut [C]) -> Result<(), Stop> {
+        let (ch, dead_channel, alive_node) = (self.ch, self.dead_channel, self.alive_node);
+        if !alive_node[t as usize] {
+            // A newly dead destination surrenders its whole row;
+            // previously dead destinations are already blank.
+            if self.newly_dead_nodes.contains(&t) {
+                row.fill(C::INF);
+            }
+            return Ok(());
+        }
+        let gen = t + 1;
+        self.saved_list.clear();
+        self.invalidated.clear();
+        self.queue.clear();
+
+        // Suspect seeds: a removed edge (u, v) only matters where it
+        // carried u's shortest path — evaluated against the *pre-patch*
+        // costs, before newly dead channels are zapped below.
+        for &(u, v) in &self.removed {
+            if dead_channel[u as usize] {
+                continue;
+            }
+            let (cu, cv) = (row[u as usize], row[v as usize]);
+            if cu != C::INF && cv != C::INF && cu.get() == cv.get() + 1 {
+                self.queue.push(u);
+            }
+        }
+        for &d in self.newly_dead_channels {
+            let cd = row[d as usize];
+            if cd != C::INF {
+                self.save(gen, d, cd.get());
+                row[d as usize] = C::INF;
+            }
+        }
+
+        // Invalidate: a channel keeps its cost only while some
+        // successor still supports it at cost − 1. Invalidating a
+        // supporter re-enqueues its dependents, so the cascade reaches
+        // a fixpoint even when support chains are examined out of
+        // order (support sums of +1 cannot cycle).
+        while let Some(p) = self.queue.pop() {
+            let cp = row[p as usize];
+            if cp == C::INF || dead_channel[p as usize] || ch.sink(p) == t {
+                continue; // settled, dead, or an always-cost-1 seed
+            }
+            let cp = cp.get();
+            let supported = self.dep.successors(p).iter().any(|&s| {
+                let cs = row[s as usize];
+                cs != C::INF && cs.get() + 1 == cp
+            });
+            if supported {
+                continue;
+            }
+            self.save(gen, p, cp);
+            row[p as usize] = C::INF;
+            self.invalidated.push(p);
+            for &q in self.preds.of(p) {
+                if row[q as usize].get() == cp + 1 {
+                    self.queue.push(q);
+                }
+            }
+        }
+
+        // Decrease: every finite cost left standing is an achievable
+        // upper bound, so the exact costs are reached by lowering alone.
+        // A cost can drop only where a channel's support crosses into
+        // the invalidated region or runs over an added edge: seed each
+        // invalidated channel from its best successor, each added edge
+        // where it improves, and relax predecessors to the fixpoint.
+        // Previously unreachable channels are just `INF` costs to lower.
+        self.heap.clear();
+        for &u in &self.invalidated {
+            let best = self
+                .dep
+                .successors(u)
+                .iter()
+                .map(|&s| row[s as usize])
+                .min();
+            if let Some(cs) = best.filter(|&c| c != C::INF) {
+                self.heap.push(Reverse((cs.get() + 1, u)));
+            }
+        }
+        for &(u, v) in &self.added {
+            let cv = row[v as usize];
+            if cv != C::INF && cv.get() + 1 < row[u as usize].get() {
+                self.heap.push(Reverse((cv.get() + 1, u)));
+            }
+        }
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            let cu = row[u as usize].get();
+            if d >= cu {
+                continue;
+            }
+            self.save(gen, u, cu);
+            row[u as usize] = C::fit(d).ok_or(Stop::Overflow)?;
+            for &q in self.preds.of(u) {
+                if d + 1 < row[q as usize].get() {
+                    self.heap.push(Reverse((d + 1, q)));
+                }
+            }
+        }
+
+        // Dirty switches: a changed output-channel cost or a changed
+        // turn mask changes the derived candidate masks; nothing else
+        // can.
+        self.dirty_nodes.clear();
+        let mut changed_any = false;
+        for &c in &self.saved_list {
+            if row[c as usize].get() != self.saved_val[c as usize] {
+                changed_any = true;
+                self.stats.changed_costs += 1;
+                let v = ch.start(c);
+                if alive_node[v as usize] && v != t && self.node_gen[v as usize] != gen {
+                    self.node_gen[v as usize] = gen;
+                    self.dirty_nodes.push(v);
+                }
+            }
+        }
+        for &v in &self.turn_dirty_nodes {
+            if alive_node[v as usize] && v != t && self.node_gen[v as usize] != gen {
+                self.node_gen[v as usize] = gen;
+                self.dirty_nodes.push(v);
+            }
+        }
+        if changed_any || !self.dirty_nodes.is_empty() {
+            self.stats.touched_destinations += 1;
+        }
+
+        // Re-check the dirty rows' connectivity as the full build does.
+        for &v in &self.dirty_nodes {
+            self.stats.touched_rows += 1;
+            if !self.switch_touched[v as usize] {
+                self.switch_touched[v as usize] = true;
+                self.stats.touched_switches += 1;
+            }
+            if !reaches(ch.outputs(v), row) {
+                return Err(RoutingError::Disconnected { src: v, dst: t }.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Puts back, into the widened `row`, the pre-patch costs an
+    /// overflowed [`Patch::dest`] pass overwrote, and forgets the records,
+    /// so the destination can be redone in full.
+    fn restore(&mut self, row: &mut [u16]) {
+        for &c in &self.saved_list {
+            row[c as usize] = self.saved_val[c as usize];
+            self.saved_gen[c as usize] = 0;
+        }
     }
 }
 
@@ -1314,13 +1560,153 @@ mod tests {
         let cg = cg_of(&topo);
         let rt = RoutingTables::build(&cg, &TurnTable::all_allowed(&cg)).unwrap();
         let (n, nch, slots) = (16, cg.num_channels() as usize, rt.slots());
-        // `cost` (n × channels u16) plus the per-switch rows: one u32
-        // channel per port and one u16 turn mask per input slot.
+        // `cost` (n × channels one-byte cells) plus the per-switch rows:
+        // one u32 channel per port and one u16 turn mask per input slot.
+        assert_eq!(
+            rt.heap_bytes(),
+            n * nch + 4 * n * (slots - 1) + 2 * n * slots
+        );
+        assert_eq!((nch, slots), (64, 5));
+        assert_eq!(rt.heap_bytes(), 1440);
+
+        // A cost above 254 takes two-byte cells.
+        let topo = gen::ring(255).unwrap();
+        let cg = cg_of(&topo);
+        let rt = RoutingTables::build(&cg, &down_up_rule(&cg)).unwrap();
+        let (n, nch, slots) = (255, cg.num_channels() as usize, rt.slots());
         assert_eq!(
             rt.heap_bytes(),
             2 * n * nch + 4 * n * (slots - 1) + 2 * n * slots
         );
-        assert_eq!((nch, slots), (64, 5));
-        assert_eq!(rt.heap_bytes(), 2464);
+    }
+
+    /// Never a down channel followed by an up channel.
+    fn down_up_rule(cg: &CommGraph) -> TurnTable {
+        TurnTable::from_direction_rule(cg, |din, dout| !(din.goes_down() && dout.goes_up()))
+    }
+
+    /// Largest finite cost in `rt` (0 when there is none).
+    fn max_cost(rt: &RoutingTables) -> u16 {
+        let all = (0..rt.num_nodes).flat_map(|t| (0..rt.num_channels).map(move |c| rt.cost(t, c)));
+        all.filter(|&c| c != u16::MAX).max().unwrap_or(0)
+    }
+
+    fn is_narrow(rt: &RoutingTables) -> bool {
+        matches!(rt.cost, Costs::Narrow(_))
+    }
+
+    #[test]
+    fn cell_width_follows_the_largest_finite_cost() {
+        // A ring channel pointing away from its destination goes the long
+        // way round: n hops. One byte holds finite costs up to 254.
+        for (n, narrow) in [(254, true), (255, false)] {
+            let topo = gen::ring(n).unwrap();
+            let cg = cg_of(&topo);
+            let table = down_up_rule(&cg);
+            let rt = RoutingTables::build_with_threads(&cg, &table, 1).unwrap();
+            assert_eq!(max_cost(&rt), n as u16, "ring({n})");
+            assert_eq!(is_narrow(&rt), narrow, "ring({n})");
+            assert_eq!(
+                rt,
+                RoutingTables::build_with_threads(&cg, &table, 2).unwrap()
+            );
+            let dead = vec![false; cg.num_channels() as usize];
+            let alive = vec![true; n as usize];
+            assert_matches_reference(&rt, &cg, &table, &dead, &alive, &format!("ring({n})"));
+        }
+    }
+
+    #[test]
+    fn a_wide_build_reports_the_serial_error() {
+        // A 300-ring with a pendant switch 300 off switch 299, whose turns
+        // into the pendant link are all forbidden: destination 0 needs a
+        // cost past 254, and destination 300 is cut off from every switch
+        // but 299.
+        let mut links: Vec<(u32, u32)> = (0..300).map(|i| (i, (i + 1) % 300)).collect();
+        links.push((299, 300));
+        let topo = irnet_topology::Topology::new(301, 4, links).unwrap();
+        let cg = cg_of(&topo);
+        let mut table = TurnTable::all_allowed(&cg);
+        let ch = cg.channels();
+        let pendant = ch
+            .outputs(299)
+            .iter()
+            .find(|&&c| ch.sink(c) == 300)
+            .unwrap();
+        for &in_ch in ch.inputs(299) {
+            if *pendant != ch.reverse(in_ch) {
+                table.prohibit(&cg, in_ch, *pendant);
+            }
+        }
+        let serial = RoutingTables::build_with_threads(&cg, &table, 1).unwrap_err();
+        assert_eq!(serial, RoutingError::Disconnected { src: 0, dst: 300 });
+        for threads in [2, 3, 8] {
+            let par = RoutingTables::build_with_threads(&cg, &table, threads).unwrap_err();
+            assert_eq!(serial, par, "threads={threads}");
+        }
+        // The one-byte pass overflows at destination 0, long before the cut
+        // pair, so the error comes from the two-byte pass.
+        let preds = Preds::build(&ChannelDepGraph::build(&cg, &table));
+        let n = cg.num_nodes();
+        let fill = Fill {
+            n,
+            ch,
+            preds,
+            dead_channel: None,
+            alive_node: None,
+        };
+        let mut row = vec![u8::INF; cg.num_channels() as usize];
+        let overflow = fill.dest(0, &mut row, &mut Vec::new());
+        assert!(matches!(overflow, Err(Stop::Overflow)));
+    }
+
+    #[test]
+    fn patches_widen_and_narrow_the_cells_with_the_costs() {
+        // A 300-rung ladder (rails 0..300 and 300..600) plus a shortcut
+        // (0, 150) on the first rail: a channel can turn round in any rung
+        // square, so costs stay near route lengths, at most 227 with the
+        // shortcut and past 254 without it.
+        let rungs = 300;
+        let mut links = vec![(0, 150)];
+        for i in 0..rungs {
+            links.push((i, rungs + i));
+            if i + 1 < rungs {
+                links.extend([(i, i + 1), (rungs + i, rungs + i + 1)]);
+            }
+        }
+        let topo = irnet_topology::Topology::new(2 * rungs, 4, links).unwrap();
+        let cg = cg_of(&topo);
+        let rule = TurnTable::all_allowed(&cg);
+        let no_dead = vec![false; cg.num_channels() as usize];
+        let alive = vec![true; cg.num_nodes() as usize];
+        let open = lifted(&cg, &rule, &no_dead);
+        let pristine = RoutingTables::build_masked(&cg, &open, &no_dead, &alive).unwrap();
+        assert_eq!(max_cost(&pristine), 227);
+        assert!(is_narrow(&pristine));
+
+        // The shortcut fails: the patch widens mid-pass and still equals
+        // the full rebuild.
+        let l = topo.link_between(0, 150).unwrap();
+        let mut dead = no_dead.clone();
+        dead[2 * l as usize] = true;
+        dead[2 * l as usize + 1] = true;
+        let cut = lifted(&cg, &rule, &dead);
+        let full = RoutingTables::build_masked(&cg, &cut, &dead, &alive).unwrap();
+        assert!(max_cost(&full) > 254 && !is_narrow(&full));
+        let mut patched = pristine.clone();
+        patched
+            .patch_masked(&cg, &open, &cut, &dead, &alive, &[2 * l, 2 * l + 1], &[])
+            .unwrap();
+        assert_tables_equal(&patched, &full, "shortcut failed");
+
+        // The shortcut alive but fenced off by the turn table is wide
+        // too; releasing its turns is a pure turn delta whose patch
+        // narrows back to the pristine tables.
+        let mut fenced = RoutingTables::build_masked(&cg, &cut, &no_dead, &alive).unwrap();
+        assert!(!is_narrow(&fenced));
+        fenced
+            .patch_masked(&cg, &cut, &open, &no_dead, &alive, &[], &[])
+            .unwrap();
+        assert_tables_equal(&fenced, &pristine, "shortcut released");
     }
 }

@@ -219,3 +219,54 @@ fn golden_scenario_pins_are_identical_under_incremental_repair() {
         (2_227, 10, 1)
     );
 }
+
+/// A 300-rung ladder (rails `0..300` and `300..600`, rung `(i, 300 + i)`)
+/// plus a shortcut `(0, 150)` along the first rail. Every channel can turn
+/// round within a rung square, so costs stay close to route lengths. The
+/// shortcut keeps the longest route at 225 hops; without it the ends of a
+/// rail are 299 hops apart. (A plain 300-switch path with the same chord
+/// does not work: its wrong-way channels turn round through the chord's
+/// loop and cost up to 449 even with the chord up.)
+fn ladder_with_shortcut() -> Topology {
+    const RUNGS: u32 = 300;
+    let mut links = vec![(0, 150)];
+    for i in 0..RUNGS {
+        links.push((i, RUNGS + i));
+        if i + 1 < RUNGS {
+            links.extend([(i, i + 1), (RUNGS + i, RUNGS + i + 1)]);
+        }
+    }
+    Topology::new(2 * RUNGS, 4, links).unwrap()
+}
+
+/// Losing the shortcut pushes a cost past 254, so the in-place patch must
+/// widen the one-byte cost cells mid-pass and still equal the full
+/// rebuild; its recovery brings the one-byte tables back.
+#[test]
+fn repairs_follow_the_cost_width_across_a_shortcut_failure() {
+    let topo = ladder_with_shortcut();
+    let (_, cg, table, tables) = DownUp::new().construct(&topo).unwrap().into_parts();
+    let plan = FaultPlan::scripted([FaultEvent::recovering(
+        100,
+        FaultKind::Link { a: 0, b: 150 },
+        200,
+    )]);
+    let repair = |strategy| {
+        plan_epochs_with(&topo, &cg, &table, &tables, &plan, DownUp::new(), strategy).unwrap()
+    };
+    let (full, incr) = (
+        repair(RepairStrategy::Full),
+        repair(RepairStrategy::Incremental),
+    );
+    assert_eq!(incr.len(), 2);
+    assert!(incr[0].spans.patched_in_place, "the failure was rebuilt");
+    assert!(incr[0].epoch.tables == full[0].epoch.tables);
+    // Two-byte cells cost one more byte per (destination, channel).
+    let (n, c) = (topo.num_nodes() as usize, cg.num_channels() as usize);
+    assert_eq!(
+        incr[0].epoch.tables.heap_bytes(),
+        tables.heap_bytes() + n * c
+    );
+    assert!(incr[1].epoch.tables == tables);
+    assert!(full[1].epoch.tables == tables);
+}
