@@ -280,8 +280,12 @@ mod tests {
         )
         .unwrap();
         assert!(
-            with.routing_tables().avg_route_len(with.comm_graph())
-                <= without.routing_tables().avg_route_len(without.comm_graph()) + 1e-12
+            with.routing_tables().route_len_stats(with.comm_graph()).0
+                <= without
+                    .routing_tables()
+                    .route_len_stats(without.comm_graph())
+                    .0
+                    + 1e-12
         );
     }
 }

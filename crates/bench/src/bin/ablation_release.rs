@@ -43,8 +43,9 @@ fn main() {
             .unwrap();
             let inst = algo.construct(&topo, PreorderPolicy::M1, 0).unwrap();
             prohibited += inst.table.num_prohibited_turns(&inst.cg) as f64;
-            avg_len += inst.tables.avg_route_len(&inst.cg);
-            max_len = max_len.max(inst.tables.max_route_len(&inst.cg));
+            let (avg, max) = inst.tables.route_len_stats(&inst.cg);
+            avg_len += avg;
+            max_len = max_len.max(max);
         }
         static_table.row(vec![
             algo.to_string(),

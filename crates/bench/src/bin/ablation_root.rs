@@ -41,7 +41,7 @@ fn main() {
                     .unwrap();
             let inst = algo.construct(&topo, policy, seed).unwrap();
             depth += inst.tree.max_level() as f64;
-            hops += inst.tables.avg_route_len(&inst.cg);
+            hops += inst.tables.route_len_stats(&inst.cg).0;
         }
         let n = cfg.samples as f64;
         let m = results.cell(ports, policy, algo).unwrap().saturation;

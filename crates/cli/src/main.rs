@@ -550,11 +550,12 @@ fn negative_control() -> Result<usize, String> {
 fn cmd_routes(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
-    println!(
-        "avg route length: {:.3}",
-        inst.tables.avg_route_len(&inst.cg)
-    );
-    println!("max route length: {}", inst.tables.max_route_len(&inst.cg));
+    let (avg, max) = {
+        let _span = irnet_telemetry::current().span("routes/route_len");
+        inst.tables.route_len_stats(&inst.cg)
+    };
+    println!("avg route length: {avg:.3}");
+    println!("max route length: {max}");
     let n = topo.num_nodes();
     let (s, t) = (0u32, n - 1);
     let route = inst.tables.route(&inst.cg, s, t);
@@ -569,7 +570,7 @@ fn cmd_routes(o: &Opts) -> Result<(), String> {
 
 fn sim_config(o: &Opts) -> SimConfig {
     let default = SimConfig::default();
-    SimConfig {
+    runnable(SimConfig {
         packet_len: o.parse("packet-len", 128u32),
         injection_rate: o.parse("rate", 0.1f64),
         warmup_cycles: o.parse("warmup", 2_000u32),
@@ -577,7 +578,16 @@ fn sim_config(o: &Opts) -> SimConfig {
         virtual_channels: o.parse("vcs", 1u32),
         deadlock_threshold: o.parse("watchdog", default.deadlock_threshold),
         ..default
+    })
+}
+
+/// `cfg` if the simulator can run it; otherwise a usage error naming the
+/// rule it breaks.
+fn runnable(cfg: SimConfig) -> SimConfig {
+    if let Err(reason) = cfg.check() {
+        fail(&format!("invalid simulation settings: {reason}"));
     }
+    cfg
 }
 
 /// Runs `sim` to completion under a `sim/run` span and records its
@@ -885,6 +895,12 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
             .collect(),
         None => sweep::default_rates(8),
     };
+    for &rate in &rates {
+        runnable(SimConfig {
+            injection_rate: rate,
+            ..base
+        });
+    }
     let seed: u64 = o.parse("sim-seed", 7u64);
     let backend = o.get("backend").unwrap_or("flit");
     if !matches!(backend, "flit" | "flow") {
@@ -1065,13 +1081,13 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
             o.parse("seed", 1u64),
         ),
     };
-    let cfg = SimConfig {
+    let cfg = runnable(SimConfig {
         packet_len: o.parse("packet-len", 128u32),
         warmup_cycles: 0,
         measure_cycles: u32::MAX / 2,
         virtual_channels: o.parse("vcs", 1u32),
         ..SimConfig::default()
-    };
+    });
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
     let result = replay(

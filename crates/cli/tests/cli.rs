@@ -794,6 +794,50 @@ fn usage_errors_exit_2_with_usage() {
     assert!(stderr.contains("common options"), "{stderr}");
 }
 
+/// Settings the simulator cannot run are usage errors that name the
+/// rule, not a panic or a run over a wrapped clock.
+#[test]
+fn unrunnable_simulation_settings_exit_2_with_the_reason() {
+    for (cmd, extra, reason) in [
+        (
+            "simulate",
+            &["--warmup", "4294967295", "--measure", "10"][..],
+            "warm-up plus measurement cycles overflow the 32-bit clock",
+        ),
+        (
+            "simulate",
+            &["--packet-len", "1"][..],
+            "packets need a header and a tail flit",
+        ),
+        (
+            "sweep",
+            &["--packet-len", "1"][..],
+            "packets need a header and a tail flit",
+        ),
+        (
+            "sweep",
+            &["--rates", "0.1,-0.2"][..],
+            "negative injection rate",
+        ),
+        (
+            "replay",
+            &["--packet-len", "1"][..],
+            "packets need a header and a tail flit",
+        ),
+    ] {
+        let base = [cmd, "--switches", "16", "--ports", "4"];
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let r = irnet(&args);
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert_eq!(r.status.code(), Some(2), "{cmd} {extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid simulation settings: {reason}")),
+            "{cmd} {extra:?}: {stderr}"
+        );
+        assert!(r.stdout.is_empty(), "{cmd} {extra:?} simulated anyway");
+    }
+}
+
 #[test]
 fn sweep_with_telemetry_is_bit_identical_and_writes_a_snapshot() {
     let snap_path = tmpfile("sweep-tel.json");
@@ -991,5 +1035,7 @@ fn routes_over_two_byte_costs_print_the_pinned_output() {
     let json = std::fs::read_to_string(&snap_path).unwrap();
     let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
     assert_eq!(snap.gauges["construction/table_bytes"], 364_200.0);
+    // The all-pairs route statistics are one timed pass.
+    assert_eq!(snap.spans["routes/route_len"].count, 1);
     std::fs::remove_file(snap_path).ok();
 }

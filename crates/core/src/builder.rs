@@ -281,8 +281,12 @@ mod tests {
         let without = DownUp::new().release(false).construct(&topo).unwrap();
         let cg = with.comm_graph();
         assert!(
-            with.routing_tables().avg_route_len(cg)
-                <= without.routing_tables().avg_route_len(without.comm_graph()) + 1e-12
+            with.routing_tables().route_len_stats(cg).0
+                <= without
+                    .routing_tables()
+                    .route_len_stats(without.comm_graph())
+                    .0
+                    + 1e-12
         );
     }
 

@@ -127,7 +127,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Total simulated cycles.
+    /// Total simulated cycles. [`SimConfig::check`] rejects a sum that
+    /// overflows `u32`, the simulator's clock.
     pub fn total_cycles(&self) -> u32 {
         self.warmup_cycles + self.measure_cycles
     }
@@ -151,6 +152,13 @@ impl SimConfig {
         }
         if self.measure_cycles == 0 {
             return Err("nothing to measure");
+        }
+        if self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .is_none()
+        {
+            return Err("warm-up plus measurement cycles overflow the 32-bit clock");
         }
         if self.injection_sampling == InjectionSampling::Geometric
             && self.arrivals != ArrivalProcess::Bernoulli
@@ -197,6 +205,22 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(no_window.check(), Err("nothing to measure"));
+        let past_the_clock = SimConfig {
+            warmup_cycles: u32::MAX,
+            measure_cycles: 10,
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            past_the_clock.check(),
+            Err("warm-up plus measurement cycles overflow the 32-bit clock")
+        );
+        let to_the_last_clock = SimConfig {
+            warmup_cycles: u32::MAX - 10,
+            measure_cycles: 10,
+            ..SimConfig::default()
+        };
+        assert_eq!(to_the_last_clock.check(), Ok(()));
+        assert_eq!(to_the_last_clock.total_cycles(), u32::MAX);
     }
 
     #[test]

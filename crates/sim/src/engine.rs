@@ -11,6 +11,10 @@ use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use stream::Drain;
+
+#[path = "stream.rs"]
+mod stream;
 
 /// Route sentinel: no output assigned yet.
 const ROUTE_NONE: u32 = u32::MAX;
@@ -151,6 +155,21 @@ pub struct Simulator<'a> {
     /// Reusable iteration buffer (kept allocated across cycles).
     scratch: Vec<u32>,
 
+    /// Worms the streaming drain owns (`stream.rs`): `drains[..live_drains]`
+    /// are live, the rest keep their path buffers for reuse.
+    drains: Vec<Drain>,
+    live_drains: usize,
+    /// Inputs a live drain holds. They sit on no worklist and in no parked
+    /// set, so no wake-up or arrival can put them back.
+    held_in: ActiveSet,
+    /// Packets whose header was ejected this clock while streaming is on:
+    /// the drain's candidates.
+    ejected_headers: Vec<u32>,
+    /// Whether header ejections start drains: only inside
+    /// [`Simulator::run_in_place`], on the active-set core with one virtual
+    /// channel and no recorder.
+    streaming: bool,
+
     /// Per-source next scheduled arrival, keyed `(cycle, node)` — only
     /// used by [`InjectionSampling::Geometric`].
     next_arrival: BinaryHeap<Reverse<(u32, NodeId)>>,
@@ -267,6 +286,11 @@ impl<'a> Simulator<'a> {
             scan_pos: 0,
             work: WorkCounters::default(),
             scratch: Vec::with_capacity(64),
+            drains: Vec::new(),
+            live_drains: 0,
+            held_in: ActiveSet::new(num_inputs),
+            ejected_headers: Vec::new(),
+            streaming: false,
             next_arrival: BinaryHeap::new(),
             arrival_pending: vec![false; n],
             recorder: None,
@@ -312,15 +336,27 @@ impl<'a> Simulator<'a> {
     /// returns `true` if the stall watchdog fired first. The caller can
     /// then inspect the wedged state (e.g. [`Simulator::blocked_worms`])
     /// before finalizing with [`Simulator::finish_with`].
+    ///
+    /// On the active-set core with one virtual channel and no recorder,
+    /// worms whose header has been ejected stream through their private
+    /// path in closed form (DESIGN.md §11); every such drain is settled
+    /// before this returns, so the state it leaves is the per-flit one.
     pub fn run_in_place(&mut self) -> bool {
         let total = self.cfg.total_cycles();
+        self.streaming = self.cfg.engine_core == EngineCore::ActiveSet
+            && self.vcs == 1
+            && self.recorder.is_none();
+        let mut stalled = false;
         while self.now < total {
             self.step();
             if self.stalled() {
-                return true;
+                stalled = true;
+                break;
             }
         }
-        false
+        self.streaming = false;
+        self.settle_drains();
+        stalled
     }
 
     /// The watchdog predicate: live packets exist but nothing has moved
@@ -335,6 +371,7 @@ impl<'a> Simulator<'a> {
     /// Headers stop parking while a recorder is attached, because every
     /// blocked cycle is a [`SimEvent::Block`] event.
     pub fn attach_recorder(&mut self, recorder: &'a mut (dyn Recorder + 'a)) {
+        self.settle_drains();
         self.unpark_all();
         self.recorder = Some(recorder);
     }
@@ -691,6 +728,7 @@ impl<'a> Simulator<'a> {
     /// materializes flits. `epoch.tables` must cover the same network as
     /// the simulator's communication graph.
     pub fn schedule_reconfig(&mut self, epoch: &'a ReconfigEpoch) {
+        self.settle_drains();
         assert_eq!(
             epoch.tables.num_nodes(),
             self.cg.num_nodes(),
@@ -985,6 +1023,9 @@ impl<'a> Simulator<'a> {
                 self.link_stage_active();
                 self.eject_stage_active();
                 self.crossbar_stage_active();
+                if self.live_drains > 0 || !self.ejected_headers.is_empty() {
+                    self.stream_clock();
+                }
             }
             EngineCore::DenseReference => {
                 self.link_stage_dense();
@@ -1155,7 +1196,7 @@ impl<'a> Simulator<'a> {
                 continue;
             };
             debug_assert!(
-                self.staged_active.contains(c),
+                self.staged_active.contains(c) || self.held_in.contains(idx),
                 "channel {c} staged but inactive"
             );
             if self.fifo_len[idx] as usize >= self.depth {
@@ -1234,7 +1275,7 @@ impl<'a> Simulator<'a> {
             return;
         };
         debug_assert!(
-            self.eject_active.contains(v),
+            self.eject_active.contains(v) || self.held_in.contains(self.eject_owner[v] as usize),
             "node {v} staged but inactive"
         );
         if flit.time >= self.now {
@@ -1249,6 +1290,9 @@ impl<'a> Simulator<'a> {
         if measuring {
             self.flits_delivered += 1;
             self.node_flits_delivered[v] += 1;
+        }
+        if flit.seq == 0 && self.streaming {
+            self.ejected_headers.push(flit.pkt);
         }
         if flit.seq + 1 == self.cfg.packet_len {
             let gen_time = self.packets[flit.pkt as usize].gen_time;
@@ -1328,8 +1372,11 @@ impl<'a> Simulator<'a> {
             return Visit::Done;
         };
         // The dense core double-checks the worklist bookkeeping: any input
-        // with a queued flit must be in `active_in`.
-        debug_assert!(self.active_in.contains(i), "input {i} queued but inactive");
+        // with a queued flit must be in `active_in`, or held by a drain.
+        debug_assert!(
+            self.active_in.contains(i) || self.held_in.contains(i),
+            "input {i} queued but inactive"
+        );
         if flit.time >= self.now {
             return Visit::Done;
         }
@@ -1650,10 +1697,11 @@ impl<'a> Simulator<'a> {
     }
 
     /// Marks input `i` occupied: back on the crossbar worklist unless it
-    /// is parked, since a flit arriving behind its head changes nothing.
+    /// is parked, since a flit arriving behind its head changes nothing,
+    /// or held by a drain, which puts it back when it lets go.
     #[inline]
     fn activate_input(&mut self, i: usize) {
-        if !self.parked_in.contains(i) {
+        if !self.parked_in.contains(i) && !self.held_in.contains(i) {
             self.active_in.insert(i);
         }
     }
@@ -1762,8 +1810,9 @@ enum Visit {
 /// whatever they then did, plus the header arbitration attempts and the
 /// inject stage's arrival samples. The dense reference core visits every
 /// channel and input every clock; the active-set core only occupied
-/// entries that are not parked. Unlike wall time, the counts are exact
-/// per seed, so a test can pin them.
+/// entries that are not parked, and settles the moves of streaming worms
+/// without visiting them. Unlike wall time, the counts are exact per
+/// seed, so a test can pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Channels examined by the link stage.
@@ -1777,6 +1826,11 @@ pub struct WorkCounters {
     /// gap under [`InjectionSampling::Geometric`] — O(nodes) versus
     /// O(arrivals) per clock. The same for both cores.
     pub arrival_samples: u64,
+    /// Flit moves of streaming worms that were settled in closed form
+    /// instead of visited: each skipped clock of a worm with `h` path
+    /// channels counts its source, `h` link, `h` crossbar and one
+    /// ejection move. Always zero on the dense core.
+    pub streamed_moves: u64,
 }
 
 /// Index of the `k`-th (0-based) set bit of `mask`.
@@ -2799,11 +2853,69 @@ mod tests {
         assert!(active_work.arbitrations < dense_work.arbitrations);
     }
 
+    /// The 128-switch, 8-port DOWN/UP paper fabric (topology seed 1000)
+    /// with the paper's 128-flit worms, 2000 + 8000 cycles, geometric
+    /// arrivals: streaming settles most flit moves without visiting them.
+    /// Each pin carries the link plus crossbar visits of the per-flit
+    /// active core before streaming, and must stay at least 80% below
+    /// them. Re-derive with `PRINT_ENGINE_GOLDEN=1`.
+    #[test]
+    fn streaming_skips_most_visits_on_the_paper_fabric() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(128, 8), 1000).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        for (rate, want, per_flit_visits) in PAPER_FABRIC_WORK {
+            let cfg = SimConfig {
+                injection_rate: rate,
+                injection_sampling: InjectionSampling::Geometric,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 1);
+            assert!(!sim.run_in_place());
+            let work = sim.work_counters();
+            if std::env::var("PRINT_ENGINE_GOLDEN").is_ok() {
+                println!("rate {rate}: {work:?}");
+            }
+            assert_eq!(work, want, "rate {rate}");
+            let visits = work.link_visits + work.crossbar_visits;
+            assert!(
+                visits * 5 <= per_flit_visits,
+                "rate {rate}: {visits} visits against {per_flit_visits} per flit"
+            );
+        }
+    }
+
+    /// (load, pinned counters, link + crossbar visits per flit).
+    const PAPER_FABRIC_WORK: [(f64, WorkCounters, u64); 2] = [
+        (
+            0.1,
+            WorkCounters {
+                link_visits: 29_175,
+                crossbar_visits: 42_507,
+                arbitrations: 3_988,
+                arrival_samples: 1_119,
+                streamed_moves: 887_582,
+            },
+            357_329 + 486_235,
+        ),
+        (
+            0.6,
+            WorkCounters {
+                link_visits: 137_726,
+                crossbar_visits: 204_771,
+                arbitrations: 26_397,
+                arrival_samples: 6_032,
+                streamed_moves: 3_885_130,
+            },
+            1_570_299 + 2_145_854,
+        ),
+    ];
+
     const ACTIVE_WORK_GOLDEN: WorkCounters = WorkCounters {
-        link_visits: 27_524,
-        crossbar_visits: 44_972,
+        link_visits: 26_739,
+        crossbar_visits: 43_402,
         arbitrations: 7_683,
         arrival_samples: 28_800,
+        streamed_moves: 3_140,
     };
 
     /// A wedged ring parks every worm in the active core; the forensics

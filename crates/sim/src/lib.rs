@@ -26,7 +26,11 @@
 //! DESIGN.md §11): the default occupancy-driven *active-set* core, whose
 //! per-cycle cost scales with the number of entries that can act rather
 //! than the network size, and a dense reference scan kept for
-//! differential testing.
+//! differential testing. Inside [`Simulator::run`] the active-set core
+//! also streams drained worms: with one virtual channel, a worm whose
+//! header has been ejected owns its whole path until its tail leaves the
+//! source, so once its pipeline moves a flit at every stage per clock the
+//! skipped clocks are settled in closed form, with identical statistics.
 //! [`InjectionSampling::Geometric`] additionally removes the per-node
 //! per-cycle RNG draw (its own RNG stream; the paper grid presets use it,
 //! while the default stays the per-cycle reference stream).

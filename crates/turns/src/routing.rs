@@ -722,35 +722,43 @@ impl RoutingTables {
         path
     }
 
-    /// Average minimal route length over all ordered pairs `s != t`.
-    pub fn avg_route_len(&self, cg: &CommGraph) -> f64 {
-        let n = self.num_nodes;
-        if n < 2 {
-            return 0.0;
+    /// Average and longest minimal route length over all ordered pairs
+    /// `s != t`, as [`RoutingTables::route_len`] gives them (an unreachable
+    /// pair counts `u16::MAX`), in one destination-major pass: each cost
+    /// row is read once, in channel order, into the least cost out of each
+    /// switch. `(0.0, 0)` below two switches.
+    pub fn route_len_stats(&self, cg: &CommGraph) -> (f64, u16) {
+        if self.num_nodes < 2 {
+            return (0.0, 0);
         }
-        let mut sum = 0u64;
-        for s in 0..n {
-            for t in 0..n {
-                if s != t {
-                    sum += self.route_len(cg, s, t) as u64;
-                }
-            }
+        match &self.cost {
+            Costs::Narrow(cost) => self.route_len_stats_in(cost, cg),
+            Costs::Wide(cost) => self.route_len_stats_in(cost, cg),
         }
-        sum as f64 / (n as u64 * (n as u64 - 1)) as f64
     }
 
-    /// Longest minimal route over all pairs.
-    pub fn max_route_len(&self, cg: &CommGraph) -> u16 {
-        let n = self.num_nodes;
-        let mut max = 0;
-        for s in 0..n {
-            for t in 0..n {
+    /// [`RoutingTables::route_len_stats`] over `cost` cells of one width.
+    fn route_len_stats_in<C: Cost>(&self, cost: &[C], cg: &CommGraph) -> (f64, u16) {
+        let ch = cg.channels();
+        let n = self.num_nodes as usize;
+        let start: Vec<usize> = (0..self.num_channels)
+            .map(|c| ch.start(c) as usize)
+            .collect();
+        let mut best = vec![C::INF; n];
+        let (mut sum, mut max) = (0u64, 0u16);
+        for (t, row) in cost.chunks_exact(self.num_channels as usize).enumerate() {
+            best.fill(C::INF);
+            for (&cell, &s) in row.iter().zip(&start) {
+                best[s] = best[s].min(cell);
+            }
+            for (s, &b) in best.iter().enumerate() {
                 if s != t {
-                    max = max.max(self.route_len(cg, s, t));
+                    sum += u64::from(b.get());
+                    max = max.max(b.get());
                 }
             }
         }
-        max
+        (sum as f64 / (n as u64 * (n as u64 - 1)) as f64, max)
     }
 }
 
@@ -1043,8 +1051,34 @@ mod tests {
         let restricted =
             TurnTable::from_direction_rule(&cg, |din, dout| !(din.goes_down() && dout.goes_up()));
         let rt = RoutingTables::build(&cg, &restricted).unwrap();
-        assert!(rt.avg_route_len(&cg) >= free.avg_route_len(&cg));
-        assert!(rt.max_route_len(&cg) >= free.max_route_len(&cg));
+        let (avg, max) = rt.route_len_stats(&cg);
+        let (free_avg, free_max) = free.route_len_stats(&cg);
+        assert!(avg >= free_avg);
+        assert!(max >= free_max);
+    }
+
+    /// The one-pass statistics equal the pairwise `route_len` walk, over
+    /// one-byte and two-byte cost cells.
+    #[test]
+    fn route_len_stats_match_the_pairwise_walk() {
+        let rings = [gen::ring(254).unwrap(), gen::ring(255).unwrap()];
+        let irregular = gen::random_irregular(gen::IrregularParams::paper(40, 4), 3).unwrap();
+        for topo in rings.iter().chain([&irregular]) {
+            let cg = cg_of(topo);
+            let rt = RoutingTables::build(&cg, &TurnTable::all_allowed(&cg)).unwrap();
+            let n = topo.num_nodes();
+            let lens: Vec<u16> = (0..n)
+                .flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t)))
+                .map(|(s, t)| rt.route_len(&cg, s, t))
+                .collect();
+            let sum: u64 = lens.iter().map(|&l| u64::from(l)).sum();
+            let want = (sum as f64 / lens.len() as f64, *lens.iter().max().unwrap());
+            assert_eq!(rt.route_len_stats(&cg), want, "{n} switches");
+        }
+        let single = irnet_topology::Topology::new(1, 2, []).unwrap();
+        let cg = cg_of(&single);
+        let rt = RoutingTables::build(&cg, &TurnTable::all_allowed(&cg)).unwrap();
+        assert_eq!(rt.route_len_stats(&cg), (0.0, 0));
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub fn verify_routing(cg: &CommGraph, table: &TurnTable) -> VerifyReport {
     let dep = ChannelDepGraph::build(cg, table);
     let cycle = dep.find_cycle();
     let (disconnected, avg, max) = match RoutingTables::build(cg, table) {
-        Ok(rt) => (None, Some(rt.avg_route_len(cg)), Some(rt.max_route_len(cg))),
+        Ok(rt) => {
+            let (avg, max) = rt.route_len_stats(cg);
+            (None, Some(avg), Some(max))
+        }
         Err(e) => (Some(e), None, None),
     };
     VerifyReport {

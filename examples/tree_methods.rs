@@ -40,7 +40,7 @@ fn main() {
                 let topo =
                     gen::random_irregular(gen::IrregularParams::paper(48, 4), 300 + s).unwrap();
                 let inst = algo.construct(&topo, policy, s).unwrap();
-                hops += inst.tables.avg_route_len(&inst.cg);
+                hops += inst.tables.route_len_stats(&inst.cg).0;
                 let curve = sweep::sweep(&inst, &base, &rates, 1_000 + s);
                 let sat = curve.saturation();
                 thpt += sat.metrics.accepted_traffic;

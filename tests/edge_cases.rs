@@ -117,7 +117,7 @@ fn deep_path_network_has_long_but_valid_routes() {
         .unwrap();
     assert!(verify_routing(&inst.cg, &inst.table).is_ok());
     assert_eq!(inst.tables.route_len(&inst.cg, 0, 39), 39);
-    assert_eq!(inst.tables.max_route_len(&inst.cg), 39);
+    assert_eq!(inst.tables.route_len_stats(&inst.cg).1, 39);
     // No cross links on a tree: zero prohibited pairs can matter.
     assert_eq!(inst.tree.max_level(), 39);
 }

@@ -59,8 +59,8 @@ fn downup_beats_updown_on_path_length_or_ties() {
         let u = Algo::UpDownBfs
             .construct(&topo, PreorderPolicy::M1, 0)
             .unwrap();
-        downup_sum += d.tables.avg_route_len(&d.cg);
-        updown_sum += u.tables.avg_route_len(&u.cg);
+        downup_sum += d.tables.route_len_stats(&d.cg).0;
+        updown_sum += u.tables.route_len_stats(&u.cg).0;
     }
     assert!(
         downup_sum <= updown_sum * 1.05,
@@ -136,7 +136,10 @@ fn topology_json_roundtrip_through_routing() {
         .construct(&back, PreorderPolicy::M1, 0)
         .unwrap();
     assert_eq!(a.table, b.table);
-    assert_eq!(a.tables.avg_route_len(&a.cg), b.tables.avg_route_len(&b.cg));
+    assert_eq!(
+        a.tables.route_len_stats(&a.cg),
+        b.tables.route_len_stats(&b.cg)
+    );
 }
 
 #[test]

@@ -105,8 +105,8 @@ proptest! {
             }
         }
         // And routes can only get shorter.
-        prop_assert!(with.tables.avg_route_len(&with.cg)
-            <= without.tables.avg_route_len(&without.cg) + 1e-9);
+        prop_assert!(with.tables.route_len_stats(&with.cg).0
+            <= without.tables.route_len_stats(&without.cg).0 + 1e-9);
     }
 
     #[test]

@@ -60,7 +60,10 @@ fn downup_construction_is_stable() {
         .turn_table()
         .num_prohibited_turns(routing.comm_graph());
     let released = routing.released_turns().len();
-    let avg_len = routing.routing_tables().avg_route_len(routing.comm_graph());
+    let avg_len = routing
+        .routing_tables()
+        .route_len_stats(routing.comm_graph())
+        .0;
     assert_eq!((prohibited, released), (GOLDEN.4, GOLDEN.5));
     assert!(
         (avg_len - GOLDEN_AVG_LEN).abs() < 1e-9,
@@ -143,7 +146,10 @@ fn print_golden() {
             .turn_table()
             .num_prohibited_turns(routing.comm_graph()),
         routing.released_turns().len(),
-        routing.routing_tables().avg_route_len(routing.comm_graph())
+        routing
+            .routing_tables()
+            .route_len_stats(routing.comm_graph())
+            .0
     );
     println!(
         "sim=({}, {}, {})",
