@@ -381,4 +381,41 @@ mod tests {
             }
         }
     }
+
+    /// FNV-1a over the bits of every channel's unit load, then the mean
+    /// hop count.
+    fn digest(dec: &Decomposition) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in dec.unit_load.iter().chain([&dec.avg_hops]) {
+            h ^= v.to_bits();
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Golden pin at the `flow-2048` benchmark's size: 2048-switch, 8-port
+    /// fabrics 0–3 (Phases 1–3 only) sampled at 512 destinations, as the
+    /// flow predictor does by default. Seconds in release mode:
+    /// `cargo test --release -p irnet-flow -- --ignored`.
+    #[test]
+    #[ignore = "2048-switch fabrics; run in release with --ignored"]
+    fn decomposition_is_pinned_on_2048_switch_fabrics() {
+        let want: [u64; 4] = [
+            0x4110_e85b_15ec_3fa3,
+            0x966c_52f6_9b3c_b720,
+            0x8342_bfd3_fffa_957d,
+            0xa45a_78d4_bfe1_2d64,
+        ];
+        let got: Vec<u64> = (0..4u64)
+            .map(|seed| {
+                let topo =
+                    gen::random_irregular(gen::IrregularParams::paper(2048, 8), seed).unwrap();
+                let (_tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+                let dec = Decomposer::new(&cg, &table).decompose(512);
+                assert_eq!(dec.dests_sampled, 512);
+                digest(&dec)
+            })
+            .collect();
+        assert_eq!(got, want, "{got:#x?}");
+    }
 }

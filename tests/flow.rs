@@ -124,3 +124,27 @@ fn signature_partition_is_pinned_on_the_128_switch_fixture() {
     assert_eq!(part.len(), 26);
     assert_eq!(partition_digest(&part), 0x9775_11dc_e14f_122c);
 }
+
+/// FNV-1a over the bits of every channel's unit load, then the mean hop
+/// count: any change to what the decomposition computes, down to the last
+/// bit of one sum, moves it.
+fn decomposition_digest(dec: &irnet::flow::Decomposition) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in dec.unit_load.iter().chain([&dec.avg_hops]) {
+        h ^= v.to_bits();
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden pin: the sampled decomposition of a 512-switch, 8-port fabric
+/// (Phases 1–3 only, 128 strided destinations). The decomposition must
+/// stay bit-identical however it is computed.
+#[test]
+fn decomposition_is_pinned_on_a_512_switch_fabric() {
+    let topo = gen::random_irregular(gen::IrregularParams::paper(512, 8), 0).unwrap();
+    let (_tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+    let dec = Decomposer::new(&cg, &table).decompose(128);
+    assert_eq!(dec.dests_sampled, 128);
+    assert_eq!(decomposition_digest(&dec), 0x9e9d_0228_45c7_e064);
+}
