@@ -9,23 +9,36 @@
 //!
 //! Per destination `t` this is two linear passes:
 //!
-//! 1. reverse BFS over the channel-dependency-graph transpose gives
-//!    `cost(c, t)` — the same per-channel costs
-//!    [`irnet_turns::RoutingTables`] stores (a property test pins this);
+//! 1. the cost kernel [`Preds::fill_costs`] — the reverse BFS over the
+//!    channel-dependency-graph transpose that fills
+//!    [`irnet_turns::RoutingTables`] — gives `cost(c, t)`, in one-byte
+//!    cells while every cost fits (the first larger cost redoes the whole
+//!    decomposition at two bytes);
 //! 2. processing channels in decreasing cost order makes the minimal-route
 //!    DAG topological, so each channel's inflow (injection plus transit)
 //!    can be split equally among its minimal turn-legal successors in one
 //!    sweep.
 //!
-//! Working entirely per destination keeps memory at O(channels) scratch,
-//! which is what lets the flow backend decompose fabrics the routing-table
-//! build cannot even allocate for (65k+ switches). For such fabrics a
-//! deterministic stride sample of destinations is used and the totals are
-//! rescaled.
+//! Destinations are independent, so they run on worker threads; the
+//! calling thread adds each finished destination into the totals strictly
+//! in destination order, so every floating-point sum is the serial one and
+//! the result is bit-identical at any worker count.
+//!
+//! Working entirely per destination keeps memory at O(channels) scratch
+//! per worker, which is what lets the flow backend decompose fabrics the
+//! routing-table build cannot even allocate for (65k+ switches). For such
+//! fabrics a deterministic stride sample of destinations is used and the
+//! totals are rescaled.
 
 use irnet_topology::{ChannelId, CommGraph, NodeId};
-use irnet_turns::{ChannelDepGraph, TurnTable};
-use std::collections::VecDeque;
+use irnet_turns::{
+    auto_workers, lowest_port_route, ChannelDepGraph, Cost, CostOverflow, Preds, TurnTable,
+    INJECTION_SLOT,
+};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex};
 
 /// Per-channel offered load under uniform traffic at unit injection rate
 /// (1 flit/node/clock offered by every switch).
@@ -39,6 +52,9 @@ pub struct Decomposition {
     pub total_dests: u32,
     /// Flow-weighted mean hop count of a packet (channels traversed).
     pub avg_hops: f64,
+    /// Channels given a finite cost, summed over the walked destinations:
+    /// the decomposition's work, the same at every worker count.
+    pub channels_walked: u64,
 }
 
 impl Decomposition {
@@ -55,43 +71,93 @@ impl Decomposition {
 }
 
 /// Shared per-fabric state for destination-sliced cost/flow queries: the
-/// channel dependency graph and its CSR transpose, built once.
+/// transpose of the channel dependency graph and each channel's
+/// turn-legal successor ports, built once.
 pub struct Decomposer<'a> {
     cg: &'a CommGraph,
     table: &'a TurnTable,
-    /// Transpose offsets: predecessors of `c` at `pred[toff[c]..toff[c+1]]`.
-    toff: Vec<u32>,
-    pred: Vec<u32>,
+    preds: Preds,
+    /// `next_ports[c]`: the output ports of `sink(c)` a packet arriving
+    /// on `c` may take.
+    next_ports: Vec<u16>,
+}
+
+/// One destination's working set: its cost row, the flow on every
+/// channel, and the channels it reached (`order`), which after the pass
+/// are in the order their flow is summed. [`Decomposer::dest`] resets it.
+struct Scratch<C> {
+    cost: Vec<C>,
+    flow: Vec<f64>,
+    order: Vec<ChannelId>,
+}
+
+impl<C: Cost> Scratch<C> {
+    fn new(nch: usize) -> Scratch<C> {
+        Scratch {
+            cost: vec![C::INF; nch],
+            flow: vec![0.0; nch],
+            order: Vec::with_capacity(nch + 1),
+        }
+    }
+}
+
+/// The running sums of a decomposition, added to strictly in destination
+/// order.
+struct Totals {
+    unit_load: Vec<f64>,
+    hops_sum: f64,
+    channels: u64,
+}
+
+impl Totals {
+    /// Adds one finished destination: every channel's flow into its load
+    /// (an unreached channel adds `+0.0`, which changes no load), and each
+    /// positive flow into the hop sum, in the destination's summation
+    /// order.
+    fn merge<C>(&mut self, s: &Scratch<C>) {
+        for (w, &f) in self.unit_load.iter_mut().zip(&s.flow) {
+            *w += f;
+        }
+        for &c in &s.order {
+            let f = s.flow[c as usize];
+            if f > 0.0 {
+                self.hops_sum += f;
+            }
+        }
+        self.channels += s.order.len() as u64;
+    }
+}
+
+/// The mask of the ports whose output channel costs `k`, in one
+/// branch-free scan: which ports match is data-dependent and
+/// unpredictable.
+#[inline]
+fn ports_at<C: Cost>(cost: &[C], outs: &[ChannelId], k: C) -> u32 {
+    outs.iter()
+        .enumerate()
+        .fold(0, |m, (p, &c)| m | (u32::from(cost[c as usize] == k) << p))
+}
+
+/// Adds `share` to the flow of every port of `mask`, in port order.
+#[inline]
+fn split(flow: &mut [f64], outs: &[ChannelId], mut mask: u32, share: f64) {
+    while mask != 0 {
+        flow[outs[mask.trailing_zeros() as usize] as usize] += share;
+        mask &= mask - 1;
+    }
 }
 
 impl<'a> Decomposer<'a> {
-    /// Builds the dependency graph and its transpose for `cg` + `table`.
+    /// Builds the dependency graph's transpose for `cg` + `table`.
     pub fn new(cg: &'a CommGraph, table: &'a TurnTable) -> Decomposer<'a> {
-        let dep = ChannelDepGraph::build(cg, table);
-        let nch = dep.num_channels() as usize;
-        let mut indeg = vec![0u32; nch];
-        for c in 0..nch as u32 {
-            for &s in dep.successors(c) {
-                indeg[s as usize] += 1;
-            }
-        }
-        let mut toff = vec![0u32; nch + 1];
-        for i in 0..nch {
-            toff[i + 1] = toff[i] + indeg[i];
-        }
-        let mut cursor = toff[..nch].to_vec();
-        let mut pred = vec![0u32; dep.num_edges()];
-        for c in 0..nch as u32 {
-            for &s in dep.successors(c) {
-                pred[cursor[s as usize] as usize] = c;
-                cursor[s as usize] += 1;
-            }
-        }
+        let ch = cg.channels();
         Decomposer {
             cg,
             table,
-            toff,
-            pred,
+            preds: Preds::build(&ChannelDepGraph::build(cg, table)),
+            next_ports: (0..cg.num_channels())
+                .map(|c| table.mask(ch.sink(c), ch.in_port(c)))
+                .collect(),
         }
     }
 
@@ -102,87 +168,55 @@ impl<'a> Decomposer<'a> {
 
     /// Per-channel cost to destination `t`: the minimal number of channels
     /// still to traverse given the packet traverses that channel first
-    /// (`u16::MAX` = unreachable). Matches
-    /// [`irnet_turns::RoutingTables::cost`] exactly.
+    /// (`u16::MAX` = unreachable). The cost kernel
+    /// [`Preds::fill_costs`] that [`irnet_turns::RoutingTables`] is filled
+    /// by, so the costs match the tables' exactly.
     pub fn costs_for(&self, t: NodeId) -> Vec<u16> {
-        let nch = self.cg.num_channels() as usize;
-        let mut cost = vec![u16::MAX; nch];
-        let mut queue = VecDeque::new();
-        self.costs_into(t, &mut cost, &mut queue, &mut Vec::new());
-        cost
+        let mut row = Vec::new();
+        self.costs_into(t, &mut row, &mut Vec::new());
+        row
     }
 
-    /// Like [`Decomposer::costs_for`] but into caller scratch: `cost` must
-    /// be pre-filled with `u16::MAX` and is reset on return via `touched`.
-    fn costs_into(
-        &self,
-        t: NodeId,
-        cost: &mut [u16],
-        queue: &mut VecDeque<ChannelId>,
-        touched: &mut Vec<ChannelId>,
-    ) {
-        let ch = self.cg.channels();
-        queue.clear();
-        touched.clear();
-        for &c in ch.inputs(t) {
-            cost[c as usize] = 1;
-            queue.push_back(c);
-            touched.push(c);
-        }
-        while let Some(c) = queue.pop_front() {
-            let d = cost[c as usize];
-            for &p in &self.pred[self.toff[c as usize] as usize..self.toff[c as usize + 1] as usize]
-            {
-                if cost[p as usize] == u16::MAX {
-                    cost[p as usize] = d + 1;
-                    queue.push_back(p);
-                    touched.push(p);
-                }
-            }
-        }
+    /// [`Decomposer::costs_for`] into a reused `row` and search queue.
+    pub(crate) fn costs_into(&self, t: NodeId, row: &mut Vec<u16>, queue: &mut Vec<ChannelId>) {
+        row.clear();
+        row.resize(self.cg.num_channels() as usize, u16::MAX);
+        self.preds
+            .fill_costs(self.cg.channels(), t, None, row, queue)
+            .expect("u16 cells hold every cost");
     }
 
     /// The deterministic lowest-port minimal route from `s` to `t`, given
-    /// `costs` = [`Decomposer::costs_for`]`(t)`. Returns `None` when `t`
+    /// `costs` = [`Decomposer::costs_for`]`(t)`: the walk
+    /// [`irnet_turns::RoutingTables::route`] takes. Returns `None` when `t`
     /// is unreachable from `s`.
     pub fn route(&self, costs: &[u16], s: NodeId, t: NodeId) -> Option<Vec<ChannelId>> {
         let ch = self.cg.channels();
-        let mut path = Vec::new();
-        let mut v = s;
-        // Injection hop: all output ports are candidates.
-        let mut cur: ChannelId = *ch
-            .outputs(v)
-            .iter()
-            .min_by_key(|&&c| costs[c as usize])
-            .filter(|&&c| costs[c as usize] != u16::MAX)?;
-        loop {
-            path.push(cur);
-            v = ch.sink(cur);
-            if v == t {
-                return Some(path);
+        let allowed = |v: NodeId, slot: usize| {
+            if slot == INJECTION_SLOT {
+                ((1u32 << ch.outputs(v).len()) - 1) as u16
+            } else {
+                self.table.mask(v, (slot - 1) as u8)
             }
-            let allowed = self.table.mask(v, ch.in_port(cur));
-            let mut best = u16::MAX;
-            let mut next = None;
-            for (p, &c) in ch.outputs(v).iter().enumerate() {
-                if (allowed >> p) & 1 == 1 && costs[c as usize] < best {
-                    best = costs[c as usize];
-                    next = Some(c);
-                }
-            }
-            cur = next?;
-        }
+        };
+        lowest_port_route(ch, costs, allowed, s, t)
     }
 
     /// Runs the decomposition. At most `max_dests` destinations are walked
     /// (0 = all): when sampling, destinations are taken at a fixed stride
     /// and the accumulated loads rescaled by `n / sampled`, which is
     /// deterministic and unbiased under the uniform traffic matrix.
+    ///
+    /// Destinations run on [`irnet_turns::auto_workers`] threads, as the
+    /// routing-table fill does; the result is bit-identical at every
+    /// worker count.
     pub fn decompose(&self, max_dests: usize) -> Decomposition {
-        let n = self.cg.num_nodes();
-        let nch = self.cg.num_channels() as usize;
-        let ch = self.cg.channels();
+        self.decompose_on(max_dests, auto_workers(self.cg.num_nodes()))
+    }
 
+    /// [`Decomposer::decompose`] on `workers` threads (1 = serial).
+    pub(crate) fn decompose_on(&self, max_dests: usize, workers: usize) -> Decomposition {
+        let n = self.cg.num_nodes();
         let dests: Vec<NodeId> = if max_dests == 0 || n as usize <= max_dests {
             (0..n).collect()
         } else {
@@ -192,82 +226,19 @@ impl<'a> Decomposer<'a> {
                 .collect()
         };
 
-        let mut unit_load = vec![0.0f64; nch];
-        let mut cost = vec![u16::MAX; nch];
-        let mut flow = vec![0.0f64; nch];
-        let mut queue = VecDeque::new();
-        let mut touched: Vec<ChannelId> = Vec::new();
-        // Bucketed (counting-sort) order: channels grouped by cost.
-        let mut hops_sum = 0.0f64;
-        let pair_rate = if n > 1 { 1.0 / (n as f64 - 1.0) } else { 0.0 };
-
-        for &t in &dests {
-            self.costs_into(t, &mut cost, &mut queue, &mut touched);
-
-            // Injection: every source splits its rate equally among its
-            // minimal-cost output ports (the injection slot allows all).
-            for v in 0..n {
-                if v == t {
-                    continue;
-                }
-                let outs = ch.outputs(v);
-                let mut best = u16::MAX;
-                for &c in outs {
-                    best = best.min(cost[c as usize]);
-                }
-                if best == u16::MAX {
-                    continue; // disconnected pair: certified fabrics never hit this
-                }
-                let k = outs.iter().filter(|&&c| cost[c as usize] == best).count();
-                let share = pair_rate / k as f64;
-                for &c in outs {
-                    if cost[c as usize] == best {
-                        flow[c as usize] += share;
-                    }
-                }
-            }
-
-            // Transit: decreasing cost order is topological on the
-            // minimal-route DAG (each hop reduces cost by exactly 1).
-            touched.sort_unstable_by_key(|&c| std::cmp::Reverse(cost[c as usize]));
-            for &c in &touched {
-                let f = flow[c as usize];
-                if f <= 0.0 {
-                    continue;
-                }
-                hops_sum += f;
-                let k = cost[c as usize];
-                let v = ch.sink(c);
-                if k == 1 {
-                    debug_assert_eq!(v, t);
-                    continue; // delivered
-                }
-                let allowed = self.table.mask(v, ch.in_port(c));
-                let outs = ch.outputs(v);
-                let mut cnt = 0usize;
-                for (p, &o) in outs.iter().enumerate() {
-                    if (allowed >> p) & 1 == 1 && cost[o as usize] == k - 1 {
-                        cnt += 1;
-                    }
-                }
-                debug_assert!(cnt > 0, "cost-{k} channel with no minimal successor");
-                if cnt == 0 {
-                    continue;
-                }
-                let share = f / cnt as f64;
-                for (p, &o) in outs.iter().enumerate() {
-                    if (allowed >> p) & 1 == 1 && cost[o as usize] == k - 1 {
-                        flow[o as usize] += share;
-                    }
-                }
-            }
-
-            for &c in &touched {
-                unit_load[c as usize] += flow[c as usize];
-                flow[c as usize] = 0.0;
-                cost[c as usize] = u16::MAX;
-            }
-        }
+        // One-byte cells first; a finite cost above 254 redoes the whole
+        // decomposition at two bytes. The costs, and so every sum, are the
+        // same at both widths.
+        let Totals {
+            mut unit_load,
+            hops_sum,
+            channels,
+        } = match self.sweep::<u8>(&dests, workers) {
+            Ok(totals) => totals,
+            Err(CostOverflow) => self
+                .sweep::<u16>(&dests, workers)
+                .expect("u16 cells hold every cost"),
+        };
 
         let sampled = dests.len() as u32;
         let scale = if sampled == 0 {
@@ -291,7 +262,135 @@ impl<'a> Decomposer<'a> {
             dests_sampled: sampled,
             total_dests: n,
             avg_hops,
+            channels_walked: channels,
         }
+    }
+
+    /// Every destination of `dests` at cell width `C`, on `workers`
+    /// threads, merged in `dests` order.
+    ///
+    /// In parallel the caller allocates `workers + 1` scratch sets and
+    /// hands each out with the next destination. A worker runs the
+    /// destination and sends the set back; the caller merges finished
+    /// destinations strictly in order and hands each freed set out again.
+    /// So a worker runs ahead of the merge by at most the spare set, no
+    /// thread waits at a barrier, and every floating-point sum is made in
+    /// the serial order.
+    fn sweep<C: Cost>(&self, dests: &[NodeId], workers: usize) -> Result<Totals, CostOverflow> {
+        let nch = self.cg.num_channels() as usize;
+        let mut totals = Totals {
+            unit_load: vec![0.0; nch],
+            hops_sum: 0.0,
+            channels: 0,
+        };
+        if workers <= 1 || dests.len() <= 1 {
+            let mut s = Scratch::<C>::new(nch);
+            for &t in dests {
+                self.dest(t, &mut s)?;
+                totals.merge(&s);
+            }
+            return Ok(totals);
+        }
+
+        type Done<C> = (
+            usize,
+            std::thread::Result<Result<(), CostOverflow>>,
+            Scratch<C>,
+        );
+        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, Scratch<C>)>(workers + 1);
+        let (done_tx, done_rx) = mpsc::sync_channel::<Done<C>>(workers + 1);
+        let job_rx = Mutex::new(job_rx);
+        std::thread::scope(|sc| {
+            for _ in 0..workers {
+                let (job_rx, done_tx) = (&job_rx, done_tx.clone());
+                sc.spawn(move || loop {
+                    let job = job_rx.lock().expect("job queue lock").recv();
+                    let Ok((i, mut s)) = job else { break };
+                    // A panic goes back to the caller with the set, so
+                    // the caller never waits for a destination that died.
+                    let r = panic::catch_unwind(AssertUnwindSafe(|| self.dest(dests[i], &mut s)));
+                    if done_tx.send((i, r, s)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(done_tx);
+            let job_tx = job_tx; // dropped on return: idle workers then exit
+            let mut next = 0;
+            while next < dests.len().min(workers + 1) {
+                job_tx
+                    .send((next, Scratch::new(nch)))
+                    .expect("workers alive");
+                next += 1;
+            }
+            let mut finished = BTreeMap::new();
+            for merged in 0..dests.len() {
+                let s = loop {
+                    if let Some(s) = finished.remove(&merged) {
+                        break s;
+                    }
+                    let (i, r, s) = done_rx.recv().expect("workers alive");
+                    match r {
+                        Ok(r) => r?,
+                        Err(payload) => panic::resume_unwind(payload),
+                    }
+                    finished.insert(i, s);
+                };
+                totals.merge(&s);
+                if next < dests.len() {
+                    job_tx.send((next, s)).expect("workers alive");
+                    next += 1;
+                }
+            }
+            Ok(totals)
+        })
+    }
+
+    /// One destination's flow into `s`: costs by the shared kernel, then
+    /// injection and transit splits. Leaves `s.order` in decreasing cost,
+    /// the order [`Totals::merge`] sums in.
+    fn dest<C: Cost>(&self, t: NodeId, s: &mut Scratch<C>) -> Result<(), CostOverflow> {
+        let n = self.cg.num_nodes();
+        let ch = self.cg.channels();
+        let Scratch { cost, flow, order } = s;
+        cost.fill(C::INF);
+        flow.fill(0.0);
+        self.preds.fill_costs(ch, t, None, cost, order)?;
+
+        // Injection: every source splits its rate equally among its
+        // minimal-cost output ports (the injection slot allows all).
+        let pair_rate = if n > 1 { 1.0 / (n as f64 - 1.0) } else { 0.0 };
+        for v in (0..n).filter(|&v| v != t) {
+            let outs = ch.outputs(v);
+            let best = outs.iter().map(|&c| cost[c as usize]).min();
+            let Some(best) = best.filter(|&k| k != C::INF) else {
+                continue; // disconnected pair: certified fabrics never hit this
+            };
+            let min = ports_at(cost, outs, best);
+            split(flow, outs, min, pair_rate / f64::from(min.count_ones()));
+        }
+
+        // Transit: decreasing cost order is topological on the
+        // minimal-route DAG (each hop reduces cost by exactly 1).
+        order.sort_unstable_by_key(|&c| Reverse(cost[c as usize]));
+        for &c in order.iter() {
+            let f = flow[c as usize];
+            let v = ch.sink(c);
+            if f <= 0.0 || v == t {
+                continue; // no flow, or delivered
+            }
+            // Every turn-legal successor costs at least one less than `c`;
+            // the minimal ones cost exactly that.
+            let k = cost[c as usize].get() - 1;
+            let outs = ch.outputs(v);
+            let min = ports_at(cost, outs, C::fit(k).expect("a smaller cost fits"))
+                & u32::from(self.next_ports[c as usize]);
+            debug_assert!(min != 0, "cost-{} channel with no minimal successor", k + 1);
+            if min != 0 {
+                split(flow, outs, min, f / f64::from(min.count_ones()));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -301,20 +400,49 @@ mod tests {
     use irnet_core::DownUp;
     use irnet_topology::gen;
 
+    /// Every bit of a decomposition, for comparing two of them.
+    fn bits(dec: &Decomposition) -> (Vec<u64>, u64, u32, u64) {
+        (
+            dec.unit_load.iter().map(|w| w.to_bits()).collect(),
+            dec.avg_hops.to_bits(),
+            dec.dests_sampled,
+            dec.channels_walked,
+        )
+    }
+
+    /// The decomposer's costs are the routing tables', on a one-byte
+    /// fabric and on a 300-switch ring whose DOWN/UP routes need two-byte
+    /// costs, so the one-byte pass overflows and the decomposition is
+    /// redone wide — the same at one and two workers.
     #[test]
     fn costs_match_routing_tables() {
-        let topo = gen::random_irregular(gen::IrregularParams::paper(40, 4), 2).unwrap();
-        let r = DownUp::new().construct(&topo).unwrap();
-        let d = Decomposer::new(r.comm_graph(), r.turn_table());
-        for t in 0..topo.num_nodes() {
-            let costs = d.costs_for(t);
-            for c in 0..r.comm_graph().num_channels() {
-                assert_eq!(
-                    costs[c as usize],
-                    r.routing_tables().cost(t, c),
-                    "t={t} c={c}"
+        let irregular = gen::random_irregular(gen::IrregularParams::paper(40, 4), 2).unwrap();
+        for (topo, wide) in [(irregular, false), (gen::ring(300).unwrap(), true)] {
+            let r = DownUp::new().construct(&topo).unwrap();
+            let d = Decomposer::new(r.comm_graph(), r.turn_table());
+            let mut longest = 0;
+            for t in 0..topo.num_nodes() {
+                let costs = d.costs_for(t);
+                for c in 0..r.comm_graph().num_channels() {
+                    assert_eq!(
+                        costs[c as usize],
+                        r.routing_tables().cost(t, c),
+                        "t={t} c={c}"
+                    );
+                }
+                longest = longest.max(
+                    costs
+                        .iter()
+                        .copied()
+                        .filter(|&k| k != u16::MAX)
+                        .max()
+                        .unwrap(),
                 );
             }
+            assert_eq!(longest > 254, wide, "longest cost {longest}");
+            let serial = d.decompose_on(0, 1);
+            assert_eq!(bits(&serial), bits(&d.decompose_on(0, 2)));
+            assert!(serial.avg_hops >= 1.0);
         }
     }
 
@@ -378,6 +506,32 @@ mod tests {
                     v = ch.sink(c);
                 }
                 assert_eq!(v, t);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Any worker count gives the serial decomposition bit for bit,
+        /// with every destination or a strided sample of them.
+        #[test]
+        fn every_worker_count_matches_the_serial_decomposition(
+            n in 8u32..90,
+            ports in 3u32..9,
+            seed in 0u64..10_000,
+            sampled in proptest::bool::ANY,
+        ) {
+            let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed).unwrap();
+            let (_tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+            let d = Decomposer::new(&cg, &table);
+            let max_dests = if sampled { (n as usize / 3).max(1) } else { 0 };
+            let serial = bits(&d.decompose_on(max_dests, 1));
+            for workers in [2, 3, 8] {
+                proptest::prop_assert_eq!(&serial, &bits(&d.decompose_on(max_dests, workers)));
             }
         }
     }

@@ -193,7 +193,11 @@ impl<'a> FlowPredictor<'a> {
     /// building thread: decomposition and representative-sim time land in
     /// its span tree (`flow/decompose`, `flow/rep_sim`), and the cache
     /// behavior — per-signature rep-sim hits/misses and route-convolution
-    /// cache hits/misses — accumulates there as it serves queries.
+    /// cache hits/misses — accumulates there as it serves queries. The
+    /// decomposition's work goes to the counters `flow/decompose_dests`
+    /// and `flow/decompose_channels` (channels given a cost, summed over
+    /// destinations), and the saturation probe's decision to the
+    /// `flow/sat_*` gauges.
     pub fn build(
         topo: &'a Topology,
         tree: &'a CoordinatedTree,
@@ -213,11 +217,16 @@ impl<'a> FlowPredictor<'a> {
         let dec = dx.decompose(cfg.max_dests);
         let (bneck, w_max) = dec.bottleneck();
         decompose.finish();
+        tel.counter("flow/decompose_dests")
+            .add(u64::from(dec.dests_sampled));
+        tel.counter("flow/decompose_channels")
+            .add(dec.channels_walked);
 
         // Saturation: drive the bottleneck channel's neighborhood hard and
         // measure what it actually sustains.
         let rep_sim = tel.span("flow/rep_sim");
-        let (sat_throughput, probe_sims) = measure_saturation(topo, base, bneck, w_max, seed, cfg);
+        let (sat_throughput, probe_sims) =
+            measure_saturation(topo, base, bneck, w_max, seed, cfg, &tel);
         rep_sim.finish();
         tel.counter("flow/rep_sims").add(probe_sims as u64);
 
@@ -234,14 +243,21 @@ impl<'a> FlowPredictor<'a> {
                 }
             }
         }
-        let mut dest_costs: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
-        for &(_, t) in &pairs {
-            dest_costs.entry(t).or_insert_with(|| dx.costs_for(t));
+        // Visit the pairs grouped by destination so one cost row serves
+        // each group, then keep the routes in pair order.
+        let mut by_dest: Vec<usize> = (0..pairs.len()).collect();
+        by_dest.sort_by_key(|&i| pairs[i].1);
+        let mut routes: Vec<Option<Vec<ChannelId>>> = vec![None; pairs.len()];
+        let (mut row, mut queue, mut row_dest) = (Vec::new(), Vec::new(), None);
+        for i in by_dest {
+            let (s, t) = pairs[i];
+            if row_dest != Some(t) {
+                dx.costs_into(t, &mut row, &mut queue);
+                row_dest = Some(t);
+            }
+            routes[i] = dx.route(&row, s, t);
         }
-        let routes: Vec<Vec<ChannelId>> = pairs
-            .iter()
-            .filter_map(|&(s, t)| dx.route(&dest_costs[&t], s, t))
-            .collect();
+        let routes: Vec<Vec<ChannelId>> = routes.into_iter().flatten().collect();
 
         FlowPredictor {
             topo,
@@ -475,6 +491,11 @@ const PROBE_DRIVES: [f64; 4] = [0.35, 0.55, 0.75, 0.95];
 ///   used (not analytic sub-fabric loads) because the adaptive router
 ///   spreads traffic away from analytic hotspots, making analytic probe
 ///   loads inconsistent with the simulated ones.
+///
+/// The decision goes to `tel` as gauges: `flow/sat_peak_accepted`,
+/// `flow/sat_peak_util`, `flow/sat_ball_switches` and
+/// `flow/sat_whole_fabric` (1 for the whole fabric, 0 for a truncated
+/// ball).
 fn measure_saturation(
     topo: &Topology,
     base: &SimConfig,
@@ -482,6 +503,7 @@ fn measure_saturation(
     w_max: f64,
     seed: u64,
     cfg: &FlowConfig,
+    tel: &Telemetry,
 ) -> (f64, usize) {
     let Ok(nb) = extract(topo, bottleneck, cfg.sat_radius, cfg.sat_neighborhood) else {
         return (1.0, 0);
@@ -505,23 +527,16 @@ fn measure_saturation(
         let max_util = (0..routing.comm_graph().num_channels())
             .map(|c| stats.channel_utilization(c))
             .fold(0.0f64, f64::max);
-        if std::env::var_os("FLOW_DEBUG").is_some() {
-            eprintln!(
-                "  probe drive {drive:.2}: accepted {:.4}  max_util {max_util:.4}",
-                stats.accepted_traffic(),
-            );
-        }
         peak_accepted = peak_accepted.max(stats.accepted_traffic());
         peak_util = peak_util.max(max_util);
         sims += 1;
     }
-    if std::env::var_os("FLOW_DEBUG").is_some() {
-        eprintln!(
-            "  probe: nodes {} (whole={whole_fabric})  A_peak {peak_accepted:.4}  \
-             peak_util {peak_util:.4}  w_max {w_max:.4}",
-            nb.topo.num_nodes(),
-        );
-    }
+    tel.gauge("flow/sat_peak_accepted").set(peak_accepted);
+    tel.gauge("flow/sat_peak_util").set(peak_util);
+    tel.gauge("flow/sat_ball_switches")
+        .set(f64::from(nb.topo.num_nodes()));
+    tel.gauge("flow/sat_whole_fabric")
+        .set(f64::from(u8::from(whole_fabric)));
     let sat = if whole_fabric {
         peak_accepted
     } else if w_max > 1e-12 {

@@ -32,6 +32,9 @@ pub use cdg::{ChannelCycle, ChannelDepGraph, PathOracle};
 pub use dirgraph::{DirGraph, Movement};
 pub use export::{export_tables, parse_exported, ExportedTables};
 pub use release::{release_redundant_turns, ReleasePass};
-pub use routing::{PatchStats, RoutingError, RoutingTables, INJECTION_SLOT};
+pub use routing::{
+    auto_workers, lowest_port_route, Cost, CostOverflow, PatchStats, Preds, RoutingError,
+    RoutingTables, INJECTION_SLOT,
+};
 pub use turn_table::TurnTable;
 pub use verify::{verify_routing, VerifyReport};

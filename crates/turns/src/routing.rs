@@ -58,16 +58,20 @@ pub struct PatchStats {
     pub touched_switches: u32,
 }
 
-/// CSR transpose (predecessor lists) of a dependency graph, for reverse
-/// BFS/Dijkstra propagation.
-struct Preds {
+/// The CSR transpose (predecessor lists) of a channel dependency graph:
+/// the graph the per-destination reverse BFS ([`Preds::fill_costs`])
+/// walks. The table fill, the incremental patch and the flow backend's
+/// decomposition share it.
+pub struct Preds {
     /// The predecessors of channel `c` are `pred[off[c]..off[c + 1]]`.
     off: Vec<u32>,
     pred: Vec<ChannelId>,
 }
 
 impl Preds {
-    fn build(dep: &ChannelDepGraph) -> Preds {
+    /// Transposes `dep`. Each predecessor list is in increasing channel
+    /// order.
+    pub fn build(dep: &ChannelDepGraph) -> Preds {
         let nch = dep.num_channels();
         let mut indeg = vec![0u32; nch as usize];
         for c in 0..nch {
@@ -91,16 +95,154 @@ impl Preds {
     }
 
     /// The channels with a dependency edge into `c`.
-    fn of(&self, c: ChannelId) -> &[ChannelId] {
+    pub fn of(&self, c: ChannelId) -> &[ChannelId] {
         &self.pred[self.off[c as usize] as usize..self.off[c as usize + 1] as usize]
+    }
+
+    /// The per-destination cost kernel: fills `row` (all [`Cost::INF`] on
+    /// entry) with every channel's cost to `t` — the least number of
+    /// channels a packet still traverses when it takes that channel next —
+    /// by a reverse breadth-first search from the channels into `t`.
+    /// Channels flagged in `dead_channel` keep `INF` and are never crossed.
+    ///
+    /// On return `queue` holds exactly the channels given a finite cost,
+    /// in the order the search reached them: by nondecreasing cost, and
+    /// within one cost in a fixed order. A caller resets `row` through it.
+    ///
+    /// # Errors
+    ///
+    /// [`CostOverflow`] when a finite cost does not fit `C`; `row` and
+    /// `queue` then hold a partial search.
+    pub fn fill_costs<C: Cost>(
+        &self,
+        ch: &ChannelTable,
+        t: NodeId,
+        dead_channel: Option<&[bool]>,
+        row: &mut [C],
+        queue: &mut Vec<ChannelId>,
+    ) -> Result<(), CostOverflow> {
+        match dead_channel {
+            None => self.search(ch, t, |_| false, row, queue),
+            Some(dead) => self.search(ch, t, |c| dead[c as usize], row, queue),
+        }
+    }
+
+    /// [`Preds::fill_costs`] with the dead test inlined.
+    #[inline]
+    fn search<C: Cost>(
+        &self,
+        ch: &ChannelTable,
+        t: NodeId,
+        dead: impl Fn(ChannelId) -> bool,
+        row: &mut [C],
+        queue: &mut Vec<ChannelId>,
+    ) -> Result<(), CostOverflow> {
+        // Every channel enters the queue at most once; the spare slot
+        // takes the unconditional write of the last visit.
+        queue.clear();
+        queue.resize(row.len() + 1, 0);
+        let mut len = 0;
+        // Seeds: channels whose sink is the destination cost exactly 1.
+        let one = C::fit(1).ok_or(CostOverflow)?;
+        for &c in ch.inputs(t) {
+            if !dead(c) {
+                row[c as usize] = one;
+                queue[len] = c;
+                len += 1;
+            }
+        }
+        // Breadth-first, one level at a time: the unreached predecessors
+        // of `queue[head..end]`, which cost `d`, cost `d + 1`.
+        let (mut head, mut d) = (0, 1);
+        while head < len {
+            let end = len;
+            d += 1;
+            let Some(cell) = C::fit(d) else {
+                let open = queue[head..end].iter().any(|&c| {
+                    self.of(c)
+                        .iter()
+                        .any(|&p| !dead(p) && row[p as usize] == C::INF)
+                });
+                queue.truncate(len);
+                return if open { Err(CostOverflow) } else { Ok(()) };
+            };
+            for i in head..end {
+                // Whether a predecessor is new is data-dependent and
+                // unpredictable, so it selects values instead of branching.
+                for &p in self.of(queue[i]) {
+                    let old = row[p as usize];
+                    let fresh = old == C::INF && !dead(p);
+                    row[p as usize] = if fresh { cell } else { old };
+                    queue[len] = p;
+                    len += usize::from(fresh);
+                }
+            }
+            head = end;
+        }
+        queue.truncate(len);
+        Ok(())
     }
 }
 
-/// One `cost` cell. The fill, the patch and the mask lookup are each
-/// written once over this trait and run at whichever width the table
-/// holds. Each width's largest value means unreachable, so unreachable
-/// sorts after every finite cost at both widths.
-trait Cost: Copy + Ord + Send + Sync {
+/// A finite cost did not fit the cell width of a [`Preds::fill_costs`]
+/// row: redo it wider.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CostOverflow;
+
+/// The lowest-port minimal route from `s` to `t` over `t`'s cost row
+/// (filled by [`Preds::fill_costs`]): at every switch `v`, among the
+/// output ports `allowed(v, slot)` permits for the input slot the packet
+/// arrived on ([`INJECTION_SLOT`] at `s`, `input port + 1` after a hop),
+/// take the lowest-numbered port of least finite cost. Empty when
+/// `s == t`; `None` when a switch on the way has no such port, which at
+/// `s` means `t` is unreachable.
+pub fn lowest_port_route<C: Cost>(
+    ch: &ChannelTable,
+    row: &[C],
+    allowed: impl Fn(NodeId, usize) -> u16,
+    s: NodeId,
+    t: NodeId,
+) -> Option<Vec<ChannelId>> {
+    let mut path = Vec::new();
+    let (mut v, mut slot) = (s, INJECTION_SLOT);
+    while v != t {
+        let outs = ch.outputs(v);
+        let mut mask = allowed(v, slot);
+        let (mut best, mut next) = (C::INF, None);
+        while mask != 0 {
+            let c = outs[mask.trailing_zeros() as usize];
+            mask &= mask - 1;
+            if row[c as usize] < best {
+                best = row[c as usize];
+                next = Some(c);
+            }
+        }
+        let c = next?;
+        path.push(c);
+        slot = ch.in_port(c) as usize + 1;
+        v = ch.sink(c);
+    }
+    Some(path)
+}
+
+/// Worker threads for a per-destination pass over `nodes` switches when
+/// the caller names none: one below [`PARALLEL_BUILD_MIN_NODES`], where
+/// the whole pass is sub-millisecond and thread start-up would dominate,
+/// else [`std::thread::available_parallelism`].
+pub fn auto_workers(nodes: u32) -> usize {
+    if nodes < PARALLEL_BUILD_MIN_NODES {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    }
+}
+
+/// One cost cell, `u8` or `u16`. The cost kernel, the fill, the patch and
+/// the mask lookup are each written once over this trait and run at
+/// whichever width the caller holds. Each width's largest value means
+/// unreachable, so unreachable sorts after every finite cost at both
+/// widths.
+pub trait Cost: Copy + Ord + Send + Sync {
     /// The unreachable marker.
     const INF: Self;
     /// The cost as the public `u16` (`INF` is `u16::MAX`).
@@ -179,6 +321,12 @@ impl From<RoutingError> for Stop {
     }
 }
 
+impl From<CostOverflow> for Stop {
+    fn from(_: CostOverflow) -> Stop {
+        Stop::Overflow
+    }
+}
+
 impl Stop {
     /// The routing error of a stop that is not a one-byte overflow.
     fn wide(self) -> RoutingError {
@@ -213,7 +361,8 @@ fn reaches<C: Cost>(outs: &[ChannelId], cost_row: &[C]) -> bool {
     outs.iter().any(|&c| cost_row[c as usize] != C::INF)
 }
 
-/// The per-destination reverse BFS of a table build.
+/// The per-destination pass of a table build: the cost kernel plus the
+/// connectivity check.
 struct Fill<'a> {
     n: u32,
     ch: &'a ChannelTable,
@@ -223,10 +372,6 @@ struct Fill<'a> {
 }
 
 impl Fill<'_> {
-    fn ch_dead(&self, c: ChannelId) -> bool {
-        self.dead_channel.is_some_and(|d| d[c as usize])
-    }
-
     fn node_alive(&self, v: NodeId) -> bool {
         self.alive_node.is_none_or(|a| a[v as usize])
     }
@@ -242,38 +387,13 @@ impl Fill<'_> {
         if !self.node_alive(t) {
             return Ok(()); // dead destinations keep INF costs
         }
-        let ch = self.ch;
-        queue.clear();
-        // Seeds: channels whose sink is the destination cost exactly 1.
-        let one = C::fit(1).expect("every width holds cost 1");
-        for &c in ch.inputs(t) {
-            if !self.ch_dead(c) {
-                cost_row[c as usize] = one;
-                queue.push(c);
-            }
-        }
-        // Breadth-first, one level at a time: the unreached predecessors
-        // of `queue[head..end]`, which cost `d`, cost `d + 1`.
-        let (mut head, mut d) = (0, 1);
-        while head < queue.len() {
-            let end = queue.len();
-            d += 1;
-            let cell = C::fit(d);
-            for i in head..end {
-                for &p in self.preds.of(queue[i]) {
-                    if !self.ch_dead(p) && cost_row[p as usize] == C::INF {
-                        cost_row[p as usize] = cell.ok_or(Stop::Overflow)?;
-                        queue.push(p);
-                    }
-                }
-            }
-            head = end;
-        }
+        self.preds
+            .fill_costs(self.ch, t, self.dead_channel, cost_row, queue)?;
 
         // Connectivity: every alive source needs a finite-cost output.
         // Dead channels never acquire a finite cost.
         match (0..self.n)
-            .find(|&v| v != t && self.node_alive(v) && !reaches(ch.outputs(v), cost_row))
+            .find(|&v| v != t && self.node_alive(v) && !reaches(self.ch.outputs(v), cost_row))
         {
             Some(v) => Err(RoutingError::Disconnected { src: v, dst: t }.into()),
             None => Ok(()),
@@ -287,7 +407,7 @@ impl Fill<'_> {
         let (n, row_nch) = (self.n as usize, self.ch.num_channels() as usize);
         let mut cost = vec![C::INF; n * row_nch];
         if workers <= 1 || row_nch == 0 {
-            let mut queue = Vec::with_capacity(row_nch);
+            let mut queue = Vec::with_capacity(row_nch + 1);
             for t in 0..n {
                 let cost_row = &mut cost[t * row_nch..(t + 1) * row_nch];
                 self.dest(t as NodeId, cost_row, &mut queue)?;
@@ -305,7 +425,7 @@ impl Fill<'_> {
             let mut handles = Vec::with_capacity(workers);
             for (k, cost_c) in cost.chunks_mut(per * row_nch).enumerate() {
                 handles.push(s.spawn(move || {
-                    let mut queue = Vec::with_capacity(row_nch);
+                    let mut queue = Vec::with_capacity(row_nch + 1);
                     for (i, cost_row) in cost_c.chunks_mut(row_nch).enumerate() {
                         self.dest((k * per + i) as NodeId, cost_row, &mut queue)?;
                     }
@@ -419,8 +539,7 @@ impl RoutingTables {
         }
 
         let workers = match threads {
-            0 if n < PARALLEL_BUILD_MIN_NODES => 1,
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            0 => auto_workers(n),
             explicit => explicit,
         }
         .clamp(1, n.max(1) as usize);
@@ -702,24 +821,22 @@ impl RoutingTables {
     }
 
     /// Extracts one concrete minimal route (sequence of channels) from `s`
-    /// to `t`, always taking the lowest-numbered candidate port.
+    /// to `t`, always taking the lowest-numbered candidate port
+    /// ([`lowest_port_route`] over `t`'s cost row and the turn rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is unreachable from `s`.
     pub fn route(&self, cg: &CommGraph, s: NodeId, t: NodeId) -> Vec<ChannelId> {
         let ch = cg.channels();
-        let mut path = Vec::new();
-        let mut v = s;
-        let mut slot = INJECTION_SLOT;
-        while v != t {
-            let mask = self.candidates(t, v, slot);
-            assert_ne!(mask, 0, "route extraction hit a dead end at node {v}");
-            // Lowest-numbered minimal port.
-            let p = mask.trailing_zeros() as usize;
-            let c = ch.outputs(v)[p];
-            path.push(c);
-            slot = ch.in_port(c) as usize + 1;
-            v = ch.sink(c);
-            debug_assert!(path.len() <= self.num_channels as usize, "route is cycling");
+        let row =
+            t as usize * self.num_channels as usize..(t as usize + 1) * self.num_channels as usize;
+        let turn = |v: NodeId, slot: usize| self.turn[v as usize * self.slots + slot];
+        match &self.cost {
+            Costs::Narrow(cost) => lowest_port_route(ch, &cost[row], turn, s, t),
+            Costs::Wide(cost) => lowest_port_route(ch, &cost[row], turn, s, t),
         }
-        path
+        .unwrap_or_else(|| panic!("route extraction from {s} to {t} hit a dead end"))
     }
 
     /// Average and longest minimal route length over all ordered pairs

@@ -523,3 +523,73 @@ irnet_span_calls_total{path="repair/phases"} 1
 irnet_span_calls_total{path="repair/recertify"} 1
 irnet_span_calls_total{path="sim/run"} 1
 "#;
+
+/// A predictor over a 256-switch fabric, built under `tel`. The fabric is
+/// above the size where the decomposition goes parallel, so on a
+/// multi-core host its destinations run on several threads.
+fn build_256_switch_predictor(tel: &Telemetry) {
+    let topo = gen::random_irregular(gen::IrregularParams::paper(256, 4), 3).unwrap();
+    let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+    let base = SimConfig {
+        packet_len: 8,
+        ..SimConfig::default()
+    };
+    let cfg = FlowConfig {
+        max_dests: 64,
+        sat_warmup: 200,
+        sat_measure: 800,
+        ..FlowConfig::default()
+    };
+    tel.scope(|| FlowPredictor::build(&topo, &tree, &cg, &table, &base, 3, &cfg));
+}
+
+/// The decomposition's work counters are exact: destinations walked and
+/// channels given a cost, summed over them. They count work, not time,
+/// so they are the same at every worker count.
+#[test]
+fn flow_build_counts_its_decomposition_work() {
+    let tel = Telemetry::enabled();
+    build_256_switch_predictor(&tel);
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter("flow/decompose_dests"), Some(64));
+    assert_eq!(snap.counter("flow/decompose_channels"), Some(29_737));
+}
+
+/// Half of `flow_build_records_the_saturation_probe_silently`, run in a
+/// child process: the saturation probe's decision lands in gauges.
+#[test]
+#[ignore = "run as a child process by flow_build_records_the_saturation_probe_silently"]
+fn flow_build_records_the_saturation_probe() {
+    let tel = Telemetry::enabled();
+    build_256_switch_predictor(&tel);
+    let snap = tel.snapshot();
+    let gauge = |name: &str| snap.gauges.get(name).copied();
+    // A 144-switch ball is a truncated neighbourhood of 256 switches.
+    assert_eq!(gauge("flow/sat_ball_switches"), Some(144.0));
+    assert_eq!(gauge("flow/sat_whole_fabric"), Some(0.0));
+    for name in ["flow/sat_peak_accepted", "flow/sat_peak_util"] {
+        let v = gauge(name).unwrap_or_else(|| panic!("no gauge {name}"));
+        assert!(v > 0.0 && v <= 1.0, "{name} = {v}");
+    }
+}
+
+/// Building a predictor writes nothing to stderr — not even with the
+/// environment variable an old debug print read set — and records the
+/// saturation probe's decision as gauges instead.
+#[test]
+fn flow_build_records_the_saturation_probe_silently() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "flow_build_records_the_saturation_probe",
+            "--ignored",
+            "--nocapture",
+        ])
+        .env("FLOW_DEBUG", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("1 passed"), "{stdout}");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
