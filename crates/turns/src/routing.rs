@@ -8,8 +8,9 @@ use std::collections::BinaryHeap;
 /// Input port `q` maps to slot `q + 1`.
 pub const INJECTION_SLOT: usize = 0;
 
-/// Below this node count an auto-threaded table build stays serial: the
-/// whole fill is sub-millisecond and thread spawn overhead would dominate.
+/// Below this node count an auto-threaded per-destination pass (the table
+/// fill, the flow decomposition) stays serial: the whole pass is about a
+/// millisecond and thread spawn overhead would dominate.
 const PARALLEL_BUILD_MIN_NODES: u32 = 192;
 
 /// Routing construction failure.
@@ -95,7 +96,7 @@ impl Preds {
     }
 
     /// The channels with a dependency edge into `c`.
-    pub fn of(&self, c: ChannelId) -> &[ChannelId] {
+    fn of(&self, c: ChannelId) -> &[ChannelId] {
         &self.pred[self.off[c as usize] as usize..self.off[c as usize + 1] as usize]
     }
 
@@ -226,9 +227,8 @@ pub fn lowest_port_route<C: Cost>(
 }
 
 /// Worker threads for a per-destination pass over `nodes` switches when
-/// the caller names none: one below [`PARALLEL_BUILD_MIN_NODES`], where
-/// the whole pass is sub-millisecond and thread start-up would dominate,
-/// else [`std::thread::available_parallelism`].
+/// the caller names none: one below [`PARALLEL_BUILD_MIN_NODES`], else
+/// [`std::thread::available_parallelism`].
 pub fn auto_workers(nodes: u32) -> usize {
     if nodes < PARALLEL_BUILD_MIN_NODES {
         1
