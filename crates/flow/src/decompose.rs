@@ -379,7 +379,7 @@ impl<'a> Decomposer<'a> {
             if f <= 0.0 || v == t {
                 continue; // no flow, or delivered
             }
-            // Every turn-legal successor costs at least one less than `c`;
+            // No turn-legal successor costs less than one below `c`, and
             // the minimal ones cost exactly that.
             let k = cost[c as usize].get() - 1;
             let outs = ch.outputs(v);
