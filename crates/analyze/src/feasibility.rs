@@ -3,38 +3,25 @@
 //!
 //! Mendlovic & Matias (arXiv:2503.04583) characterize the digraphs that
 //! admit deadlock-free connected routing at all — a pure existence
-//! question, independent of any concrete routing algorithm. This module
-//! implements that condition in two tiers:
+//! question, independent of any concrete routing algorithm. The channel
+//! digraph of a [`Topology`] is *symmetric*: every link contributes both
+//! directed channels, and a fault kills both. For symmetric channel sets
+//! the condition collapses to connectivity of the surviving graph, so the
+//! oracle ([`analyze_faulted`] / [`analyze_topology`] / [`analyze_masks`])
+//! decides it exactly, for every channel set this pipeline builds:
 //!
-//! * **Topology tier** ([`analyze_faulted`] / [`analyze_topology`]): the
-//!   channel digraph of a [`Topology`] is *symmetric* (every link
-//!   contributes both directed channels), and for symmetric channel sets
-//!   the condition collapses to connectivity of the surviving graph. The
-//!   sufficient half is constructive: a BFS-levelled up\*/down\* channel
-//!   numbering — every up\*/down\*-legal turn strictly climbs it, and the
-//!   tree path through the lowest common ancestor is legal for every pair
-//!   — is returned as the [`Witness`]. The necessary half is immediate:
-//!   a disconnected survivor set leaves some pair unroutable by *any*
-//!   routing, and the [`Obstruction`] is the minimized partition evidence
-//!   (the smallest component; no link crosses its cut).
-//! * **Digraph tier** ([`analyze_digraph`]): for arbitrary channel
-//!   digraphs (asymmetric, hand-built) the oracle decides the common
-//!   cases: strong connectivity is necessary; a symmetric connected
-//!   digraph or one whose turn-dependency graph is already acyclic is
-//!   feasible; and a directed cycle of *forced* dependencies — turns that
-//!   every route between some pair must take, so they appear in the
-//!   dependency graph of every connected routing — is a sound
-//!   infeasibility certificate (this is exactly what kills the
-//!   unidirectional ring, the classic infeasible family). Digraphs the
-//!   three rules cannot decide return [`DigraphFeasibility::Open`] rather
-//!   than guess.
+//! * the sufficient half is constructive: a BFS-levelled up\*/down\*
+//!   channel numbering — every up\*/down\*-legal turn strictly climbs it,
+//!   and the tree path through the lowest common ancestor is legal for
+//!   every pair — is returned as the [`Witness`];
+//! * the necessary half is immediate: a disconnected survivor set leaves
+//!   some pair unroutable by *any* routing, and the [`Obstruction`] is the
+//!   minimized partition evidence (the smallest component; no link
+//!   crosses its cut).
 //!
-//! All results carry stable JSON forms via the vendored serde; obstruction
-//! witnesses are minimized (smallest partition component, shortest forced
-//! cycle) before they are reported.
+//! All results carry stable JSON forms via the vendored serde.
 
 use irnet_topology::{ChannelId, DegradedTopology, FaultError, FaultPlan, NodeId, Topology};
-use irnet_turns::ChannelDepGraph;
 use serde::{Serialize, Value};
 use std::fmt;
 
@@ -184,23 +171,6 @@ pub enum Obstruction {
         /// Lowest-id switch inside the component and outside it.
         witness_pair: (NodeId, NodeId),
     },
-    /// Digraph tier: `dst` is unreachable from `src` along directed arcs,
-    /// so no routing — deadlock-free or not — can connect the pair.
-    Unreachable {
-        /// The source node.
-        src: NodeId,
-        /// The unreachable destination.
-        dst: NodeId,
-        /// Nodes reachable from `src`.
-        reached: u32,
-    },
-    /// Digraph tier: a shortest directed cycle of *forced* dependencies —
-    /// every connected routing's dependency graph contains each listed
-    /// consecutive arc pair, so every connected routing deadlocks.
-    ForcedCycle {
-        /// The arc ids of the cycle, rotated to start at the lowest id.
-        arcs: Vec<u32>,
-    },
 }
 
 impl fmt::Display for Obstruction {
@@ -219,17 +189,6 @@ impl fmt::Display for Obstruction {
                 component.len(),
                 witness_pair.0,
                 witness_pair.1
-            ),
-            Obstruction::Unreachable { src, dst, reached } => write!(
-                f,
-                "node {dst} is unreachable from node {src} \
-                 (only {reached} node(s) reachable)"
-            ),
-            Obstruction::ForcedCycle { arcs } => write!(
-                f,
-                "forced-dependency cycle through {} arc(s): every connected \
-                 routing must take each of these consecutive turns",
-                arcs.len()
             ),
         }
     }
@@ -266,19 +225,6 @@ impl Serialize for Obstruction {
                         Value::U64(u64::from(witness_pair.0)),
                         Value::U64(u64::from(witness_pair.1)),
                     ]),
-                ),
-            ]),
-            Obstruction::Unreachable { src, dst, reached } => Value::Map(vec![
-                ("kind".to_string(), Value::Str("unreachable".to_string())),
-                ("src".to_string(), Value::U64(u64::from(*src))),
-                ("dst".to_string(), Value::U64(u64::from(*dst))),
-                ("reached".to_string(), Value::U64(u64::from(*reached))),
-            ]),
-            Obstruction::ForcedCycle { arcs } => Value::Map(vec![
-                ("kind".to_string(), Value::Str("forced_cycle".to_string())),
-                (
-                    "arcs".to_string(),
-                    Value::Seq(arcs.iter().map(|&a| Value::U64(u64::from(a))).collect()),
                 ),
             ]),
         }
@@ -487,262 +433,6 @@ fn analyze_survivors(topo: &Topology, node_dead: &[bool], link_dead: &[bool]) ->
     })
 }
 
-// ---------------------------------------------------------------------------
-// Digraph tier
-// ---------------------------------------------------------------------------
-
-/// A directed channel graph: nodes are switches, arcs are unidirectional
-/// channels. This is the general object the Mendlovic–Matias condition is
-/// stated over; hand-built instances feed the infeasible-family tests.
-#[derive(Debug, Clone)]
-pub struct Digraph {
-    num_nodes: u32,
-    arcs: Vec<(NodeId, NodeId)>,
-}
-
-impl Digraph {
-    /// Builds a digraph over `num_nodes` nodes from directed arcs.
-    /// Duplicate arcs are merged; self-loops are rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an arc references a node `>= num_nodes` or is a self-loop.
-    pub fn new(num_nodes: u32, arcs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Digraph {
-        let mut arcs: Vec<(NodeId, NodeId)> = arcs.into_iter().collect();
-        for &(u, v) in &arcs {
-            assert!(
-                u < num_nodes && v < num_nodes,
-                "arc ({u}, {v}) out of range"
-            );
-            assert_ne!(u, v, "self-loop arc ({u}, {v})");
-        }
-        arcs.sort_unstable();
-        arcs.dedup();
-        Digraph { num_nodes, arcs }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
-    }
-
-    /// The arcs, sorted and deduplicated; the index is the arc id.
-    pub fn arcs(&self) -> &[(NodeId, NodeId)] {
-        &self.arcs
-    }
-}
-
-/// The oracle's verdict for an arbitrary channel digraph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DigraphFeasibility {
-    /// A deadlock-free connected routing exists; `rule` names the
-    /// sufficient condition that fired.
-    Feasible {
-        /// `"trivial"`, `"symmetric-updown"`, or `"dependency-acyclic"`.
-        rule: &'static str,
-    },
-    /// No deadlock-free connected routing exists.
-    Infeasible(Obstruction),
-    /// Neither the sufficient rules nor the obstruction search decided the
-    /// instance; the oracle stays honest instead of guessing.
-    Open,
-}
-
-/// Decides feasibility for an arbitrary channel digraph (consecutive-arc
-/// turns, immediate reversal disallowed as in the wormhole model).
-///
-/// Decision ladder, each step sound:
-/// 1. strong connectivity is necessary (an unreachable pair defeats every
-///    routing);
-/// 2. symmetric connected digraphs are feasible (up\*/down\* numbering);
-/// 3. digraphs whose full turn-dependency graph is acyclic are feasible
-///    (any connected routing works — shortest paths exist by step 1);
-/// 4. a directed cycle of *forced* dependencies is a proof of
-///    infeasibility: a dependency `a → b` is forced when every walk from
-///    `tail(a)` to `head(b)` takes `a` then `b` consecutively, so it
-///    appears in the dependency graph of **every** connected routing, and
-///    a cycle of such edges deadlocks them all. The reported cycle is the
-///    shortest one, rotated to start at the lowest arc id.
-///
-/// Anything the ladder cannot decide returns [`DigraphFeasibility::Open`].
-pub fn analyze_digraph(g: &Digraph) -> DigraphFeasibility {
-    let n = g.num_nodes;
-    if n == 0 {
-        return DigraphFeasibility::Infeasible(Obstruction::NoSurvivors);
-    }
-    if n == 1 {
-        return DigraphFeasibility::Feasible { rule: "trivial" };
-    }
-
-    // 1. Strong connectivity.
-    if let Some(obs) = connectivity_obstruction(g) {
-        return DigraphFeasibility::Infeasible(obs);
-    }
-
-    // 2. Symmetric and connected: up*/down* always works.
-    let symmetric = g
-        .arcs
-        .iter()
-        .all(|&(u, v)| g.arcs.binary_search(&(v, u)).is_ok());
-    if symmetric {
-        return DigraphFeasibility::Feasible {
-            rule: "symmetric-updown",
-        };
-    }
-
-    // 3. The full dependency graph (every consecutive-arc turn, u-turns
-    // excluded). Acyclic means even the all-allowed routing is safe.
-    let na = g.arcs.len() as u32;
-    let mut deps: Vec<(u32, u32)> = Vec::new();
-    for (i, &(_, vi)) in g.arcs.iter().enumerate() {
-        for (j, &(uj, vj)) in g.arcs.iter().enumerate() {
-            if uj == vi && (vj, uj) != g.arcs[i] {
-                deps.push((i as u32, j as u32));
-            }
-        }
-    }
-    let dep_graph = ChannelDepGraph::from_edges(na, &deps);
-    if dep_graph.is_acyclic() {
-        return DigraphFeasibility::Feasible {
-            rule: "dependency-acyclic",
-        };
-    }
-
-    // 4. Forced-dependency cycle.
-    let forced: Vec<(u32, u32)> = deps
-        .iter()
-        .copied()
-        .filter(|&d| dependency_is_forced(g, &deps, d))
-        .collect();
-    if let Some(cycle) = shortest_cycle(na, &forced) {
-        return DigraphFeasibility::Infeasible(Obstruction::ForcedCycle { arcs: cycle });
-    }
-    DigraphFeasibility::Open
-}
-
-/// Returns a minimized unreachable-pair obstruction, or `None` when `g` is
-/// strongly connected.
-fn connectivity_obstruction(g: &Digraph) -> Option<Obstruction> {
-    let n = g.num_nodes as usize;
-    let reach_from = |src: NodeId, reverse: bool| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        seen[src as usize] = true;
-        let mut stack = vec![src];
-        while let Some(v) = stack.pop() {
-            for &(a, b) in &g.arcs {
-                let (from, to) = if reverse { (b, a) } else { (a, b) };
-                if from == v && !seen[to as usize] {
-                    seen[to as usize] = true;
-                    stack.push(to);
-                }
-            }
-        }
-        seen
-    };
-    let fwd = reach_from(0, false);
-    if let Some(dst) = fwd.iter().position(|&r| !r) {
-        return Some(Obstruction::Unreachable {
-            src: 0,
-            dst: dst as NodeId,
-            reached: fwd.iter().filter(|&&r| r).count() as u32,
-        });
-    }
-    let bwd = reach_from(0, true);
-    if let Some(src) = bwd.iter().position(|&r| !r) {
-        let from_src = reach_from(src as NodeId, false);
-        let dst = from_src
-            .iter()
-            .position(|&r| !r)
-            .expect("src cannot reach 0");
-        return Some(Obstruction::Unreachable {
-            src: src as NodeId,
-            dst: dst as NodeId,
-            reached: from_src.iter().filter(|&&r| r).count() as u32,
-        });
-    }
-    None
-}
-
-/// Whether dependency `d = (a, b)` is forced: no walk from `tail(a)` to
-/// `head(b)` avoids taking arc `a` immediately followed by arc `b`.
-/// Checked by BFS over arc states with the single transition `d` removed.
-fn dependency_is_forced(g: &Digraph, deps: &[(u32, u32)], d: (u32, u32)) -> bool {
-    let s = g.arcs[d.0 as usize].0;
-    let t = g.arcs[d.1 as usize].1;
-    let mut seen = vec![false; g.arcs.len()];
-    let mut stack: Vec<u32> = Vec::new();
-    for (i, &(u, _)) in g.arcs.iter().enumerate() {
-        if u == s {
-            seen[i] = true;
-            stack.push(i as u32);
-        }
-    }
-    while let Some(a) = stack.pop() {
-        if g.arcs[a as usize].1 == t {
-            return false; // a walk reaches t without the removed transition
-        }
-        for &(x, y) in deps {
-            if x == a && (x, y) != d && !seen[y as usize] {
-                seen[y as usize] = true;
-                stack.push(y);
-            }
-        }
-    }
-    true
-}
-
-/// Shortest directed cycle in the graph over `n` arc-nodes with `edges`,
-/// rotated to start at its lowest node id; `None` when acyclic.
-fn shortest_cycle(n: u32, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
-    let mut best: Option<Vec<u32>> = None;
-    for start in 0..n {
-        // BFS from `start` back to `start`.
-        let mut parent = vec![u32::MAX; n as usize];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        let mut found = false;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for &(x, y) in edges {
-                if x != v {
-                    continue;
-                }
-                if y == start {
-                    parent[start as usize] = v;
-                    found = true;
-                    break 'bfs;
-                }
-                if parent[y as usize] == u32::MAX && y != start {
-                    parent[y as usize] = v;
-                    queue.push_back(y);
-                }
-            }
-        }
-        if !found {
-            continue;
-        }
-        let mut cycle = vec![start];
-        let mut v = parent[start as usize];
-        while v != start {
-            cycle.push(v);
-            v = parent[v as usize];
-        }
-        cycle.reverse();
-        if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
-            best = Some(cycle);
-        }
-    }
-    best.map(|mut cycle| {
-        // Rotate to the lowest arc id for a deterministic report.
-        let pivot = cycle
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &a)| a)
-            .map_or(0, |(i, _)| i);
-        cycle.rotate_left(pivot);
-        cycle
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,81 +547,15 @@ mod tests {
     }
 
     #[test]
-    fn unidirectional_ring_is_infeasible_with_forced_cycle() {
-        // The classic Mendlovic–Matias infeasible family: a directed ring
-        // is strongly connected, yet every routing must use every
-        // consecutive arc pair, closing the dependency cycle.
-        let g = Digraph::new(3, [(0, 1), (1, 2), (2, 0)]);
-        match analyze_digraph(&g) {
-            DigraphFeasibility::Infeasible(Obstruction::ForcedCycle { arcs }) => {
-                assert_eq!(arcs, vec![0, 1, 2]);
-            }
-            other => panic!("expected forced cycle, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ring_with_chord_escapes_the_forced_cycle() {
-        // Adding one reverse chord breaks the forcing: 0 -> 2 can go
-        // directly, so the dependency (0->1, 1->2) is no longer forced.
-        let g = Digraph::new(3, [(0, 1), (1, 2), (2, 0), (0, 2)]);
-        assert!(!matches!(
-            analyze_digraph(&g),
-            DigraphFeasibility::Infeasible(_)
-        ));
-    }
-
-    #[test]
-    fn digraph_tier_decides_the_simple_shapes() {
-        // Empty and single-node.
-        assert_eq!(
-            analyze_digraph(&Digraph::new(0, [])),
-            DigraphFeasibility::Infeasible(Obstruction::NoSurvivors)
-        );
-        assert_eq!(
-            analyze_digraph(&Digraph::new(1, [])),
-            DigraphFeasibility::Feasible { rule: "trivial" }
-        );
-        // Not strongly connected: one-way pair.
-        match analyze_digraph(&Digraph::new(2, [(0, 1)])) {
-            DigraphFeasibility::Infeasible(Obstruction::Unreachable { src, dst, .. }) => {
-                assert_eq!((src, dst), (1, 0));
-            }
-            other => panic!("expected unreachable, got {other:?}"),
-        }
-        // Symmetric square.
-        let square = Digraph::new(
-            4,
-            [
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (2, 3),
-                (3, 2),
-                (3, 0),
-                (0, 3),
-            ],
-        );
-        assert_eq!(
-            analyze_digraph(&square),
-            DigraphFeasibility::Feasible {
-                rule: "symmetric-updown"
-            }
-        );
-    }
-
-    #[test]
     fn feasibility_json_is_stable() {
-        let g = Digraph::new(3, [(0, 1), (1, 2), (2, 0)]);
-        let DigraphFeasibility::Infeasible(obs) = analyze_digraph(&g) else {
-            panic!("ring must be infeasible");
-        };
-        let verdict = Feasibility::Infeasible(obs);
+        let topo = Topology::new(4, 4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let verdict = analyze_faulted(&topo, &FaultPlan::scripted([link(0, 1, 2)])).unwrap();
         assert_eq!(
             verdict.to_json(),
             "{\n  \"status\": \"infeasible\",\n  \"obstruction\": {\n    \
-             \"kind\": \"forced_cycle\",\n    \"arcs\": [\n      0,\n      1,\n      2\n    ]\n  }\n}"
+             \"kind\": \"partitioned\",\n    \"alive\": 4,\n    \"components\": 2,\n    \
+             \"component\": [\n      0,\n      1\n    ],\n    \
+             \"witness_pair\": [\n      0,\n      2\n    ]\n  }\n}"
         );
     }
 }

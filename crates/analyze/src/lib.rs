@@ -3,7 +3,7 @@
 //! Two halves (see DESIGN.md §15):
 //!
 //! * The **feasibility oracle** ([`analyze_topology`], [`analyze_faulted`],
-//!   [`analyze_digraph`]) answers the existence question of Mendlovic &
+//!   [`analyze_masks`]) answers the existence question of Mendlovic &
 //!   Matias (arXiv:2503.04583): does *any* deadlock-free connected routing
 //!   exist on this (possibly degraded) network? [`Feasibility::Feasible`]
 //!   carries a constructive up\*/down\* numbering [`Witness`];
@@ -28,7 +28,7 @@ mod report;
 
 pub use audits::{audit, AuditReport, StretchHistogram, STRETCH_WARN};
 pub use feasibility::{
-    analyze_and_degrade_masks, analyze_digraph, analyze_faulted, analyze_masks, analyze_topology,
-    AnalyzedDegrade, Digraph, DigraphFeasibility, Feasibility, Obstruction, Witness, DEAD,
+    analyze_and_degrade_masks, analyze_faulted, analyze_masks, analyze_topology, AnalyzedDegrade,
+    Feasibility, Obstruction, Witness, DEAD,
 };
 pub use report::{AnalysisReport, SCHEMA};

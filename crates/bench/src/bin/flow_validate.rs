@@ -3,7 +3,8 @@
 //! Runs both backends — the exact flit engine and the `irnet-flow`
 //! decompose/cluster/generalize predictor — over the same offered-load
 //! ladder on 32–512-switch fabrics, reports per-size saturation-throughput
-//! and median-latency error plus the wall-clock speedup, and (under
+//! and median-latency error on stdout and the wall-clock speedup on
+//! stderr (so two runs' stdout match byte for byte), and (under
 //! `--quick` / `--enforce`) fails when the mean errors exceed the pinned
 //! tolerances. `--huge N` demonstrates the flow backend alone on a fabric
 //! the flit engine cannot reach (no routing tables are ever built; the
@@ -212,7 +213,7 @@ fn run_huge(switches: u32, seed: u64) {
     let t0 = Instant::now();
     let topo = gen::random_irregular(gen::IrregularParams::paper(switches, PORTS), seed)
         .expect("topology generation failed");
-    println!(
+    eprintln!(
         "  topology: {} switches / {} links in {:.1}s",
         topo.num_nodes(),
         topo.num_links(),
@@ -222,7 +223,7 @@ fn run_huge(switches: u32, seed: u64) {
     let (tree, cg, table, _released) = DownUp::new()
         .construct_phases(&topo)
         .expect("phase construction failed");
-    println!(
+    eprintln!(
         "  phases 1-3 (no routing tables): {:.1}s, {} channels",
         t1.elapsed().as_secs_f64(),
         cg.num_channels()
@@ -245,7 +246,7 @@ fn run_huge(switches: u32, seed: u64) {
     );
     let predict_seconds = t2.elapsed().as_secs_f64();
     let p = &curve.points[0];
-    println!(
+    eprintln!(
         "  predict: {predict_seconds:.1}s  ({} dests sampled, {} clusters, {} rep sims)",
         curve.dests_sampled, curve.cluster_count, curve.representative_sims
     );
@@ -259,7 +260,7 @@ fn run_huge(switches: u32, seed: u64) {
         curve.sat_throughput,
         if p.saturated { "  [saturated]" } else { "" }
     );
-    println!("  total end-to-end: {:.1}s", t0.elapsed().as_secs_f64());
+    eprintln!("  total end-to-end: {:.1}s", t0.elapsed().as_secs_f64());
 }
 
 fn main() {
@@ -286,17 +287,8 @@ fn main() {
 
     println!("backend: flow vs flit  (seed {seed}, {steps}-step ladder, {PORTS} ports)");
     println!(
-        "{:>6} {:>10} {:>10} {:>8} {:>8} {:>9} {:>9} {:>9} {:>6} {:>5}",
-        "size",
-        "exact_sat",
-        "flow_sat",
-        "sat_err",
-        "med_err",
-        "exact_s",
-        "flow_s",
-        "satpt_s",
-        "clus",
-        "sims"
+        "{:>6} {:>10} {:>10} {:>8} {:>8} {:>6} {:>5}",
+        "size", "exact_sat", "flow_sat", "sat_err", "med_err", "clus", "sims"
     );
     let mut results = Vec::new();
     for (i, &sw) in sizes.iter().enumerate() {
@@ -305,18 +297,19 @@ fn main() {
             p.tick(i + 1);
         }
         println!(
-            "{:>6} {:>10.4} {:>10.4} {:>7.1}% {:>7} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>5}",
+            "{:>6} {:>10.4} {:>10.4} {:>7.1}% {:>7} {:>6} {:>5}",
             r.switches,
             r.exact_sat,
             r.flow_sat,
             r.sat_err * 100.0,
             r.median_err
                 .map_or_else(|| "-".to_string(), |e| format!("{:.1}%", e * 100.0)),
-            r.exact_seconds,
-            r.flow_seconds,
-            r.exact_sat_point_seconds,
             r.cluster_count,
             r.representative_sims,
+        );
+        eprintln!(
+            "{} switches: exact_s {:.3}  flow_s {:.3}  satpt_s {:.3}",
+            r.switches, r.exact_seconds, r.flow_seconds, r.exact_sat_point_seconds
         );
         results.push(r);
     }
@@ -334,14 +327,14 @@ fn main() {
         mean_median_err * 100.0,
         MEDIAN_TOLERANCE * 100.0
     );
-    println!(
+    eprintln!(
         "whole-grid wall: exact {total_exact:.2}s  flow {total_flow:.2}s  ({:.1}x)",
         total_exact / total_flow.max(1e-9)
     );
     if let Some(r) = results.iter().find(|r| r.switches == 512) {
         // Steady-state sweeping: each additional flow point is clustering
         // + cached convolution, vs one full flit run for the exact engine.
-        println!(
+        eprintln!(
             "512-switch saturation point: exact {:.3}s/point  flow (warm) {:.5}s/point  ({:.0}x)",
             r.exact_sat_point_seconds,
             r.warm_point_seconds,

@@ -38,7 +38,7 @@ mod exit;
 use irnet_core::RepairStrategy;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::{sweep, Algo, Instance};
-use irnet_sim::{SimConfig, SimStats, Simulator};
+use irnet_sim::{Halt, SimConfig, SimStats, Simulator};
 use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
 use irnet_topology::{
     gen, topology_from_json, topology_to_json, CommGraph, CoordinatedTree, PreorderPolicy, Topology,
@@ -1097,7 +1097,8 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         &trace,
         o.parse("sim-seed", 7u64),
         10_000_000,
-    );
+    )
+    .map_err(|e| format!("cannot replay the trace: {e}"))?;
     span.finish();
     irnet_sim::record_run_telemetry(&tel, &result.stats);
     println!("packets          : {}", trace.len());
@@ -1222,10 +1223,10 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     }
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
-    let stalled = sim.run_in_place();
+    let halt = sim.advance(cfg.total_cycles());
     span.finish();
-    let incident = stalled.then(|| irnet_obs::deadlock_incident(&sim));
-    let stats = sim.finish_with(stalled);
+    let incident = (halt == Halt::Stalled).then(|| irnet_obs::deadlock_incident(&sim));
+    let stats = sim.finish();
     irnet_sim::record_run_telemetry(&tel, &stats);
     let all_certified = certs
         .iter()
@@ -1597,16 +1598,9 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     let horizon = cfg.total_cycles().max(last_epoch.saturating_add(1_000));
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
-    let mut stalled = false;
-    while sim.now() < horizon {
-        sim.tick();
-        if sim.stalled() {
-            stalled = true;
-            break;
-        }
-    }
+    sim.advance(horizon);
     span.finish();
-    let stats = sim.finish_with(stalled);
+    let stats = sim.finish();
     irnet_sim::record_run_telemetry(&tel, &stats);
     let all_feasible = infeasible_at.is_none();
     let conserved = stats.flits_conserved();
@@ -1926,25 +1920,35 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     } else {
         total
     };
+    // The clock after the last fault, from which no new traffic is offered.
+    let mut cut = last_fault
+        .filter(|_| no_repair)
+        .and_then(|c| c.checked_add(1));
     let tel = irnet_telemetry::current();
     let span = tel.span("sim/run");
-    let mut injecting = true;
-    let mut stalled = false;
-    while sim.now() < horizon {
-        sim.tick();
+    let mut halt = Halt::Reached;
+    while halt == Halt::Reached && sim.now() < horizon {
+        // Past the configured run, only the unrepaired mode goes on, and
+        // only until the network drains.
+        let draining = sim.now() >= total;
+        let mut until = if draining { horizon } else { total };
+        if let Some(s) = &sampler {
+            until = until.min(s.due());
+        }
+        if let Some(c) = cut {
+            until = until.min(c);
+        }
+        halt = if draining {
+            sim.drain(until)
+        } else {
+            sim.advance(until)
+        };
         if let Some(s) = sampler.as_mut() {
             s.maybe_sample(&sim);
         }
-        if no_repair && injecting && last_fault.is_some_and(|c| sim.now() > c) {
+        if cut.is_some_and(|c| sim.now() >= c) {
             sim.set_injection_rate(0.0);
-            injecting = false;
-        }
-        if sim.stalled() {
-            stalled = true;
-            break;
-        }
-        if no_repair && sim.now() >= total && sim.live_packet_count() == 0 {
-            break;
+            cut = None;
         }
     }
     span.finish();
@@ -1952,8 +1956,8 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
         s.force_sample(&sim);
     }
 
-    let incident = stalled.then(|| deadlock_incident(&sim));
-    let stats = sim.finish_with(stalled);
+    let incident = (halt == Halt::Stalled).then(|| deadlock_incident(&sim));
+    let stats = sim.finish();
     irnet_sim::record_run_telemetry(&tel, &stats);
 
     if let Some(incident) = &incident {

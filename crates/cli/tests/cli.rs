@@ -330,6 +330,38 @@ fn unknown_arguments_fail_with_usage() {
     assert!(!r.status.success());
 }
 
+/// A trace entry past the replay's last clock is a malformed input: it
+/// is rejected before anything is simulated, instead of stepping idle
+/// clocks for minutes and wrapping the 32-bit clock.
+#[test]
+fn replay_rejects_an_entry_past_the_horizon_at_once() {
+    let path = tmpfile("late.trace.jsonl");
+    std::fs::write(
+        &path,
+        "{\"time\":0,\"src\":0,\"dst\":1}\n{\"time\":4294967295,\"src\":2,\"dst\":3}\n",
+    )
+    .unwrap();
+    let started = std::time::Instant::now();
+    let r = irnet(&[
+        "replay",
+        "--switches",
+        "16",
+        "--ports",
+        "4",
+        "--trace",
+        path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("trace entry 1 is injected at clock 4294967295"),
+        "{stderr}"
+    );
+    assert!(r.stdout.is_empty(), "replayed anyway");
+    assert!(started.elapsed().as_secs() < 30, "the replay spun first");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn replay_runs_a_synthetic_trace() {
     let r = irnet(&[

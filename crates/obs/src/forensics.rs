@@ -125,9 +125,11 @@ fn ids(channels: &[ChannelId]) -> Value {
 /// certifier's verdict on it (minimized witness cycle for a circular
 /// wait).
 ///
-/// Intended to be called when [`Simulator::run_in_place`] reports a fired
-/// watchdog, but valid at any point of a run — on a healthy network it
-/// simply reports few or no blocked worms and an acyclic waits-for graph.
+/// Intended to be called when [`Simulator::advance`] or
+/// [`Simulator::drain`] returns [`irnet_sim::Halt::Stalled`], but valid
+/// between any two driver calls, which leave the per-flit state — on a
+/// healthy network it simply reports few or no blocked worms and an
+/// acyclic waits-for graph.
 pub fn deadlock_incident(sim: &Simulator) -> Incident {
     let worms = sim.blocked_worms();
     let mut edge_set: BTreeSet<(ChannelId, ChannelId)> = BTreeSet::new();
@@ -179,9 +181,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(routing.comm_graph(), routing.routing_tables(), cfg, 11);
-        for _ in 0..200 {
-            sim.tick();
-        }
+        sim.advance(200);
         let incident = deadlock_incident(&sim);
         // DOWN/UP is deadlock-free: any momentary blocking must be acyclic.
         assert!(!incident.is_circular_wait());

@@ -48,10 +48,11 @@ fn busiest<T: Copy + Ord + Default>(values: &[T]) -> Option<(u32, T)> {
 /// Samples live counters from a [`Simulator`] every `every` cycles into a
 /// time series.
 ///
-/// The sampler is pull-based: the driving loop calls
-/// [`IntervalSampler::maybe_sample`] once per step (or as often as it
-/// likes) and the sampler decides whether the interval has elapsed. It
-/// only ever *reads* the simulator, so sampling cannot perturb a run.
+/// The sampler is pull-based: the driving loop advances the simulator to
+/// [`IntervalSampler::due`] (or calls [`IntervalSampler::maybe_sample`] as
+/// often as it likes) and the sampler decides whether the interval has
+/// elapsed. It only ever *reads* the simulator, so sampling cannot perturb
+/// a run.
 #[derive(Debug, Clone)]
 pub struct IntervalSampler {
     every: u32,
@@ -78,6 +79,12 @@ impl IntervalSampler {
     /// The configured interval.
     pub fn interval(&self) -> u32 {
         self.every
+    }
+
+    /// The clock of the next snapshot: [`IntervalSampler::maybe_sample`]
+    /// takes one at the first call at or after it.
+    pub fn due(&self) -> u32 {
+        self.due
     }
 
     /// Takes a snapshot if the interval has elapsed; returns whether one
@@ -178,8 +185,8 @@ mod tests {
         };
         let mut sim = Simulator::new(routing.comm_graph(), routing.routing_tables(), cfg, 7);
         let mut sampler = IntervalSampler::new(100);
-        for _ in 0..600 {
-            sim.tick();
+        while sim.now() < 600 {
+            sim.advance(sampler.due().min(600));
             sampler.maybe_sample(&sim);
         }
         assert_eq!(sampler.samples().len(), 6);

@@ -57,6 +57,19 @@ struct Packet {
     detours: u32,
 }
 
+/// Why a driver call ([`Simulator::advance`], [`Simulator::drain`])
+/// returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halt {
+    /// The clock reached the target.
+    Reached,
+    /// No packet is live ([`Simulator::drain`] only).
+    Drained,
+    /// The stall watchdog fired: live packets, but nothing moved for more
+    /// than `deadlock_threshold` cycles.
+    Stalled,
+}
+
 /// The wormhole network simulator. See the crate docs for the model.
 ///
 /// Two scheduling cores share every data structure and mutation helper
@@ -165,10 +178,11 @@ pub struct Simulator<'a> {
     /// Packets whose header was ejected this clock while streaming is on:
     /// the drain's candidates.
     ejected_headers: Vec<u32>,
-    /// Whether header ejections start drains: only inside
-    /// [`Simulator::run_in_place`], on the active-set core with one virtual
-    /// channel and no recorder.
+    /// Whether header ejections start drains: only inside a driver call,
+    /// on the active-set core with one virtual channel and no recorder.
     streaming: bool,
+    /// Whether the stall watchdog fired ([`SimStats::deadlocked`]).
+    stalled: bool,
 
     /// Per-source next scheduled arrival, keyed `(cycle, node)` — only
     /// used by [`InjectionSampling::Geometric`].
@@ -210,6 +224,11 @@ pub struct Simulator<'a> {
     /// Packets not yet fully delivered (includes queued ones).
     live_packets: u64,
     last_progress: u32,
+    /// Clock at which `live_packets` last rose from zero. The watchdog
+    /// counts a stall from here or from `last_progress`, whichever is
+    /// later, so a packet arriving after a long idle spell is not taken
+    /// for a wedge.
+    live_since: u32,
 
     // Measurement (only touched when `now >= warmup_cycles`).
     flits_delivered: u64,
@@ -291,6 +310,7 @@ impl<'a> Simulator<'a> {
             held_in: ActiveSet::new(num_inputs),
             ejected_headers: Vec::new(),
             streaming: false,
+            stalled: false,
             next_arrival: BinaryHeap::new(),
             arrival_pending: vec![false; n],
             recorder: None,
@@ -306,6 +326,7 @@ impl<'a> Simulator<'a> {
             delivered_flits_total: 0,
             live_packets: 0,
             last_progress: 0,
+            live_since: 0,
             flits_delivered: 0,
             packets_delivered: 0,
             latency_sum: 0,
@@ -327,42 +348,55 @@ impl<'a> Simulator<'a> {
     /// predictor's neighborhood sims must not count as `sim/*` runs;
     /// callers measuring a run feed [`crate::record_run_telemetry`].
     pub fn run(mut self) -> SimStats {
-        let deadlocked = self.run_in_place();
-        self.into_stats(deadlocked)
+        self.advance(self.cfg.total_cycles());
+        self.finish()
     }
 
-    /// The watchdog loop behind [`Simulator::run`], usable without
-    /// consuming the simulator: steps until the configured horizon and
-    /// returns `true` if the stall watchdog fired first. The caller can
-    /// then inspect the wedged state (e.g. [`Simulator::blocked_worms`])
-    /// before finalizing with [`Simulator::finish_with`].
+    /// Steps until the clock reaches `until` or the stall watchdog fires.
+    /// A caller can read the state, enqueue packets, change the load or
+    /// attach a recorder between calls, and finalizes with
+    /// [`Simulator::finish`]. A clock already at `until` steps nothing.
+    pub fn advance(&mut self, until: u32) -> Halt {
+        self.step_until(until, false)
+    }
+
+    /// Like [`Simulator::advance`], but also stops as soon as no packet is
+    /// live ([`Halt::Drained`], checked before each clock).
+    pub fn drain(&mut self, until: u32) -> Halt {
+        self.step_until(until, true)
+    }
+
+    /// The one stepping loop behind every driver. The watchdog fires when
+    /// live packets exist but nothing has moved for more than
+    /// `deadlock_threshold` cycles; the simulator remembers it, so
+    /// [`Simulator::finish`] reports the run as deadlocked.
     ///
     /// On the active-set core with one virtual channel and no recorder,
     /// worms whose header has been ejected stream through their private
     /// path in closed form (DESIGN.md §11); every such drain is settled
     /// before this returns, so the state it leaves is the per-flit one.
-    pub fn run_in_place(&mut self) -> bool {
-        let total = self.cfg.total_cycles();
+    fn step_until(&mut self, until: u32, drain: bool) -> Halt {
         self.streaming = self.cfg.engine_core == EngineCore::ActiveSet
             && self.vcs == 1
             && self.recorder.is_none();
-        let mut stalled = false;
-        while self.now < total {
-            self.step();
-            if self.stalled() {
-                stalled = true;
-                break;
+        let halt = loop {
+            if drain && self.live_packets == 0 {
+                break Halt::Drained;
             }
-        }
+            if self.now >= until {
+                break Halt::Reached;
+            }
+            self.step();
+            if self.live_packets > 0
+                && self.now - self.last_progress.max(self.live_since) > self.cfg.deadlock_threshold
+            {
+                self.stalled = true;
+                break Halt::Stalled;
+            }
+        };
         self.streaming = false;
         self.settle_drains();
-        stalled
-    }
-
-    /// The watchdog predicate: live packets exist but nothing has moved
-    /// for more than `deadlock_threshold` cycles.
-    pub fn stalled(&self) -> bool {
-        self.live_packets > 0 && self.now - self.last_progress > self.cfg.deadlock_threshold
+        halt
     }
 
     /// Attaches a structured-event recorder. Recording is strictly
@@ -392,7 +426,7 @@ impl<'a> Simulator<'a> {
         });
         self.src_queue[src as usize].push_back(id);
         self.activate_input(self.num_invc + src as usize);
-        self.live_packets += 1;
+        self.count_live_packet();
         if self.measuring() {
             self.packets_generated += 1;
             self.node_packets_generated[src as usize] += 1;
@@ -458,24 +492,6 @@ impl<'a> Simulator<'a> {
             .push(Reverse((from.saturating_add(skip), v)));
     }
 
-    /// Advances the clock by one cycle (public stepping for custom loops;
-    /// [`Simulator::run`] is the turnkey driver).
-    pub fn tick(&mut self) {
-        self.step();
-    }
-
-    /// Runs until every in-flight packet is delivered or `max_cycles` more
-    /// cycles elapse; returns true if the network drained.
-    pub fn drain(&mut self, max_cycles: u32) -> bool {
-        for _ in 0..max_cycles {
-            if self.live_packets == 0 {
-                return true;
-            }
-            self.step();
-        }
-        self.live_packets == 0
-    }
-
     /// Packets not yet fully delivered.
     pub fn live_packet_count(&self) -> u64 {
         self.live_packets
@@ -484,17 +500,6 @@ impl<'a> Simulator<'a> {
     /// The current clock.
     pub fn now(&self) -> u32 {
         self.now
-    }
-
-    /// Finalizes the run and returns the statistics collected so far.
-    pub fn finish(self) -> SimStats {
-        self.into_stats(false)
-    }
-
-    /// Like [`Simulator::finish`], but records whether the watchdog
-    /// aborted the run (pairs with [`Simulator::run_in_place`]).
-    pub fn finish_with(self, deadlocked: bool) -> SimStats {
-        self.into_stats(deadlocked)
     }
 
     /// The simulator's configuration (kept current by
@@ -675,7 +680,9 @@ impl<'a> Simulator<'a> {
         out
     }
 
-    fn into_stats(mut self, deadlocked: bool) -> SimStats {
+    /// Finalizes the run and returns the statistics collected so far;
+    /// `deadlocked` is set if the watchdog fired in any driver call.
+    pub fn finish(mut self) -> SimStats {
         // Parked headers owe the blocked cycles they skipped.
         self.unpark_all();
         SimStats {
@@ -696,7 +703,7 @@ impl<'a> Simulator<'a> {
             node_packets_generated: self.node_packets_generated,
             header_block_cycles: self.header_block_cycles,
             buffered_flit_cycles: self.buffered_flit_cycles,
-            deadlocked,
+            deadlocked: self.stalled,
             flits_in_flight: self.buffered_flits,
             dropped_flits: self.dropped_flits,
             dropped_packets: self.dropped_packets,
@@ -1138,7 +1145,7 @@ impl<'a> Simulator<'a> {
         });
         self.src_queue[v as usize].push_back(id);
         self.activate_input(self.num_invc + v as usize);
-        self.live_packets += 1;
+        self.count_live_packet();
         if self.measuring() {
             self.packets_generated += 1;
             self.node_packets_generated[v as usize] += 1;
@@ -1779,6 +1786,15 @@ impl<'a> Simulator<'a> {
     fn note_progress(&mut self) {
         self.last_progress = self.now;
     }
+
+    /// Counts one more live packet, noting when the network stops being
+    /// idle.
+    fn count_live_packet(&mut self) {
+        if self.live_packets == 0 {
+            self.live_since = self.now;
+        }
+        self.live_packets += 1;
+    }
 }
 
 /// Outcome of one header arbitration.
@@ -2225,15 +2241,11 @@ mod tests {
         assert!((sim.inject_p - 0.2 / 8.0).abs() < 1e-12);
         sim.set_injection_rate(0.0);
         assert_eq!(sim.inject_p, 0.0);
-        for _ in 0..100 {
-            sim.step();
-        }
+        sim.advance(100);
         assert_eq!(sim.packets.len(), 0, "zero rate must stop injection");
         sim.set_injection_rate(0.4);
         assert!((sim.inject_p - 0.4 / 8.0).abs() < 1e-12);
-        for _ in 0..500 {
-            sim.step();
-        }
+        sim.advance(600);
         assert!(!sim.packets.is_empty(), "restored rate must inject again");
     }
 
@@ -2387,7 +2399,11 @@ mod tests {
             };
             let mut sim = Simulator::new(&cg, &rt, cfg, 1);
             sim.enqueue_packet(0, dst);
-            assert!(sim.drain(10_000), "single packet failed to drain");
+            assert_eq!(
+                sim.drain(10_000),
+                Halt::Drained,
+                "single packet failed to drain"
+            );
             let stats = sim.finish();
             assert_eq!(stats.packets_delivered, 1);
             assert_eq!(
@@ -2414,7 +2430,7 @@ mod tests {
             sim.enqueue_packet(s, (s + 3) % 10);
         }
         assert_eq!(sim.live_packet_count(), 10);
-        assert!(sim.drain(50_000));
+        assert_eq!(sim.drain(50_000), Halt::Drained);
         assert_eq!(sim.live_packet_count(), 0);
         let stats = sim.finish();
         assert_eq!(stats.packets_delivered, 10);
@@ -2620,9 +2636,7 @@ mod tests {
             let reversed = run([up, down]);
             let mut sim = Simulator::new(cg, rt, cfg, 7);
             sim.schedule_reconfig(down);
-            while sim.now() <= down.cycle {
-                sim.tick();
-            }
+            sim.advance(down.cycle + 1);
             assert_eq!(sim.reconfig_epochs, 1);
             sim.schedule_reconfig(up);
             let late = sim.run();
@@ -2724,12 +2738,11 @@ mod tests {
                     for e in &epochs {
                         sim.schedule_reconfig(e);
                     }
-                    for cycle in 0..3_000 {
-                        if Some(cycle) == rate_change_at {
-                            sim.set_injection_rate(0.002);
-                        }
-                        sim.step();
+                    if let Some(cycle) = rate_change_at {
+                        sim.advance(cycle);
+                        sim.set_injection_rate(0.002);
                     }
+                    sim.advance(3_000);
                     let pending = sim
                         .next_arrival
                         .iter()
@@ -2761,7 +2774,7 @@ mod tests {
                     ..quick_cfg(0.2)
                 };
                 let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 1);
-                assert!(!sim.run_in_place());
+                assert_eq!(sim.advance(cfg.total_cycles()), Halt::Reached);
                 (
                     sim.work_counters().arrival_samples,
                     sim.packets.len() as u64,
@@ -2837,7 +2850,7 @@ mod tests {
                 ..quick_cfg(0.8)
             };
             let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 1);
-            assert!(!sim.run_in_place());
+            assert_eq!(sim.advance(cfg.total_cycles()), Halt::Reached);
             (sim.work_counters(), sim.finish())
         };
         let (dense_work, dense) = run(EngineCore::DenseReference);
@@ -2870,7 +2883,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 1);
-            assert!(!sim.run_in_place());
+            assert_eq!(sim.advance(cfg.total_cycles()), Halt::Reached);
             let work = sim.work_counters();
             if std::env::var("PRINT_ENGINE_GOLDEN").is_ok() {
                 println!("rate {rate}: {work:?}");
@@ -2940,9 +2953,10 @@ mod tests {
                 ..SimConfig::default()
             };
             let mut sim = Simulator::new(&cg, &rt, cfg, 4);
-            assert!(sim.run_in_place(), "the ring must wedge");
+            let halt = sim.advance(cfg.total_cycles());
+            assert_eq!(halt, Halt::Stalled, "the ring must wedge");
             let worms = sim.blocked_worms();
-            (worms, sim.finish_with(true))
+            (worms, sim.finish())
         };
         let (dense_worms, dense) = run(EngineCore::DenseReference);
         let (active_worms, active) = run(EngineCore::ActiveSet);
@@ -2991,12 +3005,9 @@ mod tests {
             blocks: Vec::new(),
         };
         let mut sim = Simulator::new(cg, rt, cfg, 2);
-        for _ in 0..attach_at {
-            sim.tick();
-        }
+        sim.advance(attach_at);
         sim.attach_recorder(&mut late);
-        let deadlocked = sim.run_in_place();
-        assert_eq!(plain, sim.finish_with(deadlocked));
+        assert_eq!(plain, sim.run());
         whole.blocks.retain(|e| e.cycle() >= attach_at);
         assert!(!late.blocks.is_empty());
         assert_eq!(late.blocks, whole.blocks);
@@ -3118,17 +3129,10 @@ mod tests {
         };
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 12);
         sim.schedule_reconfig(&epoch);
-        for _ in 0..1_000 {
-            sim.step();
-        }
+        sim.advance(1_000);
         sim.set_injection_rate(0.0);
-        for _ in 0..20_000 {
-            sim.step();
-            if sim.live_packets == 0 {
-                break;
-            }
-        }
-        assert_eq!(sim.live_packets, 0, "network failed to drain after fault");
+        let halt = sim.drain(21_000);
+        assert_eq!(halt, Halt::Drained, "network failed to drain after fault");
         assert_eq!(sim.buffered_flits, 0);
         let generated = sim.packets.len() as u64;
         let stats = sim.finish();
@@ -3149,20 +3153,12 @@ mod tests {
             measure_cycles: 4_000,
             ..SimConfig::default()
         };
-        // Run a bespoke loop: inject for 1000 cycles, then drain.
+        // Inject for 1000 cycles, then drain.
         let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 12);
-        for _ in 0..1_000 {
-            sim.step();
-        }
+        sim.advance(1_000);
         // Stop generating and drain.
         sim.set_injection_rate(0.0);
-        for _ in 0..20_000 {
-            sim.step();
-            if sim.live_packets == 0 {
-                break;
-            }
-        }
-        assert_eq!(sim.live_packets, 0, "network failed to drain");
+        assert_eq!(sim.drain(21_000), Halt::Drained, "network failed to drain");
         assert_eq!(sim.buffered_flits, 0);
         let generated = sim.packets.len() as u64;
         assert_eq!(sim.flits_delivered, generated * 4);

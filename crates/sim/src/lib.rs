@@ -26,8 +26,9 @@
 //! DESIGN.md §11): the default occupancy-driven *active-set* core, whose
 //! per-cycle cost scales with the number of entries that can act rather
 //! than the network size, and a dense reference scan kept for
-//! differential testing. Inside [`Simulator::run`] the active-set core
-//! also streams drained worms: with one virtual channel, a worm whose
+//! differential testing. In every driver call ([`Simulator::run`],
+//! [`Simulator::advance`], [`Simulator::drain`]) the active-set core also
+//! streams drained worms: with one virtual channel, a worm whose
 //! header has been ejected owns its whole path until its tail leaves the
 //! source, so once its pipeline moves a flit at every stage per clock the
 //! skipped clocks are settled in closed form, with identical statistics.
@@ -64,7 +65,7 @@ pub mod trace;
 mod traffic;
 
 pub use config::{EngineCore, InjectionSampling, RouteChoice, SimConfig};
-pub use engine::{Simulator, WorkCounters};
+pub use engine::{Halt, Simulator, WorkCounters};
 pub use hist::Histogram;
 pub use record::{BlockedWorm, Recorder, SimEvent};
 pub use stats::{record_run_telemetry, SimStats};

@@ -8,7 +8,7 @@
 //! on *exactly* the same packet sequence.
 
 use crate::config::SimConfig;
-use crate::engine::Simulator;
+use crate::engine::{Halt, Simulator, WorkCounters};
 use crate::stats::SimStats;
 use irnet_topology::{CommGraph, NodeId};
 use irnet_turns::RoutingTables;
@@ -44,6 +44,16 @@ pub enum TraceError {
     },
     /// Malformed CSV input.
     Parse(String),
+    /// An entry is injected after the replay's last clock
+    /// (`measure_cycles`; replays have no warm-up).
+    PastHorizon {
+        /// Index of the offending entry (in time order).
+        index: usize,
+        /// Its injection clock.
+        time: u32,
+        /// The replay's last clock.
+        horizon: u32,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -56,6 +66,15 @@ impl std::fmt::Display for TraceError {
                 write!(f, "trace entry {index} references unknown node {node}")
             }
             TraceError::Parse(msg) => write!(f, "trace parse error: {msg}"),
+            TraceError::PastHorizon {
+                index,
+                time,
+                horizon,
+            } => write!(
+                f,
+                "trace entry {index} is injected at clock {time}, \
+                 after the replay's last clock {horizon}"
+            ),
         }
     }
 }
@@ -225,14 +244,22 @@ pub struct ReplayResult {
     /// Standard simulation statistics (all packets are measured).
     pub stats: SimStats,
     /// Clock at which the last flit was delivered (`None` if the network
-    /// failed to drain within the deadline).
+    /// failed to drain within the deadline or the watchdog fired).
     pub makespan: Option<u32>,
+    /// The simulator's scheduling work over the replay.
+    pub work: WorkCounters,
 }
 
 /// Replays `trace` over a routing: injects each entry at its clock, then
 /// drains. `cfg.injection_rate` is ignored (forced to zero);
 /// `cfg.warmup_cycles` is forced to zero so every packet is measured.
-/// `drain_deadline` bounds the drain phase.
+/// `drain_deadline` bounds the drain phase, which starts on the clock
+/// after the last injection.
+///
+/// # Errors
+///
+/// [`TraceError::PastHorizon`] for an entry injected after
+/// `cfg.measure_cycles`, checked before anything is simulated.
 pub fn replay(
     cg: &CommGraph,
     tables: &RoutingTables,
@@ -240,27 +267,38 @@ pub fn replay(
     trace: &Trace,
     seed: u64,
     drain_deadline: u32,
-) -> ReplayResult {
+) -> Result<ReplayResult, TraceError> {
     let cfg = SimConfig {
         injection_rate: 0.0,
         warmup_cycles: 0,
         ..cfg
     };
+    let horizon = cfg.total_cycles();
+    if let Some(index) = trace.entries.iter().position(|e| e.time > horizon) {
+        return Err(TraceError::PastHorizon {
+            index,
+            time: trace.entries[index].time,
+            horizon,
+        });
+    }
     let mut sim = Simulator::new(cg, tables, cfg, seed);
-    let mut i = 0;
-    while i < trace.entries.len() {
-        while i < trace.entries.len() && trace.entries[i].time <= sim.now() {
-            sim.enqueue_packet(trace.entries[i].src, trace.entries[i].dst);
-            i += 1;
+    let mut halt = Halt::Reached;
+    for e in &trace.entries {
+        halt = sim.advance(e.time);
+        if halt == Halt::Stalled {
+            break;
         }
-        sim.tick();
+        sim.enqueue_packet(e.src, e.dst);
     }
-    let drained = sim.drain(drain_deadline);
-    let makespan = drained.then(|| sim.now());
-    ReplayResult {
+    if halt != Halt::Stalled {
+        let start = trace.entries.last().map_or(0, |e| e.time.saturating_add(1));
+        halt = sim.drain(start.saturating_add(drain_deadline));
+    }
+    Ok(ReplayResult {
+        makespan: (halt == Halt::Drained).then(|| sim.now()),
+        work: sim.work_counters(),
         stats: sim.finish(),
-        makespan,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -358,7 +396,8 @@ mod tests {
             &trace,
             1,
             100_000,
-        );
+        )
+        .unwrap();
         let makespan = result.makespan.expect("trace must drain");
         assert_eq!(result.stats.packets_delivered, 60);
         assert_eq!(result.stats.flits_delivered, 60 * 8);
@@ -381,7 +420,8 @@ mod tests {
             &trace,
             2,
             200_000,
-        );
+        )
+        .unwrap();
         assert!(result.makespan.is_some(), "incast deadlocked or stalled");
         assert_eq!(result.stats.packets_delivered, 15);
         // Ejection is the bottleneck: makespan at least 15 packets × 8
@@ -401,7 +441,8 @@ mod tests {
             &trace,
             3,
             100_000,
-        );
+        )
+        .unwrap();
         let b = replay(
             r.comm_graph(),
             r.routing_tables(),
@@ -409,8 +450,60 @@ mod tests {
             &trace,
             3,
             100_000,
-        );
+        )
+        .unwrap();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.stats.latency_sum, b.stats.latency_sum);
+    }
+
+    #[test]
+    fn entries_past_the_horizon_are_rejected_before_simulating() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(12, 4), 3).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let cfg = SimConfig {
+            measure_cycles: 1_000,
+            ..quick_cfg()
+        };
+        let entry = |time| TraceEntry {
+            time,
+            src: 0,
+            dst: 1,
+        };
+        let run = |times: &[u32]| {
+            let trace = Trace::new(times.iter().map(|&t| entry(t)).collect(), 12).unwrap();
+            replay(r.comm_graph(), r.routing_tables(), cfg, &trace, 1, u32::MAX)
+        };
+        // The last clock is still a valid injection time, and a saturated
+        // drain deadline neither overflows nor spins once drained.
+        let at_horizon = run(&[5, 1_000]).unwrap();
+        assert_eq!(at_horizon.stats.packets_delivered, 2);
+        assert!(at_horizon.makespan.is_some_and(|m| m > 1_000));
+        assert_eq!(
+            run(&[5, 1_001, u32::MAX]).unwrap_err(),
+            TraceError::PastHorizon {
+                index: 1,
+                time: 1_001,
+                horizon: 1_000
+            }
+        );
+    }
+
+    /// A packet injected after an idle spell longer than the watchdog's
+    /// threshold is not a stall.
+    #[test]
+    fn a_packet_after_a_long_idle_spell_drains() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(12, 4), 3).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let cfg = quick_cfg();
+        let idle = cfg.deadlock_threshold + 100;
+        let entries = [0, idle].map(|time| TraceEntry {
+            time,
+            src: 0,
+            dst: 1,
+        });
+        let trace = Trace::new(entries.to_vec(), 12).unwrap();
+        let result = replay(r.comm_graph(), r.routing_tables(), cfg, &trace, 1, 10_000).unwrap();
+        assert!(result.makespan.is_some_and(|m| m > idle));
+        assert!(!result.stats.deadlocked);
     }
 }

@@ -36,7 +36,7 @@ fn main() {
         let mut table = TextTable::new(&["algorithm", "makespan", "avg latency", "p99 latency"]);
         for algo in algos {
             let inst = algo.construct(&topo, PreorderPolicy::M1, 0).unwrap();
-            let result = replay(&inst.cg, &inst.tables, cfg, trace, 7, 2_000_000);
+            let result = replay(&inst.cg, &inst.tables, cfg, trace, 7, 2_000_000).unwrap();
             let makespan = result.makespan.expect("trace must drain");
             assert_eq!(result.stats.packets_delivered as usize, trace.len());
             table.row(vec![

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use irnet_metrics::{Algo, Instance};
     pub use irnet_obs::{deadlock_incident, FlightRecorder, Incident, IntervalSampler};
     pub use irnet_sim::{
-        ArrivalProcess, EngineCore, InjectionSampling, Recorder, RouteChoice, SimConfig, SimEvent,
-        SimStats, Simulator, TrafficPattern,
+        ArrivalProcess, EngineCore, Halt, InjectionSampling, Recorder, RouteChoice, SimConfig,
+        SimEvent, SimStats, Simulator, TrafficPattern,
     };
     pub use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
     pub use irnet_topology::analysis;

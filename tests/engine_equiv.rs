@@ -126,6 +126,129 @@ proptest! {
     }
 }
 
+/// What a driver does between two chunks of a run.
+#[derive(Debug, Clone, Copy)]
+enum Nudge {
+    /// Queue one packet, `src != dst`.
+    Enqueue(u32, u32),
+    /// Change the offered load.
+    Rate(f64),
+}
+
+/// What a caller reads between two driver calls: the clock, the buffered
+/// flits, each channel's occupancy and its flits so far.
+type Snapshot = (u32, u64, Vec<u32>, Vec<u64>);
+
+/// Runs `cfg` on `core`, applying each `(clock, nudge)` at its clock and
+/// also returning to the caller at every clock in `cuts`, where it takes
+/// a [`Snapshot`]. Clocks past the horizon are not visited.
+fn drive(
+    inst: &Instance,
+    cfg: SimConfig,
+    core: EngineCore,
+    seed: u64,
+    nudges: &[(u32, Nudge)],
+    cuts: &[u32],
+) -> (SimStats, Vec<Snapshot>) {
+    let cfg = SimConfig {
+        engine_core: core,
+        ..cfg
+    };
+    let mut sim = Simulator::new(&inst.cg, &inst.tables, cfg, seed);
+    let mut stops: Vec<u32> = cuts
+        .iter()
+        .chain(nudges.iter().map(|(t, _)| t))
+        .copied()
+        .filter(|&t| t <= cfg.total_cycles())
+        .collect();
+    stops.sort_unstable();
+    stops.dedup();
+    let mut snapshots = Vec::new();
+    for stop in stops {
+        if sim.advance(stop) == Halt::Stalled {
+            break;
+        }
+        let mut occupancy = Vec::new();
+        sim.channel_occupancy(&mut occupancy);
+        snapshots.push((
+            sim.now(),
+            sim.buffered_flit_count(),
+            occupancy,
+            sim.channel_flits_so_far().to_vec(),
+        ));
+        for &(_, nudge) in nudges.iter().filter(|(t, _)| *t == stop) {
+            match nudge {
+                Nudge::Enqueue(src, dst) => {
+                    sim.enqueue_packet(src, dst);
+                }
+                Nudge::Rate(rate) => sim.set_injection_rate(rate),
+            }
+        }
+    }
+    sim.advance(cfg.total_cycles());
+    (sim.finish(), snapshots)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// A run advanced in uneven chunks streams inside each chunk and
+    /// settles at each return. Without nudges it ends where one `run()`
+    /// does; with packets enqueued and the load changed between chunks it
+    /// ends where the same nudges applied with no extra chunks end. Its
+    /// state at every return and its end match the dense core's, which
+    /// never streams.
+    #[test]
+    fn chunked_advance_matches_one_run_and_the_dense_core(
+        (n, ports, seed) in net_params(),
+        rate in 0.05f64..0.5,
+        packet_len in 16u32..=64,
+        buffer_depth in 2u32..=4,
+        plan_seed in 0u64..1_000_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let topo = build(n, ports, seed);
+        let inst = Algo::DownUp { release: true }
+            .construct(&topo, PreorderPolicy::M1, seed).unwrap();
+        let cfg = SimConfig {
+            packet_len,
+            injection_rate: rate,
+            buffer_depth,
+            warmup_cycles: 300,
+            measure_cycles: 1_500,
+            deadlock_threshold: 4_000,
+            ..SimConfig::default()
+        };
+        let mut plan = rand_chacha::ChaCha8Rng::seed_from_u64(plan_seed);
+        let mut clock = 0;
+        let cuts: Vec<u32> = (0..plan.gen_range(1..12usize))
+            .map(|_| {
+                clock += plan.gen_range(1..300u32);
+                clock
+            })
+            .collect();
+        let nudges: Vec<(u32, Nudge)> = (0..plan.gen_range(0..6usize))
+            .map(|_| {
+                let t = plan.gen_range(0..1_800u32);
+                let nudge = if plan.gen_bool(0.5) {
+                    Nudge::Rate(plan.gen_range(0..500u32) as f64 / 1_000.0)
+                } else {
+                    let src = plan.gen_range(0..n);
+                    Nudge::Enqueue(src, (src + plan.gen_range(1..n)) % n)
+                };
+                (t, nudge)
+            })
+            .collect();
+        let (chunked, _) = drive(&inst, cfg, EngineCore::ActiveSet, seed, &[], &cuts);
+        prop_assert_eq!(chunked, run_core(&inst, cfg, EngineCore::ActiveSet, seed));
+        let chunked = drive(&inst, cfg, EngineCore::ActiveSet, seed, &nudges, &cuts);
+        let (once, _) = drive(&inst, cfg, EngineCore::ActiveSet, seed, &nudges, &[]);
+        let dense = drive(&inst, cfg, EngineCore::DenseReference, seed, &nudges, &cuts);
+        prop_assert_eq!(&chunked.0, &once, "n={} len={} depth={}", n, packet_len, buffer_depth);
+        prop_assert_eq!(&chunked, &dense, "n={} len={} depth={}", n, packet_len, buffer_depth);
+    }
+}
+
 /// Flit moves the active core settled without visiting them in a run of
 /// `horizon` clocks.
 fn streamed_by(inst: &Instance, base: SimConfig, seed: u64, horizon: u32) -> u64 {
@@ -135,7 +258,7 @@ fn streamed_by(inst: &Instance, base: SimConfig, seed: u64, horizon: u32) -> u64
         ..base
     };
     let mut sim = Simulator::new(&inst.cg, &inst.tables, cfg, seed);
-    sim.run_in_place();
+    sim.advance(horizon);
     sim.work_counters().streamed_moves
 }
 
@@ -163,7 +286,7 @@ fn skipped_clock(inst: &Instance, base: SimConfig, seed: u64, from: u32) -> u32 
 
 /// Manual trace-style stepping (enqueue + drain) must also be
 /// core-independent — it exercises `enqueue_packet`, `set_injection_rate`
-/// and the drain loop rather than `run()`.
+/// and `drain` rather than `run()`.
 #[test]
 fn cores_agree_on_manual_stepping() {
     let topo = build(14, 4, 77);
@@ -183,11 +306,9 @@ fn cores_agree_on_manual_stepping() {
         for s in 0..14u32 {
             sim.enqueue_packet(s, (s + 5) % 14);
         }
-        for _ in 0..800 {
-            sim.tick();
-        }
+        sim.advance(800);
         sim.set_injection_rate(0.0);
-        assert!(sim.drain(50_000), "network failed to drain");
+        assert_eq!(sim.drain(50_800), Halt::Drained, "network failed to drain");
         sim.finish()
     };
     let dense = drive(EngineCore::DenseReference);
@@ -248,7 +369,7 @@ fn a_packet_behind_a_streaming_worm_starts_when_its_tail_leaves() {
         let mut sim = Simulator::new(&inst.cg, &inst.tables, cfg, 1);
         sim.enqueue_packet(0, 3);
         sim.enqueue_packet(0, 3);
-        assert!(!sim.run_in_place());
+        assert_eq!(sim.advance(1_000), Halt::Reached);
         (sim.work_counters().streamed_moves, sim.finish())
     };
     let (streamed, active) = drive(EngineCore::ActiveSet);
@@ -261,10 +382,10 @@ fn a_packet_behind_a_streaming_worm_starts_when_its_tail_leaves() {
     assert_eq!(active.latency_sum, u64::from(first + len + first));
 }
 
-/// `run()` streams, a `tick()` loop does not: both end in the same
-/// statistics.
+/// `run()` streams on the active core, the dense core never does: both
+/// end in the same statistics.
 #[test]
-fn run_matches_a_tick_loop() {
+fn run_streams_and_matches_the_dense_core() {
     let topo = build(16, 4, 5);
     let inst = Algo::DownUp { release: true }
         .construct(&topo, PreorderPolicy::M1, 5)
@@ -279,15 +400,41 @@ fn run_matches_a_tick_loop() {
             ..SimConfig::default()
         };
         let mut streamed = Simulator::new(&inst.cg, &inst.tables, cfg, 3);
-        assert!(!streamed.run_in_place());
+        assert_eq!(streamed.advance(cfg.total_cycles()), Halt::Reached);
         assert!(streamed.work_counters().streamed_moves > 0, "{sampling:?}");
-        let mut ticked = Simulator::new(&inst.cg, &inst.tables, cfg, 3);
-        for _ in 0..cfg.total_cycles() {
-            ticked.tick();
-        }
-        assert_eq!(ticked.work_counters().streamed_moves, 0);
-        assert_eq!(streamed.finish(), ticked.finish(), "{sampling:?}");
+        let dense = run_core(&inst, cfg, EngineCore::DenseReference, 3);
+        assert_eq!(streamed.finish(), dense, "{sampling:?}");
     }
+}
+
+/// A replay advances to each entry's clock and then drains, so it streams
+/// on the active core like `run()` and ends where the dense core's replay
+/// does.
+#[test]
+fn replay_streams_and_matches_the_dense_core() {
+    use irnet::sim::{replay, Trace};
+    let topo = build(16, 4, 9);
+    let inst = Algo::DownUp { release: true }
+        .construct(&topo, PreorderPolicy::M1, 9)
+        .unwrap();
+    let trace = Trace::synthetic_uniform(16, 300, 6_000, 4);
+    let run = |core| {
+        let cfg = SimConfig {
+            packet_len: 64,
+            warmup_cycles: 0,
+            measure_cycles: u32::MAX / 2,
+            engine_core: core,
+            ..SimConfig::default()
+        };
+        replay(&inst.cg, &inst.tables, cfg, &trace, 7, 1_000_000).unwrap()
+    };
+    let active = run(EngineCore::ActiveSet);
+    let dense = run(EngineCore::DenseReference);
+    assert!(active.work.streamed_moves > 0, "no worm streamed");
+    assert_eq!(dense.work.streamed_moves, 0);
+    assert!(active.makespan.is_some(), "the trace must drain");
+    assert_eq!(active.makespan, dense.makespan);
+    assert_eq!(active.stats, dense.stats);
 }
 
 /// The paper's Fig. 8 fabric size with 8 ports: 128 switches, both

@@ -11,8 +11,8 @@ use irnet::sim::SimEvent;
 use proptest::prelude::*;
 
 /// Runs `cfg` on the DOWN/UP routing of `topo`, optionally with a flight
-/// recorder and a 64-cycle interval sampler attached, reproducing the
-/// engine's own run loop (step, sample, watchdog check).
+/// recorder and a 64-cycle interval sampler attached (the observed run
+/// advances from one sample to the next).
 fn run_observed(
     routing: &DownUpRouting,
     cfg: SimConfig,
@@ -26,18 +26,16 @@ fn run_observed(
         sim.attach_recorder(&mut recorder);
     }
     let total = cfg.total_cycles();
-    let mut stalled = false;
-    while sim.now() < total {
-        sim.tick();
+    let mut halt = Halt::Reached;
+    while halt == Halt::Reached && sim.now() < total {
         if observe {
+            halt = sim.advance(sampler.due().min(total));
             sampler.maybe_sample(&sim);
-        }
-        if sim.stalled() {
-            stalled = true;
-            break;
+        } else {
+            halt = sim.advance(total);
         }
     }
-    let stats = sim.finish_with(stalled);
+    let stats = sim.finish();
     (stats, recorder.total_recorded())
 }
 
@@ -146,9 +144,8 @@ fn recorder_is_non_perturbing_through_the_golden_fault_scenario() {
             if observe {
                 sim.attach_recorder(&mut recorder);
             }
-            let stalled = sim.run_in_place();
-            let stats = sim.finish_with(stalled);
-            (stats, recorder)
+            sim.advance(cfg.total_cycles());
+            (sim.finish(), recorder)
         };
         let (plain, _) = run(false);
         let (observed, counts) = run(true);
@@ -193,8 +190,9 @@ fn golden_jsonl_export_is_pinned() {
     sim.attach_recorder(&mut recorder);
     sim.enqueue_packet(0, 5);
     sim.enqueue_packet(3, 1);
-    assert!(
+    assert_eq!(
         sim.drain(400),
+        Halt::Drained,
         "two packets must drain on a healthy network"
     );
     drop(sim);
@@ -251,22 +249,18 @@ fn unrepaired_link_failure_produces_a_waits_for_incident() {
     }
     let last_fault = epochs.iter().map(|e| e.cycle).max().unwrap();
     let horizon = cfg.total_cycles().saturating_add(200_000);
-    let mut stalled = false;
-    let mut injecting = true;
-    while sim.now() < horizon {
-        sim.tick();
-        if injecting && sim.now() > last_fault {
-            // Stop offering new traffic: everything that can drain does,
-            // leaving only the wedged worms — a deterministic stall.
-            sim.set_injection_rate(0.0);
-            injecting = false;
-        }
-        if sim.stalled() {
-            stalled = true;
-            break;
-        }
+    let mut halt = sim.advance(last_fault + 1);
+    if halt == Halt::Reached {
+        // Stop offering new traffic: everything that can drain does,
+        // leaving only the wedged worms — a deterministic stall.
+        sim.set_injection_rate(0.0);
+        halt = sim.advance(horizon);
     }
-    assert!(stalled, "the unrepaired fault must trip the watchdog");
+    assert_eq!(
+        halt,
+        Halt::Stalled,
+        "the unrepaired fault must trip the watchdog"
+    );
     let incident = deadlock_incident(&sim);
     assert!(
         !incident.worms.is_empty(),

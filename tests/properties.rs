@@ -261,7 +261,7 @@ proptest! {
             measure_cycles: u32::MAX / 2,
             ..SimConfig::default()
         };
-        let result = replay(&inst.cg, &inst.tables, cfg, &trace, seed, 1_000_000);
+        let result = replay(&inst.cg, &inst.tables, cfg, &trace, seed, 1_000_000).unwrap();
         let makespan = result.makespan.expect("trace must drain");
         prop_assert_eq!(result.stats.packets_delivered as u32, packets);
         prop_assert_eq!(result.stats.flits_delivered as u32, packets * 4);

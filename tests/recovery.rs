@@ -86,16 +86,8 @@ fn run_timeline(
     // scenario's final up-swap does); extend the horizon so every
     // scheduled epoch is applied and its conservation check exercised.
     let last_epoch = epochs.iter().map(|e| e.epoch.cycle).max().unwrap_or(0);
-    let horizon = cfg.total_cycles().max(last_epoch.saturating_add(1_000));
-    let mut stalled = false;
-    while sim.now() < horizon {
-        sim.tick();
-        if sim.stalled() {
-            stalled = true;
-            break;
-        }
-    }
-    sim.finish_with(stalled)
+    sim.advance(cfg.total_cycles().max(last_epoch.saturating_add(1_000)));
+    sim.finish()
 }
 
 /// Pinned counters (delivered, dropped flits, dropped packets) for the
@@ -278,8 +270,8 @@ fn recovery_swaps_are_recorded_without_perturbation() {
         if observe {
             sim.attach_recorder(&mut counter);
         }
-        let stalled = sim.run_in_place();
-        (sim.finish_with(stalled), counter)
+        sim.advance(faults_cfg().total_cycles());
+        (sim.finish(), counter)
     };
     let (plain, _) = run(false);
     let (observed, counts) = run(true);

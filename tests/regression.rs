@@ -324,9 +324,7 @@ fn per_cycle_run_through_a_switch_outage_is_stable() {
     for e in &epochs {
         sim.schedule_reconfig(&e.epoch);
     }
-    while sim.now() < cfg.total_cycles() {
-        sim.tick();
-    }
+    sim.advance(cfg.total_cycles());
     let samples = sim.work_counters().arrival_samples;
     let stats = sim.finish();
     let got = (
