@@ -7,7 +7,7 @@
 //! digraph of a [`Topology`] is *symmetric*: every link contributes both
 //! directed channels, and a fault kills both. For symmetric channel sets
 //! the condition collapses to connectivity of the surviving graph, so the
-//! oracle ([`analyze_faulted`] / [`analyze_topology`] / [`analyze_masks`])
+//! oracle ([`analyze_topology`] / [`analyze_timeline`] / [`analyze_masks`])
 //! decides it exactly, for every channel set this pipeline builds:
 //!
 //! * the sufficient half is constructive: a BFS-levelled up\*/down\*
@@ -21,7 +21,7 @@
 //!
 //! All results carry stable JSON forms via the vendored serde.
 
-use irnet_topology::{ChannelId, DegradedTopology, FaultError, FaultPlan, NodeId, Topology};
+use irnet_topology::{ChannelId, DegradedTopology, FaultError, NodeId, RecoveryTimeline, Topology};
 use serde::{Serialize, Value};
 use std::fmt;
 
@@ -251,19 +251,28 @@ impl Serialize for Feasibility {
 /// call is the constructive witness (and uniformity with the faulted
 /// path for callers like `irnet analyze`).
 pub fn analyze_topology(topo: &Topology) -> Feasibility {
-    analyze_faulted(topo, &FaultPlan::scripted([])).expect("an empty plan names no unknown element")
+    let n = topo.num_nodes() as usize;
+    let m = topo.num_links() as usize;
+    analyze_survivors(topo, &vec![false; n], &vec![false; m])
 }
 
-/// Runs the oracle on `topo` degraded by every event of `plan`.
+/// Judges every state a fault plan passes through: one verdict per step
+/// of `timeline`, in step order, each over that step's survivor masks.
 ///
-/// Unlike [`Topology::degrade`], a partitioned or empty survivor set is a
-/// *verdict* here, not an error: only plans naming unknown links or
-/// switches fail. The answer costs one BFS plus a channel sort —
-/// milliseconds even at thousands of switches — which is what lets the
-/// repair path reject hopeless degradations before rebuilding anything.
-pub fn analyze_faulted(topo: &Topology, plan: &FaultPlan) -> Result<Feasibility, FaultError> {
-    let (node_dead, link_dead) = topo.fault_masks(plan)?;
-    Ok(analyze_survivors(topo, &node_dead, &link_dead))
+/// A partitioned or empty survivor set is a *verdict* here, not an error.
+/// Each verdict costs one BFS plus a channel sort — milliseconds even at
+/// thousands of switches — which is what lets `irnet faults` reject a
+/// hopeless plan before rebuilding anything.
+///
+/// # Panics
+///
+/// Panics if `timeline` was computed over a different topology.
+pub fn analyze_timeline(topo: &Topology, timeline: &RecoveryTimeline) -> Vec<Feasibility> {
+    timeline
+        .steps
+        .iter()
+        .map(|step| analyze_masks(topo, &step.node_down, &step.link_down))
+        .collect()
 }
 
 /// The oracle verdict together with the degradation it was computed from.
@@ -436,7 +445,7 @@ fn analyze_survivors(topo: &Topology, node_dead: &[bool], link_dead: &[bool]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irnet_topology::{gen, FaultEvent, FaultKind};
+    use irnet_topology::{gen, DampingPolicy, FaultEvent, FaultKind, FaultPlan};
 
     fn link(cycle: u32, a: NodeId, b: NodeId) -> FaultEvent {
         FaultEvent::down(cycle, FaultKind::Link { a, b })
@@ -446,26 +455,30 @@ mod tests {
         FaultEvent::down(cycle, FaultKind::Switch { node })
     }
 
+    /// The undamped timeline of `plan` over `topo`.
+    fn timeline(topo: &Topology, plan: &FaultPlan) -> RecoveryTimeline {
+        RecoveryTimeline::compute(topo, plan, DampingPolicy::none()).unwrap()
+    }
+
+    /// The judge's verdict on the final state of a plan.
+    fn final_verdict(topo: &Topology, events: &[FaultEvent]) -> Feasibility {
+        let tl = timeline(topo, &FaultPlan::scripted(events.iter().copied()));
+        analyze_timeline(topo, &tl)
+            .pop()
+            .expect("the plan has a step")
+    }
+
     #[test]
-    fn mask_entry_agrees_with_the_plan_entry() {
+    fn timeline_entry_agrees_with_the_mask_entry() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), 3).unwrap();
         let (a, b) = topo.link(0);
-        let plan = irnet_topology::FaultPlan::scripted([link(5, a, b)]);
-        let (nd, ld) = topo.fault_masks(&plan).unwrap();
-        match (
-            analyze_faulted(&topo, &plan).unwrap(),
-            analyze_masks(&topo, &nd, &ld),
-        ) {
-            (Feasibility::Feasible(x), Feasibility::Feasible(y)) => {
-                assert_eq!(x.alive_nodes, y.alive_nodes);
-                assert_eq!(x.alive_channels, y.alive_channels);
-            }
-            (Feasibility::Infeasible(x), Feasibility::Infeasible(y)) => {
-                assert_eq!(format!("{x}"), format!("{y}"));
-            }
-            _ => panic!("plan and mask entries disagree"),
-        }
-        match analyze_and_degrade_masks(&topo, &nd, &ld).unwrap() {
+        let tl = timeline(&topo, &FaultPlan::scripted([link(5, a, b)]));
+        let (nd, ld) = (&tl.steps[0].node_down, &tl.steps[0].link_down);
+        assert_eq!(
+            analyze_timeline(&topo, &tl),
+            vec![analyze_masks(&topo, nd, ld)]
+        );
+        match analyze_and_degrade_masks(&topo, nd, ld).unwrap() {
             AnalyzedDegrade::Feasible { degraded, .. } => {
                 assert_eq!(degraded.topology.num_links(), topo.num_links() - 1);
             }
@@ -493,8 +506,7 @@ mod tests {
         // Path 0-1-2-3: cutting (1,2) splits 2/2; the smallest component
         // is {0, 1} (ties resolved toward the lowest id).
         let topo = Topology::new(4, 4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let plan = FaultPlan::scripted([link(0, 1, 2)]);
-        let verdict = analyze_faulted(&topo, &plan).unwrap();
+        let verdict = final_verdict(&topo, &[link(0, 1, 2)]);
         assert_eq!(
             verdict.obstruction(),
             Some(&Obstruction::Partitioned {
@@ -509,8 +521,7 @@ mod tests {
     #[test]
     fn all_switches_dead_is_no_survivors() {
         let topo = Topology::new(2, 4, [(0, 1)]).unwrap();
-        let plan = FaultPlan::scripted([switch(0, 0), switch(0, 1)]);
-        let verdict = analyze_faulted(&topo, &plan).unwrap();
+        let verdict = final_verdict(&topo, &[switch(0, 0), switch(0, 1)]);
         assert_eq!(verdict.obstruction(), Some(&Obstruction::NoSurvivors));
     }
 
@@ -519,37 +530,23 @@ mod tests {
         let topo = gen::random_irregular(gen::IrregularParams::paper(32, 4), 3).unwrap();
         for seed in 0..32 {
             let plan = FaultPlan::random(&topo, 4, 1, (0, 100), seed).unwrap();
-            let verdict = analyze_faulted(&topo, &plan).unwrap();
-            match topo.degrade(&plan) {
-                Ok(_) => assert!(verdict.is_feasible(), "degrade ok but oracle said no"),
-                Err(FaultError::Partitioned { .. } | FaultError::NoSurvivors) => {
-                    assert!(!verdict.is_feasible(), "degrade failed but oracle said yes");
+            let tl = timeline(&topo, &plan);
+            for (step, verdict) in tl.steps.iter().zip(analyze_timeline(&topo, &tl)) {
+                match topo.degrade_from_masks(&step.node_down, &step.link_down) {
+                    Ok(_) => assert!(verdict.is_feasible(), "degrade ok but oracle said no"),
+                    Err(FaultError::Partitioned { .. } | FaultError::NoSurvivors) => {
+                        assert!(!verdict.is_feasible(), "degrade failed but oracle said yes");
+                    }
+                    Err(e) => panic!("unexpected degrade error: {e}"),
                 }
-                Err(e) => panic!("unexpected degrade error: {e}"),
             }
         }
     }
 
     #[test]
-    fn unknown_faults_error_out() {
-        let topo = Topology::new(3, 4, [(0, 1), (1, 2)]).unwrap();
-        assert_eq!(
-            analyze_faulted(&topo, &FaultPlan::scripted([link(0, 0, 2)])).unwrap_err(),
-            FaultError::UnknownLink { a: 0, b: 2 }
-        );
-        assert_eq!(
-            analyze_faulted(&topo, &FaultPlan::scripted([switch(0, 7)])).unwrap_err(),
-            FaultError::UnknownSwitch {
-                node: 7,
-                num_nodes: 3
-            }
-        );
-    }
-
-    #[test]
     fn feasibility_json_is_stable() {
         let topo = Topology::new(4, 4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let verdict = analyze_faulted(&topo, &FaultPlan::scripted([link(0, 1, 2)])).unwrap();
+        let verdict = final_verdict(&topo, &[link(0, 1, 2)]);
         assert_eq!(
             verdict.to_json(),
             "{\n  \"status\": \"infeasible\",\n  \"obstruction\": {\n    \

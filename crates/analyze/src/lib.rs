@@ -2,12 +2,14 @@
 //!
 //! Two halves (see DESIGN.md §15):
 //!
-//! * The **feasibility oracle** ([`analyze_topology`], [`analyze_faulted`],
+//! * The **feasibility oracle** ([`analyze_topology`], [`analyze_timeline`],
 //!   [`analyze_masks`]) answers the existence question of Mendlovic &
 //!   Matias (arXiv:2503.04583): does *any* deadlock-free connected routing
 //!   exist on this (possibly degraded) network? [`Feasibility::Feasible`]
 //!   carries a constructive up\*/down\* numbering [`Witness`];
-//!   [`Feasibility::Infeasible`] carries a minimized [`Obstruction`]. The
+//!   [`Feasibility::Infeasible`] carries a minimized [`Obstruction`].
+//!   [`analyze_timeline`] judges every step of a fault plan's
+//!   `RecoveryTimeline`, the one reading of a plan that repair shares. The
 //!   oracle costs one BFS, which lets the epoch repair loop (crates/core)
 //!   and `irnet faults` reject hopeless degradations in milliseconds instead
 //!   of after a failed rebuild.
@@ -28,7 +30,7 @@ mod report;
 
 pub use audits::{audit, AuditReport, StretchHistogram, STRETCH_WARN};
 pub use feasibility::{
-    analyze_and_degrade_masks, analyze_faulted, analyze_masks, analyze_topology, AnalyzedDegrade,
+    analyze_and_degrade_masks, analyze_masks, analyze_timeline, analyze_topology, AnalyzedDegrade,
     Feasibility, Obstruction, Witness, DEAD,
 };
 pub use report::{AnalysisReport, SCHEMA};

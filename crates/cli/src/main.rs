@@ -41,7 +41,8 @@ use irnet_metrics::{sweep, Algo, Instance};
 use irnet_sim::{Halt, SimConfig, SimStats, Simulator};
 use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
 use irnet_topology::{
-    gen, topology_from_json, topology_to_json, CommGraph, CoordinatedTree, PreorderPolicy, Topology,
+    gen, topology_from_json, topology_to_json, CommGraph, CoordinatedTree, FaultPlan,
+    PreorderPolicy, Topology,
 };
 use irnet_turns::{verify_routing, ChannelDepGraph, TurnTable};
 use irnet_verify::{LintReport, Severity, Verdict};
@@ -70,10 +71,11 @@ gen options:
   --out FILE          write the topology JSON to FILE (default stdout)
 
 analyze options:
-  --scenario FILE     run the feasibility oracle on the topology degraded by
-                      this fault plan (same format as `faults`), then audit
-                      the surviving fabric; an infeasible degradation is
-                      reported with a minimized obstruction and exit 1
+  --scenario FILE     judge every state this fault plan (same format as
+                      `faults`) passes through with the feasibility oracle,
+                      then audit the fabric the plan leaves behind; the
+                      first infeasible state is reported with a minimized
+                      obstruction and exit 1
   --json              print the analysis report as versioned JSON
   --grid              sweep the lint seed grids (oracle + audits per cell)
   --quick / --full    grid size (as for lint)
@@ -243,6 +245,17 @@ fn load_topology(o: &Opts) -> Result<Topology, String> {
         gen::random_irregular(gen::IrregularParams::paper(n, ports), seed)
             .map_err(|e| format!("generation failed: {e}"))
     }
+}
+
+/// The fault plan named by `--scenario`, if any.
+fn load_plan(o: &Opts) -> Result<Option<FaultPlan>, String> {
+    let Some(path) = o.get("scenario") else {
+        return Ok(None);
+    };
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    FaultPlan::from_json(&raw)
+        .map(Some)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn parse_algo(o: &Opts) -> Algo {
@@ -639,14 +652,15 @@ fn cmd_simulate(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Static analysis: fabric statistics, then the feasibility oracle
-/// (optionally through `--scenario`), then the four whole-table audits on
-/// the surviving fabric, timed as the `analyze/feasibility` and
-/// `analyze/audit` spans. Exits 1 when the target is infeasible or an audit
-/// errors; `--grid` sweeps the lint seed grids instead.
+/// Static analysis: fabric statistics, then the feasibility oracle on
+/// every state the `--scenario` plan passes through (its undamped
+/// timeline), then the four whole-table audits on the fabric the plan
+/// leaves behind, timed as the `analyze/feasibility` and `analyze/audit`
+/// spans. Exits 1 when some state is infeasible or an audit errors;
+/// `--grid` sweeps the lint seed grids instead.
 fn cmd_analyze(o: &Opts) -> Result<(), String> {
-    use irnet_analyze::{analyze_faulted, audit, AnalysisReport, Feasibility};
-    use irnet_topology::FaultPlan;
+    use irnet_analyze::{analyze_timeline, analyze_topology, audit, AnalysisReport, Feasibility};
+    use irnet_topology::{DampingPolicy, RecoveryTimeline};
 
     if o.flag("grid") {
         return analyze_grid(o);
@@ -663,16 +677,16 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
             o.parse("seed", 1u64)
         ),
     };
-    let plan = match o.get("scenario") {
-        Some(path) => {
-            let raw =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            FaultPlan::from_json(&raw).map_err(|e| format!("{path}: {e}"))?
-        }
-        None => FaultPlan::scripted([]),
-    };
+    let plan = load_plan(o)?.unwrap_or_else(|| FaultPlan::scripted([]));
     let span = irnet_telemetry::current().span("analyze/feasibility");
-    let feasibility = analyze_faulted(&topo, &plan).map_err(|e| format!("fault plan: {e}"))?;
+    let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none())
+        .map_err(|e| format!("fault plan: {e}"))?;
+    // The first infeasible state, else the final one.
+    let mut verdicts = analyze_timeline(&topo, &timeline);
+    let feasibility = match verdicts.iter().position(|v| !v.is_feasible()) {
+        Some(i) => verdicts.swap_remove(i),
+        None => verdicts.pop().unwrap_or_else(|| analyze_topology(&topo)),
+    };
     span.finish();
     let report = match &feasibility {
         Feasibility::Infeasible(_) => AnalysisReport {
@@ -681,18 +695,12 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
             audit: None,
         },
         Feasibility::Feasible(_) => {
-            // Audit the surviving fabric (compacted when faults applied).
-            let degraded;
-            let audit_topo = if plan.is_empty() {
-                &topo
-            } else {
-                degraded = topo
-                    .degrade(&plan)
-                    .map_err(|e| format!("degrade failed after a feasible verdict: {e}"))?;
-                &degraded
-            };
+            // Audit the fabric the plan leaves behind.
+            let survivors = topo
+                .degrade(&plan)
+                .map_err(|e| format!("degrade failed after a feasible verdict: {e}"))?;
             let inst = algo
-                .construct(audit_topo, policy, o.parse("seed", 1u64))
+                .construct(&survivors, policy, o.parse("seed", 1u64))
                 .map_err(|e| format!("construction failed: {e}"))?;
             let _audit = irnet_telemetry::current().span("analyze/audit");
             let cert = irnet_verify::certify(&inst.cg, &inst.table);
@@ -1122,7 +1130,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
 /// transitions, with `--hold` flap damping between the two.
 fn cmd_faults(o: &Opts) -> Result<(), String> {
     use irnet_core::{plan_epochs_timeline_with, DownUp};
-    use irnet_topology::{DampingPolicy, FaultKind, FaultPlan, RecoveryTimeline};
+    use irnet_topology::{DampingPolicy, FaultKind, RecoveryTimeline};
 
     let strategy = parse_repair(o, RepairStrategy::Full);
     require_downup(o, |algo| {
@@ -1139,12 +1147,8 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
         .construct(&topo)
         .map_err(|e| format!("construction failed: {e}"))?;
     let cfg = sim_config(o);
-    let plan = match o.get("scenario") {
-        Some(path) => {
-            let raw =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            FaultPlan::from_json(&raw).map_err(|e| format!("{path}: {e}"))?
-        }
+    let plan = match load_plan(o)? {
+        Some(plan) => plan,
         None => {
             let links = o.parse("random-links", 1u32);
             let switches = o.parse("random-switches", 0u32);
@@ -1175,8 +1179,8 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     };
     let timeline =
         RecoveryTimeline::compute(&topo, &plan, policy).map_err(|e| format!("fault plan: {e}"))?;
-    for step in &timeline.steps {
-        let verdict = irnet_analyze::analyze_masks(&topo, &step.node_down, &step.link_down);
+    let verdicts = irnet_analyze::analyze_timeline(&topo, &timeline);
+    for (step, verdict) in timeline.steps.iter().zip(verdicts) {
         if let irnet_analyze::Feasibility::Infeasible(obstruction) = verdict {
             if o.flag("json") {
                 let report = Value::Map(vec![
@@ -1520,7 +1524,7 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // orientations can deadlock the in-flight worms even though both
     // steady states are safe, and such plans must never enter a soak.
     let cg = routing.comm_graph();
-    let certifies = |plan: &irnet_topology::FaultPlan| -> bool {
+    let certifies = |plan: &FaultPlan| -> bool {
         let Ok(timeline) = RecoveryTimeline::compute(&topo, plan, policy) else {
             return false;
         };
@@ -1552,19 +1556,16 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // Invariant 1 — feasibility: the chaos generator only accepts events
     // whose damped timeline keeps the graph connected, and the oracle
     // independently re-proves every step here.
-    let mut infeasible_at: Option<u32> = None;
-    let feasible: Vec<bool> = timeline
+    let feasible: Vec<bool> = irnet_analyze::analyze_timeline(&topo, &timeline)
+        .iter()
+        .map(irnet_analyze::Feasibility::is_feasible)
+        .collect();
+    let infeasible_at = timeline
         .steps
         .iter()
-        .map(|step| {
-            let ok =
-                irnet_analyze::analyze_masks(&topo, &step.node_down, &step.link_down).is_feasible();
-            if !ok && infeasible_at.is_none() {
-                infeasible_at = Some(step.cycle);
-            }
-            ok
-        })
-        .collect();
+        .zip(&feasible)
+        .find(|(_, &ok)| !ok)
+        .map(|(step, _)| step.cycle);
 
     let epochs = plan_epochs_timeline_with(
         &topo,
@@ -1846,7 +1847,6 @@ fn write_incident(o: &Opts, incident: &irnet_obs::Incident) -> Result<(), String
 fn cmd_trace(o: &Opts) -> Result<(), String> {
     use irnet_core::{plan_epochs_with, DownUp, ReconfigEpoch};
     use irnet_obs::{deadlock_incident, FlightRecorder, IntervalSampler};
-    use irnet_topology::FaultPlan;
 
     let topo = load_topology(o)?;
     let cfg = sim_config(o);
@@ -1859,19 +1859,14 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     // With a fault scenario the run mirrors `faults` (DOWN/UP repair per
     // epoch); `--no-repair` keeps the original tables across the fault so
     // worms wedge on the dead channels and the watchdog demonstrably fires.
-    let scenario = match o.get("scenario") {
-        Some(path) => {
-            require_downup(o, |_| {
-                "`trace --scenario` repairs with DOWN/UP; \
-                 other --algo values are not supported"
-                    .to_string()
-            })?;
-            let raw =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Some(FaultPlan::from_json(&raw).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
+    if o.get("scenario").is_some() {
+        require_downup(o, |_| {
+            "`trace --scenario` repairs with DOWN/UP; \
+             other --algo values are not supported"
+                .to_string()
+        })?;
+    }
+    let scenario = load_plan(o)?;
     let builder = DownUp::new()
         .policy(parse_policy(o))
         .seed(o.parse("seed", 1u64));

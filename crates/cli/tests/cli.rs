@@ -242,6 +242,31 @@ fn analyze_rejects_an_infeasible_scenario_with_exit_1() {
 }
 
 #[test]
+fn analyze_judges_every_state_of_a_rolling_outage() {
+    // Switch 61's four links go down one at a time, each back up before
+    // the next fails: every state the plan passes through is connected,
+    // though the four links together would cut switch 61 off.
+    let r = irnet(&[
+        "analyze",
+        "--switches",
+        "128",
+        "--ports",
+        "4",
+        "--seed",
+        "1",
+        "--scenario",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/rolling_links_128.json"
+        ),
+        "--json",
+    ]);
+    let stdout = String::from_utf8_lossy(&r.stdout);
+    assert_eq!(r.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("\"status\": \"feasible\""), "{stdout}");
+}
+
+#[test]
 fn analyze_grid_quick_is_clean() {
     let r = irnet(&["analyze", "--grid", "--quick"]);
     assert_eq!(

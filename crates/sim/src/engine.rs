@@ -375,13 +375,18 @@ impl<'a> Simulator<'a> {
     /// worms whose header has been ejected stream through their private
     /// path in closed form (DESIGN.md §11); every such drain is settled
     /// before this returns, so the state it leaves is the per-flit one.
+    /// While no packet is live the clock jumps over idle clocks
+    /// ([`Simulator::skip_idle`]).
     fn step_until(&mut self, until: u32, drain: bool) -> Halt {
         self.streaming = self.cfg.engine_core == EngineCore::ActiveSet
             && self.vcs == 1
             && self.recorder.is_none();
         let halt = loop {
-            if drain && self.live_packets == 0 {
-                break Halt::Drained;
+            if self.live_packets == 0 {
+                if drain {
+                    break Halt::Drained;
+                }
+                self.skip_idle(until);
             }
             if self.now >= until {
                 break Halt::Reached;
@@ -397,6 +402,30 @@ impl<'a> Simulator<'a> {
         self.streaming = false;
         self.settle_drains();
         halt
+    }
+
+    /// Moves the clock over clocks on which nothing can happen. With no
+    /// packet live, a clock only acts when an arrival or a reconfiguration
+    /// epoch is due, so the clock jumps to the earliest of the next
+    /// geometric arrival, the next pending epoch and `until`; the step at
+    /// that clock then runs exactly as it would have. Per-cycle sampling
+    /// at a positive load draws on every clock, so it never skips.
+    fn skip_idle(&mut self, until: u32) {
+        debug_assert_eq!(self.buffered_flits, 0, "idle network holds flits");
+        let next_arrival = if self.inject_p == 0.0 || self.cg.num_nodes() < 2 {
+            u32::MAX
+        } else if self.cfg.injection_sampling == InjectionSampling::Geometric {
+            self.next_arrival
+                .peek()
+                .map_or(u32::MAX, |&Reverse((t, _))| t)
+        } else {
+            return;
+        };
+        let next_epoch = self
+            .reconfigs
+            .get(self.next_reconfig)
+            .map_or(u32::MAX, |e| e.cycle);
+        self.now = self.now.max(until.min(next_arrival).min(next_epoch));
     }
 
     /// Attaches a structured-event recorder. Recording is strictly
@@ -417,6 +446,13 @@ impl<'a> Simulator<'a> {
     pub fn enqueue_packet(&mut self, src: NodeId, dst: NodeId) -> u32 {
         assert_ne!(src, dst, "self-traffic does not enter the network");
         assert!(src < self.cg.num_nodes() && dst < self.cg.num_nodes());
+        self.push_packet(src, dst)
+    }
+
+    /// Creates packet `src -> dst` at the current clock: queues it at its
+    /// source, counts it live (and generated, inside the measurement
+    /// window) and records its `Inject` event. Returns the packet id.
+    fn push_packet(&mut self, src: NodeId, dst: NodeId) -> u32 {
         let id = self.packets.len() as u32;
         self.packets.push(Packet {
             src,
@@ -1021,6 +1057,7 @@ impl<'a> Simulator<'a> {
 
     /// Advances the network by one clock.
     fn step(&mut self) {
+        self.work.clocks += 1;
         if self.next_reconfig < self.reconfigs.len() {
             self.apply_due_reconfigs();
         }
@@ -1134,32 +1171,11 @@ impl<'a> Simulator<'a> {
 
     /// Creates one packet at `v` with a freshly drawn destination.
     fn generate_packet(&mut self, v: NodeId) {
-        let n = self.cg.num_nodes();
-        let dst = self.cfg.traffic.pick_dest(&mut self.rng, v, n);
-        let id = self.packets.len() as u32;
-        self.packets.push(Packet {
-            src: v,
-            dst,
-            gen_time: self.now,
-            detours: 0,
-        });
-        self.src_queue[v as usize].push_back(id);
-        self.activate_input(self.num_invc + v as usize);
-        self.count_live_packet();
-        if self.measuring() {
-            self.packets_generated += 1;
-            self.node_packets_generated[v as usize] += 1;
-        }
-        let (cycle, len) = (self.now, self.cfg.packet_len);
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(&SimEvent::Inject {
-                cycle,
-                pkt: id,
-                src: v,
-                dst,
-                len,
-            });
-        }
+        let dst = self
+            .cfg
+            .traffic
+            .pick_dest(&mut self.rng, v, self.cg.num_nodes());
+        self.push_packet(v, dst);
     }
 
     /// Link stage, dense reference: every physical channel, every clock.
@@ -1831,6 +1847,9 @@ enum Visit {
 /// seed, so a test can pin them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
+    /// Clocks stepped. Idle clocks the driver jumps over (no packet live,
+    /// no arrival or epoch due) are not counted.
+    pub clocks: u64,
     /// Channels examined by the link stage.
     pub link_visits: u64,
     /// Inputs examined by the crossbar stage.
@@ -2866,6 +2885,75 @@ mod tests {
         assert!(active_work.arbitrations < dense_work.arbitrations);
     }
 
+    /// Idle clocks are jumped, not stepped. A sparse geometric load, a
+    /// packet enqueued late, and a switch outage whose failure and
+    /// recovery land in idle spells give the driver the same statistics
+    /// as calling `step` on every clock, on both cores. The jump is pinned
+    /// by the clocks stepped; re-derive with `PRINT_ENGINE_GOLDEN=1`.
+    #[test]
+    fn idle_clocks_are_jumped_without_changing_the_run() {
+        use irnet_topology::{FaultEvent, FaultKind, FaultPlan};
+        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 5).unwrap();
+        let r = DownUp::new().construct(&topo).unwrap();
+        let epochs = (0..topo.num_nodes())
+            .find_map(|node| {
+                let outage = FaultEvent::recovering(30_000, FaultKind::Switch { node }, 50_000);
+                full_repair(&topo, &r, &FaultPlan::scripted([outage])).ok()
+            })
+            .expect("some switch outage must be repairable");
+        let mut runs = Vec::new();
+        for core in [EngineCore::ActiveSet, EngineCore::DenseReference] {
+            let cfg = SimConfig {
+                engine_core: core,
+                packet_len: 8,
+                injection_rate: 0.000_5,
+                injection_sampling: InjectionSampling::Geometric,
+                warmup_cycles: 1_000,
+                measure_cycles: 99_000,
+                ..SimConfig::default()
+            };
+            for per_clock in [false, true] {
+                let mut sim = Simulator::new(r.comm_graph(), r.routing_tables(), cfg, 3);
+                for e in &epochs {
+                    sim.schedule_reconfig(e);
+                }
+                let advance = |sim: &mut Simulator, to: u32| {
+                    if per_clock {
+                        while sim.now < to {
+                            sim.step();
+                        }
+                    } else {
+                        assert_eq!(sim.advance(to), Halt::Reached);
+                    }
+                };
+                advance(&mut sim, 70_000);
+                sim.enqueue_packet(0, 1);
+                advance(&mut sim, cfg.total_cycles());
+                let clocks = sim.work_counters().clocks;
+                runs.push((core, per_clock, clocks, sim.finish()));
+            }
+        }
+        if std::env::var("PRINT_ENGINE_GOLDEN").is_ok() {
+            for (core, per_clock, clocks, _) in &runs {
+                println!("{core:?} per_clock={per_clock}: {clocks} clocks");
+            }
+        }
+        let stats = &runs[0].3;
+        assert_eq!(stats.reconfig_epochs, 2);
+        assert!(stats.packets_delivered > 50);
+        for (core, per_clock, clocks, run) in &runs {
+            assert_eq!(run, stats, "{core:?} per_clock={per_clock}");
+            let want = if *per_clock {
+                100_000
+            } else {
+                IDLE_JUMP_CLOCKS
+            };
+            assert_eq!(*clocks, want, "{core:?} per_clock={per_clock}");
+        }
+    }
+
+    const IDLE_JUMP_CLOCKS: u64 = 1_320;
+
     /// The 128-switch, 8-port DOWN/UP paper fabric (topology seed 1000)
     /// with the paper's 128-flit worms, 2000 + 8000 cycles, geometric
     /// arrivals: streaming settles most flit moves without visiting them.
@@ -2902,6 +2990,7 @@ mod tests {
         (
             0.1,
             WorkCounters {
+                clocks: 9_965,
                 link_visits: 29_175,
                 crossbar_visits: 42_507,
                 arbitrations: 3_988,
@@ -2913,6 +3002,7 @@ mod tests {
         (
             0.6,
             WorkCounters {
+                clocks: 9_995,
                 link_visits: 137_726,
                 crossbar_visits: 204_771,
                 arbitrations: 26_397,
@@ -2924,6 +3014,7 @@ mod tests {
     ];
 
     const ACTIVE_WORK_GOLDEN: WorkCounters = WorkCounters {
+        clocks: 1_800,
         link_visits: 26_739,
         crossbar_visits: 43_402,
         arbitrations: 7_683,

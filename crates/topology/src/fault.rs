@@ -4,21 +4,20 @@
 //!
 //! A [`FaultPlan`] is an ordered list of [`FaultEvent`]s, each bound to an
 //! *activation cycle* — the simulator clock at which the fault strikes.
-//! Degrading a topology applies every event (or every event up to a cycle)
+//! Since schema v2 an event may also *recover*: `recovers_at` names the
+//! cycle at which the element comes back up, and an optional
+//! [`FlapSchedule`] repeats the down/up pair.
+//!
+//! [`crate::recovery::RecoveryTimeline`] is the one reader of a plan's
+//! events: it expands them into per-step survivor masks over the original
+//! topology. [`Topology::degrade_from_masks`] compacts one step's survivors
 //! and yields both the compact surviving [`Topology`] and the id maps the
 //! repair layer needs to lift the rebuilt routing function back into the
 //! original channel space.
-//!
-//! Since schema v2 an event may also *recover*: `recovers_at` names the
-//! cycle at which the element comes back up, and an optional
-//! [`FlapSchedule`] repeats the down/up pair. Recovery-aware plans are
-//! expanded into bidirectional transition timelines by
-//! [`crate::recovery::RecoveryTimeline`]; the cumulative helpers here
-//! ([`FaultPlan::up_to`], [`Topology::fault_masks`]) deliberately ignore
-//! recovery and describe the monotone "everything that ever failed" state.
 
 use crate::error::TopologyError;
 use crate::graph::{LinkId, NodeId, Topology};
+use crate::recovery::{DampingPolicy, RecoveryTimeline};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -344,32 +343,10 @@ impl FaultPlan {
         }
     }
 
-    /// True when any event recovers or flaps — i.e. the plan needs the
-    /// bidirectional timeline expansion rather than the monotone
-    /// [`FaultPlan::up_to`] chain.
+    /// True when any event recovers or flaps, so some step of its timeline
+    /// revives an element.
     pub fn has_recovery(&self) -> bool {
         self.schema_version() == 2
-    }
-
-    /// Distinct activation cycles in increasing order — one reconfiguration
-    /// epoch boundary per entry.
-    pub fn activation_cycles(&self) -> Vec<u32> {
-        let mut cycles: Vec<u32> = self.events.iter().map(|e| e.cycle).collect();
-        cycles.dedup();
-        cycles
-    }
-
-    /// The sub-plan of events with `cycle <= limit` (the cumulative fault
-    /// state at a given epoch boundary).
-    pub fn up_to(&self, limit: u32) -> FaultPlan {
-        FaultPlan {
-            events: self
-                .events
-                .iter()
-                .copied()
-                .take_while(|e| e.cycle <= limit)
-                .collect(),
-        }
     }
 
     /// Parses a scenario from JSON:
@@ -481,61 +458,31 @@ pub struct DegradedTopology {
 }
 
 impl Topology {
-    /// Applies every event of `plan` and returns the compact surviving
-    /// topology, or an error describing why nothing routable survives.
-    pub fn degrade(&self, plan: &FaultPlan) -> Result<Topology, FaultError> {
-        self.degrade_detailed(plan).map(|d| d.topology)
-    }
-
-    /// Like [`Topology::degrade`], but also returns the node/link id maps
-    /// the repair layer needs to lift routing structures between the
-    /// original and surviving id spaces.
-    pub fn degrade_detailed(&self, plan: &FaultPlan) -> Result<DegradedTopology, FaultError> {
-        let (node_dead, link_dead) = self.fault_masks(plan)?;
-        self.degrade_from_masks(&node_dead, &link_dead)
-    }
-
-    /// Resolves every event of `plan` into `(node_dead, link_dead)` masks
-    /// (a switch fault also kills every incident link) without building the
-    /// compact survivor graph. This is the shared first half of both
-    /// [`Topology::degrade_detailed`] and the feasibility oracle, exposed
-    /// so callers that need both answers resolve the plan exactly once.
+    /// Walks the undamped timeline of `plan` and returns the compact
+    /// survivors of its final step (this topology itself when the plan has
+    /// no step), or the error of the first step whose survivors do not
+    /// compact: a plan is survivable only when every state it passes
+    /// through is.
     ///
     /// # Errors
     ///
-    /// [`FaultError::UnknownLink`] / [`FaultError::UnknownSwitch`] when the
-    /// plan names elements this topology does not have.
-    pub fn fault_masks(&self, plan: &FaultPlan) -> Result<(Vec<bool>, Vec<bool>), FaultError> {
-        let mut node_dead = vec![false; self.num_nodes() as usize];
-        let mut link_dead = vec![false; self.num_links() as usize];
-        for ev in plan.events() {
-            match ev.kind {
-                FaultKind::Link { a, b } => {
-                    let l = self
-                        .link_between(a.min(b), a.max(b))
-                        .ok_or(FaultError::UnknownLink { a, b })?;
-                    link_dead[l as usize] = true;
-                }
-                FaultKind::Switch { node } => {
-                    if node >= self.num_nodes() {
-                        return Err(FaultError::UnknownSwitch {
-                            node,
-                            num_nodes: self.num_nodes(),
-                        });
-                    }
-                    node_dead[node as usize] = true;
-                    for &(_, l) in self.neighbors(node) {
-                        link_dead[l as usize] = true;
-                    }
-                }
-            }
+    /// The timeline's errors ([`FaultError::UnknownLink`],
+    /// [`FaultError::UnknownSwitch`], [`FaultError::Parse`]), then
+    /// [`FaultError::NoSurvivors`] / [`FaultError::Partitioned`] for the
+    /// first step that leaves nothing routable.
+    pub fn degrade(&self, plan: &FaultPlan) -> Result<Topology, FaultError> {
+        let timeline = RecoveryTimeline::compute(self, plan, DampingPolicy::none())?;
+        let mut survivors = self.clone();
+        for step in &timeline.steps {
+            survivors = self
+                .degrade_from_masks(&step.node_down, &step.link_down)?
+                .topology;
         }
-        Ok((node_dead, link_dead))
+        Ok(survivors)
     }
 
-    /// The second half of [`Topology::degrade_detailed`]: compacts the
-    /// survivors described by pre-resolved masks (as returned by
-    /// [`Topology::fault_masks`]).
+    /// Compacts the survivors described by per-element down masks (a
+    /// [`crate::TimelineStep`]'s `node_down` and `link_down`).
     ///
     /// # Errors
     ///
@@ -633,12 +580,18 @@ mod tests {
         FaultEvent::down(cycle, FaultKind::Switch { node })
     }
 
+    /// The compacted survivors of the plan's final timeline step.
+    fn final_survivors(t: &Topology, plan: &FaultPlan) -> DegradedTopology {
+        let timeline = RecoveryTimeline::compute(t, plan, DampingPolicy::none()).unwrap();
+        let last = timeline.steps.last().expect("the plan has a step");
+        t.degrade_from_masks(&last.node_down, &last.link_down)
+            .unwrap()
+    }
+
     #[test]
     fn link_fault_filters_one_link() {
         let t = square_with_diagonal();
-        let d = t
-            .degrade_detailed(&FaultPlan::scripted([link(10, 3, 1)]))
-            .unwrap();
+        let d = final_survivors(&t, &FaultPlan::scripted([link(10, 3, 1)]));
         assert_eq!(d.topology.num_nodes(), 4);
         assert_eq!(d.topology.num_links(), 4);
         assert_eq!(d.dead_links, vec![t.link_between(1, 3).unwrap()]);
@@ -659,9 +612,7 @@ mod tests {
     #[test]
     fn switch_fault_removes_node_and_incident_links() {
         let t = square_with_diagonal();
-        let d = t
-            .degrade_detailed(&FaultPlan::scripted([switch(5, 1)]))
-            .unwrap();
+        let d = final_survivors(&t, &FaultPlan::scripted([switch(5, 1)]));
         // Node 1 had degree 3; survivors 0-3-2 form a path.
         assert_eq!(d.topology.num_nodes(), 3);
         assert_eq!(d.topology.num_links(), 2);
@@ -723,25 +674,49 @@ mod tests {
     #[test]
     fn duplicate_faults_are_idempotent() {
         let t = square_with_diagonal();
-        let d = t
-            .degrade_detailed(&FaultPlan::scripted([
-                link(1, 1, 3),
-                link(2, 3, 1),
-                switch(3, 2),
-                switch(4, 2),
-            ]))
-            .unwrap();
+        let d = final_survivors(
+            &t,
+            &FaultPlan::scripted([link(1, 1, 3), link(2, 3, 1), switch(3, 2), switch(4, 2)]),
+        );
         assert_eq!(d.topology.num_nodes(), 3);
         assert_eq!(d.dead_nodes, vec![2]);
     }
 
     #[test]
-    fn up_to_is_cumulative_and_sorted() {
+    fn scripted_plans_are_sorted_by_cycle() {
         let plan = FaultPlan::scripted([link(30, 0, 1), link(10, 1, 2), switch(20, 3)]);
-        assert_eq!(plan.activation_cycles(), vec![10, 20, 30]);
-        assert_eq!(plan.up_to(20).events().len(), 2);
-        assert_eq!(plan.up_to(9).events().len(), 0);
-        assert_eq!(plan.up_to(u32::MAX), plan);
+        let cycles: Vec<u32> = plan.events().iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn degrade_judges_every_state_the_plan_passes_through() {
+        // Path 0-1-2-3. Cutting (1,2) partitions it even though the switch
+        // failure that follows leaves the final survivors {0, 1} connected.
+        let t = Topology::new(4, 4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let cut_then_kill = FaultPlan::scripted([link(10, 1, 2), switch(20, 2), switch(20, 3)]);
+        assert!(matches!(
+            t.degrade(&cut_then_kill),
+            Err(FaultError::Partitioned { reached: 2, .. })
+        ));
+        // A recovered link is back in the final state.
+        let outage = FaultPlan::scripted([FaultEvent::recovering(
+            10,
+            FaultKind::Link { a: 2, b: 3 },
+            20,
+        )]);
+        assert!(t.degrade(&outage).is_err());
+        let square = square_with_diagonal();
+        let healed = FaultPlan::scripted([FaultEvent::recovering(
+            10,
+            FaultKind::Link { a: 1, b: 3 },
+            20,
+        )]);
+        for plan in [healed, FaultPlan::scripted([])] {
+            let survivors = square.degrade(&plan).unwrap();
+            assert_eq!(survivors.num_nodes(), 4);
+            assert_eq!(survivors.links(), square.links());
+        }
     }
 
     #[test]
@@ -755,7 +730,7 @@ mod tests {
             assert!((100..=500).contains(&ev.cycle));
         }
         // Validity: every event names a real link/switch.
-        t.degrade_detailed(&a).ok();
+        RecoveryTimeline::compute(&t, &a, DampingPolicy::none()).unwrap();
         assert!(FaultPlan::random(&t, 10_000, 0, (0, 1), 1).is_err());
         assert!(FaultPlan::random(&t, 0, 32, (0, 1), 1).is_err());
     }

@@ -2,8 +2,9 @@
 //! [`FaultPlan`] into the admitted sequence of down **and** up transitions
 //! under a flap-damping policy.
 //!
-//! The monotone fault path resolves a plan with [`Topology::fault_masks`],
-//! which only ever grows the dead set. A recovering plan instead describes,
+//! This is the one place a plan's events are resolved into survivor
+//! masks: repair, the feasibility judge, [`Topology::degrade`] and the
+//! chaos generator all read a plan through its timeline. A plan describes,
 //! per element, a sequence of *physical* transitions (down at `cycle`, up at
 //! `recovers_at`, repeated by the flap schedule). The control plane does not
 //! chase every physical transition: a [`DampingPolicy`] holds a recovered
@@ -18,7 +19,9 @@
 //! Masks are always *derived*: a link is down when it failed explicitly
 //! **or** either endpoint switch is down — so recovering a switch revives
 //! its incident links (unless they failed on their own), exactly mirroring
-//! the way [`Topology::fault_masks`] kills them.
+//! the way a switch failure kills them. A schema-v1 plan (no recovery)
+//! only grows the dead set, so its final step holds every element the plan
+//! names.
 
 use std::collections::BTreeMap;
 
@@ -510,10 +513,6 @@ mod tests {
         Topology::new(4, 4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]).unwrap()
     }
 
-    fn masks_of(t: &Topology, plan: &FaultPlan) -> (Vec<bool>, Vec<bool>) {
-        t.fault_masks(plan).unwrap()
-    }
-
     #[test]
     fn down_only_plans_match_the_monotone_masks() {
         let t = square_with_diagonal();
@@ -526,9 +525,13 @@ mod tests {
         assert_eq!(tl.steps.len(), 2);
         assert_eq!(tl.steps[0].cycle, 10);
         assert_eq!(tl.steps[1].cycle, 20);
-        let (nd, ld) = masks_of(&t, &plan);
-        assert_eq!(tl.steps[1].node_down, nd);
-        assert_eq!(tl.steps[1].link_down, ld);
+        // The final step holds every element the plan names.
+        let l13 = t.link_between(1, 3).unwrap() as usize;
+        assert_eq!(tl.steps[1].node_down, vec![false, false, true, false]);
+        for (l, &down) in tl.steps[1].link_down.iter().enumerate() {
+            let (a, b) = t.link(l as LinkId);
+            assert_eq!(down, l == l13 || a == 2 || b == 2, "link {l}");
+        }
         // The switch step lists its induced link deaths.
         assert_eq!(tl.steps[1].failed_nodes, vec![2]);
         assert_eq!(tl.steps[1].failed_links.len(), 2);

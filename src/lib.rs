@@ -68,7 +68,7 @@ pub use irnet_verify as verify;
 /// The most common imports in one place.
 pub mod prelude {
     pub use irnet_analyze::{
-        analyze_faulted, analyze_topology, audit, AnalysisReport, AuditReport, Feasibility,
+        analyze_timeline, analyze_topology, audit, AnalysisReport, AuditReport, Feasibility,
         Obstruction, Witness,
     };
     pub use irnet_baselines::{lturn, updown, BaselineRouting};

@@ -192,11 +192,12 @@ proptest! {
         let routing = builder.construct(&topo).unwrap();
         let cg = routing.comm_graph();
         let epochs = full_repair(&topo, &routing, &plan, builder);
-        // Duplicate faults at distinct cycles collapse to no-op timeline
-        // steps, so an activation cycle need not produce an epoch — but at
-        // least the first fault always does.
+        // One epoch per timeline step. Duplicate faults at distinct cycles
+        // collapse to no-op steps, so an activation cycle need not produce
+        // an epoch — but at least the first fault always does.
+        let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none()).unwrap();
         prop_assert!(!epochs.is_empty());
-        prop_assert!(epochs.len() <= plan.activation_cycles().len());
+        prop_assert_eq!(epochs.len(), timeline.steps.len());
         for e in &epochs {
             prop_assert!(
                 e.certify(cg).degraded.is_deadlock_free(),
