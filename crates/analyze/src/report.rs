@@ -17,6 +17,10 @@ pub struct AnalysisReport {
     pub target: String,
     /// The feasibility oracle's verdict.
     pub feasibility: Feasibility,
+    /// For a fault plan judged state by state: the cycle of the first
+    /// infeasible state, the one `feasibility` describes. `None` for a
+    /// feasible plan or a single fabric.
+    pub infeasible_at_cycle: Option<u32>,
     /// Audit results; `None` when the target is infeasible (nothing to
     /// audit) or the caller ran the oracle only.
     pub audit: Option<AuditReport>,
@@ -35,17 +39,26 @@ impl AnalysisReport {
 }
 
 impl Serialize for AnalysisReport {
+    /// `infeasible_at_cycle` is written only when set, so reports without
+    /// a cycle keep their earlier shape.
     fn to_value(&self) -> Value {
-        Value::Map(vec![
+        let mut fields = vec![
             ("schema".to_string(), Value::Str(SCHEMA.to_string())),
             ("target".to_string(), Value::Str(self.target.clone())),
             ("passed".to_string(), Value::Bool(self.passed())),
             ("feasibility".to_string(), self.feasibility.to_value()),
-            (
-                "audit".to_string(),
-                self.audit.as_ref().map_or(Value::Null, Serialize::to_value),
-            ),
-        ])
+        ];
+        if let Some(cycle) = self.infeasible_at_cycle {
+            fields.push((
+                "infeasible_at_cycle".to_string(),
+                Value::U64(u64::from(cycle)),
+            ));
+        }
+        fields.push((
+            "audit".to_string(),
+            self.audit.as_ref().map_or(Value::Null, Serialize::to_value),
+        ));
+        Value::Map(fields)
     }
 }
 
@@ -61,6 +74,7 @@ mod tests {
         let report = AnalysisReport {
             target: "triangle".to_string(),
             feasibility: analyze_topology(&topo),
+            infeasible_at_cycle: None,
             audit: None,
         };
         assert!(report.passed());
@@ -68,5 +82,6 @@ mod tests {
         assert!(json.contains("\"schema\": \"irnet-analyze-v1\""));
         assert!(json.contains("\"status\": \"feasible\""));
         assert!(json.contains("\"audit\": null"));
+        assert!(!json.contains("infeasible_at_cycle"));
     }
 }

@@ -681,17 +681,21 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
     let span = irnet_telemetry::current().span("analyze/feasibility");
     let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none())
         .map_err(|e| format!("fault plan: {e}"))?;
-    // The first infeasible state, else the final one.
+    // The first infeasible state and its cycle, else the final state.
     let mut verdicts = analyze_timeline(&topo, &timeline);
-    let feasibility = match verdicts.iter().position(|v| !v.is_feasible()) {
-        Some(i) => verdicts.swap_remove(i),
-        None => verdicts.pop().unwrap_or_else(|| analyze_topology(&topo)),
+    let (feasibility, infeasible_at_cycle) = match verdicts.iter().position(|v| !v.is_feasible()) {
+        Some(i) => (verdicts.swap_remove(i), Some(timeline.steps[i].cycle)),
+        None => (
+            verdicts.pop().unwrap_or_else(|| analyze_topology(&topo)),
+            None,
+        ),
     };
     span.finish();
     let report = match &feasibility {
         Feasibility::Infeasible(_) => AnalysisReport {
             target,
             feasibility,
+            infeasible_at_cycle,
             audit: None,
         },
         Feasibility::Feasible(_) => {
@@ -707,6 +711,7 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
             AnalysisReport {
                 target,
                 feasibility,
+                infeasible_at_cycle: None,
                 audit: Some(audit(&inst.cg, &inst.table, &inst.tables, &cert)),
             }
         }
@@ -731,9 +736,10 @@ fn print_analysis(report: &irnet_analyze::AnalysisReport) {
              switches / {} channels, root {})",
             w.alive_nodes, w.alive_channels, w.root
         ),
-        irnet_analyze::Feasibility::Infeasible(obs) => {
-            println!("feasibility         : INFEASIBLE — {obs}");
-        }
+        irnet_analyze::Feasibility::Infeasible(obs) => match report.infeasible_at_cycle {
+            Some(cycle) => println!("feasibility         : INFEASIBLE at cycle {cycle} — {obs}"),
+            None => println!("feasibility         : INFEASIBLE — {obs}"),
+        },
     }
     let Some(a) = &report.audit else { return };
     println!(

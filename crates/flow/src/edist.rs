@@ -32,13 +32,23 @@ impl EDist {
     /// is zero (no samples). The input order does not matter — samples are
     /// sorted by value internally.
     pub fn from_weighted(samples: &[(f64, f64)]) -> Option<EDist> {
-        let mut sorted: Vec<(f64, f64)> =
-            samples.iter().filter(|&&(_, w)| w > 0.0).copied().collect();
+        let mut sorted: Vec<(u64, f64)> = samples
+            .iter()
+            .filter(|&&(_, w)| w > 0.0)
+            .map(|&(v, w)| (order_key(v), w))
+            .collect();
         let total: f64 = sorted.iter().map(|&(_, w)| w).sum();
+        sorted.sort_by_key(|&(key, _)| key);
+        Self::from_sorted(&sorted, total)
+    }
+
+    /// The quantile grid of positively weighted samples, keyed by
+    /// [`order_key`] and in stable key order, whose weights sum to
+    /// `total`. `None` when `total` is not positive.
+    fn from_sorted(sorted: &[(u64, f64)], total: f64) -> Option<EDist> {
         if total <= 0.0 {
             return None;
         }
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut qs = Vec::with_capacity(N_Q + 1);
         let mut cum = 0.0;
         let mut idx = 0;
@@ -48,7 +58,7 @@ impl EDist {
                 cum += sorted[idx].1;
                 idx += 1;
             }
-            qs.push(sorted[idx].0);
+            qs.push(from_order_key(sorted[idx].0));
         }
         Some(EDist { qs })
     }
@@ -157,17 +167,17 @@ impl EDist {
 
     /// The weighted mixture of several distributions. Returns `None` when
     /// `parts` is empty or all weights are zero.
+    ///
+    /// Each positively weighted part contributes its `N_Q` interval
+    /// midpoints at its weight. Midpoints are already in value order, so
+    /// the parts' runs are merged pairwise, bottom up, instead of sorted;
+    /// ties go to the lower part index, then the earlier position. That is
+    /// the order a stable sort of all the samples gives, so the result is
+    /// that of [`EDist::from_weighted`] on them, bit for bit. The total
+    /// weight is summed sample by sample in input order, as there.
     pub fn mixture(parts: &[(f64, &EDist)]) -> Option<EDist> {
-        let mut samples = Vec::new();
-        for &(w, d) in parts {
-            if w <= 0.0 {
-                continue;
-            }
-            for m in d.midpoints() {
-                samples.push((m, w));
-            }
-        }
-        EDist::from_weighted(&samples)
+        let (samples, total) = merged_samples(parts);
+        EDist::from_sorted(&samples, total)
     }
 
     /// Midpoints of the equal-probability intervals: `N_Q` atoms of mass
@@ -177,6 +187,67 @@ impl EDist {
             .map(|i| (self.qs[i] + self.qs[i + 1]) / 2.0)
             .collect()
     }
+}
+
+/// `x`'s bits, mapped so that unsigned order is [`f64::total_cmp`]
+/// order: a non-negative value gains the sign bit, a negative one has
+/// every bit flipped.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// The value [`order_key`] was taken from.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// The midpoint samples of every positively weighted part, keyed by
+/// [`order_key`], in stable key order, and their total weight summed in
+/// input order ([`EDist::mixture`]).
+fn merged_samples(parts: &[(f64, &EDist)]) -> (Vec<(u64, f64)>, f64) {
+    let mut samples: Vec<(u64, f64)> = Vec::with_capacity(parts.len() * N_Q);
+    let mut total = 0.0;
+    for &(w, d) in parts.iter().filter(|&&(w, _)| w > 0.0) {
+        let run = samples.len();
+        for m in d.midpoints() {
+            samples.push((order_key(m), w));
+            total += w;
+        }
+        // A no-op on ordered midpoints; it orders a run that holds a NaN,
+        // or a -0.0 after a 0.0.
+        samples[run..].sort_by_key(|&(key, _)| key);
+    }
+    let mut merged = samples.clone();
+    let mut width = N_Q;
+    while width < samples.len() {
+        for (src, dst) in samples.chunks(2 * width).zip(merged.chunks_mut(2 * width)) {
+            let (left, right) = src.split_at(width.min(src.len()));
+            merge_into(left, right, dst);
+        }
+        std::mem::swap(&mut samples, &mut merged);
+        width *= 2;
+    }
+    (samples, total)
+}
+
+/// Merges two runs in key order into `out`, taking from `left` on ties.
+fn merge_into(left: &[(u64, f64)], right: &[(u64, f64)], out: &mut [(u64, f64)]) {
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < left.len() && j < right.len() {
+        let (l, r) = (left[i], right[j]);
+        let take_right = r.0 < l.0;
+        out[k] = if take_right { r } else { l };
+        j += usize::from(take_right);
+        i += usize::from(!take_right);
+        k += 1;
+    }
+    let rest = if i < left.len() {
+        &left[i..]
+    } else {
+        &right[j..]
+    };
+    out[k..].copy_from_slice(rest);
 }
 
 #[cfg(test)]
@@ -233,6 +304,120 @@ mod tests {
         let b = EDist::constant(10.0);
         let m = EDist::mixture(&[(1.0, &a), (3.0, &b)]).unwrap();
         assert!((m.mean() - 7.5).abs() < 0.2, "{}", m.mean());
+    }
+
+    /// The sort-based construction the key-ordered one replaced: a stable
+    /// sort by `total_cmp`, then the same quantile walk.
+    fn sorted_from_weighted(samples: &[(f64, f64)]) -> Option<EDist> {
+        let mut sorted: Vec<(f64, f64)> =
+            samples.iter().filter(|&&(_, w)| w > 0.0).copied().collect();
+        let total: f64 = sorted.iter().map(|&(_, w)| w).sum();
+        if total <= 0.0 {
+            return None;
+        }
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut qs = Vec::with_capacity(N_Q + 1);
+        let mut cum = 0.0;
+        let mut idx = 0;
+        for i in 0..=N_Q {
+            let target = total * i as f64 / N_Q as f64;
+            while idx < sorted.len() - 1 && cum + sorted[idx].1 < target {
+                cum += sorted[idx].1;
+                idx += 1;
+            }
+            qs.push(sorted[idx].0);
+        }
+        Some(EDist { qs })
+    }
+
+    /// The sort-based mixture the merge replaced: every midpoint sample
+    /// of every positively weighted part, sorted.
+    fn sorted_mixture(parts: &[(f64, &EDist)]) -> Option<EDist> {
+        let mut samples = Vec::new();
+        for &(w, d) in parts {
+            if w <= 0.0 {
+                continue;
+            }
+            for m in d.midpoints() {
+                samples.push((m, w));
+            }
+        }
+        sorted_from_weighted(&samples)
+    }
+
+    fn bits(d: Option<EDist>) -> Option<Vec<u64>> {
+        d.map(|d| d.qs.iter().map(|v| v.to_bits()).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 200,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The merged mixture equals the sort-based one bit for bit, and
+        /// the key-ordered `from_weighted` the sort-based one. Values come
+        /// from a few small integers, so midpoints tie within and across
+        /// parts; with `special` set they also include -0.0, 0.0, NaN and
+        /// infinities, which put runs out of `total_cmp` order. Weights
+        /// repeat, differ, or are zero.
+        #[test]
+        fn merged_mixture_matches_the_sorted_one(
+            parts in 0usize..60,
+            spread in 1u64..6,
+            seed in 0u64..1_000_000,
+            special in proptest::bool::ANY,
+        ) {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            const WEIGHTS: [f64; 6] = [0.0, 1.0, 1.0, 0.5, 3.0, 1e-3];
+            const SPECIAL: [f64; 5] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let dists: Vec<(f64, EDist)> = (0..parts)
+                .map(|_| {
+                    let samples: Vec<(f64, f64)> = (0..1 + next() % 5)
+                        .map(|_| {
+                            let r = next();
+                            let v = if special && r % 3 == 0 {
+                                SPECIAL[(r / 3 % SPECIAL.len() as u64) as usize]
+                            } else {
+                                (r % spread) as f64
+                            };
+                            (v, (1 + next() % 3) as f64)
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(
+                        bits(EDist::from_weighted(&samples)),
+                        bits(sorted_from_weighted(&samples))
+                    );
+                    let w = WEIGHTS[(next() % WEIGHTS.len() as u64) as usize];
+                    (w, EDist::from_weighted(&samples).unwrap())
+                })
+                .collect();
+            let refs: Vec<(f64, &EDist)> = dists.iter().map(|(w, d)| (*w, d)).collect();
+            proptest::prop_assert_eq!(bits(EDist::mixture(&refs)), bits(sorted_mixture(&refs)));
+            // The merge's order itself is the stable sort's: on tied
+            // values the weights, which differ between parts, show it.
+            let mut stable: Vec<(f64, f64)> = refs
+                .iter()
+                .filter(|&&(w, _)| w > 0.0)
+                .flat_map(|&(w, d)| d.midpoints().into_iter().map(move |m| (m, w)))
+                .collect();
+            stable.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let merged: Vec<(u64, u64)> = merged_samples(&refs)
+                .0
+                .iter()
+                .map(|&(key, w)| (from_order_key(key).to_bits(), w.to_bits()))
+                .collect();
+            let stable: Vec<(u64, u64)> =
+                stable.iter().map(|&(v, w)| (v.to_bits(), w.to_bits())).collect();
+            proptest::prop_assert_eq!(merged, stable);
+        }
     }
 
     #[test]

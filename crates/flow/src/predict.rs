@@ -14,12 +14,12 @@
 //! and totally ordered [`Signature`]s — never from hash iteration order or
 //! the clock — so a fixed seed reproduces the prediction bit-for-bit.
 
-use crate::cluster::{cluster_channels, Signature, IDLE_BUCKET};
+use crate::cluster::{ChannelClasses, Signature, IDLE_BUCKET};
 use crate::decompose::{Decomposer, Decomposition};
 use crate::edist::EDist;
 use crate::neighborhood::extract;
 use irnet_core::{DownUp, DownUpRouting};
-use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, Simulator};
+use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, SimStats, Simulator};
 use irnet_telemetry::Telemetry;
 use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, Topology};
 use irnet_turns::TurnTable;
@@ -155,13 +155,15 @@ fn sig_seed(seed: u64, sig: Signature) -> u64 {
 /// exact engine.
 pub struct FlowPredictor<'a> {
     topo: &'a Topology,
-    tree: &'a CoordinatedTree,
-    cg: &'a CommGraph,
     base: &'a SimConfig,
     cfg: FlowConfig,
     seed: u64,
     plen: u32,
     dec: Decomposition,
+    /// The fabric's channel classes, with the partition's sort buffers.
+    classes: ChannelClasses,
+    /// Per-channel offered loads of the current query.
+    loads: Vec<f64>,
     sat_throughput: f64,
     routes: Vec<Vec<ChannelId>>,
     /// Per-signature hop delay distributions (filled lazily by queries).
@@ -196,8 +198,9 @@ impl<'a> FlowPredictor<'a> {
     /// cache hits/misses — accumulates there as it serves queries. The
     /// decomposition's work goes to the counters `flow/decompose_dests`
     /// and `flow/decompose_channels` (channels given a cost, summed over
-    /// destinations), and the saturation probe's decision to the
-    /// `flow/sat_*` gauges.
+    /// destinations), the clocks every probe and representative sim steps
+    /// to `flow/rep_sim_clocks`, and the saturation probe's decision to
+    /// the `flow/sat_*` gauges.
     pub fn build(
         topo: &'a Topology,
         tree: &'a CoordinatedTree,
@@ -261,13 +264,13 @@ impl<'a> FlowPredictor<'a> {
 
         FlowPredictor {
             topo,
-            tree,
-            cg,
             base,
             cfg: cfg.clone(),
             seed,
             plen,
             dec,
+            classes: ChannelClasses::new(cg, tree),
+            loads: Vec::with_capacity(cg.num_channels() as usize),
             sat_throughput,
             routes,
             hop_cache: BTreeMap::new(),
@@ -317,8 +320,10 @@ impl<'a> FlowPredictor<'a> {
     /// once the signature cache covers the requested load regime, a query
     /// costs only clustering and (cached) convolution.
     pub fn point(&mut self, rate: f64) -> FlowPoint {
-        let loads: Vec<f64> = self.dec.unit_load.iter().map(|&w| w * rate).collect();
-        let part = cluster_channels(self.cg, self.tree, &loads);
+        self.loads.clear();
+        self.loads
+            .extend(self.dec.unit_load.iter().map(|&w| w * rate));
+        let part = self.classes.partition(&self.loads);
         self.cluster_count = part.len();
         self.tel.counter("flow/points").inc();
         self.tel.gauge("flow/clusters").set(part.len() as f64);
@@ -337,15 +342,8 @@ impl<'a> FlowPredictor<'a> {
                 continue;
             }
             let rep_sim = self.tel.span("flow/rep_sim");
-            let hop = hop_distribution(
-                self.topo,
-                self.base,
-                cl.representative,
-                cl.mean_load,
-                sig_seed(self.seed, cl.sig),
-                &self.cfg,
-                self.plen,
-            );
+            let hop =
+                self.hop_distribution(cl.representative, cl.mean_load, sig_seed(self.seed, cl.sig));
             rep_sim.finish();
             self.representative_sims += 1;
             self.tel.counter("flow/rep_sims").inc();
@@ -365,7 +363,7 @@ impl<'a> FlowPredictor<'a> {
                 let mut shift = f64::from(plen - 1);
                 let mut key: Vec<Signature> = Vec::with_capacity(route.len());
                 for &c in route {
-                    let sig = Signature::of(self.cg, self.tree, c, loads[c as usize]);
+                    let sig = self.classes.signature(c, self.loads[c as usize]);
                     if sig.load_bucket == IDLE_BUCKET || !self.hop_cache.contains_key(&sig) {
                         // Uncontended: exactly one cycle per hop.
                         shift += 1.0;
@@ -423,6 +421,65 @@ impl<'a> FlowPredictor<'a> {
             dests_sampled: self.dec.dests_sampled,
         }
     }
+
+    /// Runs one representative neighborhood sim and turns its latency
+    /// histogram into a per-hop delay distribution (floor 1 cycle/hop).
+    fn hop_distribution(&self, representative: ChannelId, target_load: f64, seed: u64) -> EDist {
+        let Some((stats, hops)) = self.neighborhood_sim(representative, target_load, seed) else {
+            return EDist::constant(1.0);
+        };
+        let hops = hops.max(1.0);
+        match EDist::from_buckets(stats.latency_hist.buckets()) {
+            Some(lat) => lat
+                .affine(1.0 / hops, -f64::from(self.plen - 1) / hops)
+                .max_with(1.0),
+            None => EDist::constant(1.0),
+        }
+    }
+
+    /// Extracts the neighborhood, calibrates the injection rate so the
+    /// mapped representative channel carries `target_load`, and runs the
+    /// flit engine. Returns `(stats, neighborhood avg hops)`.
+    fn neighborhood_sim(
+        &self,
+        representative: ChannelId,
+        target_load: f64,
+        seed: u64,
+    ) -> Option<(SimStats, f64)> {
+        let cfg = &self.cfg;
+        let nb = extract(self.topo, representative, cfg.radius, cfg.max_neighborhood).ok()?;
+        let routing = construct_neighborhood(&nb.topo)?;
+        let sub_dec = Decomposer::new(routing.comm_graph(), routing.turn_table()).decompose(0);
+        let u_c = sub_dec.unit_load[nb.center as usize];
+        if u_c <= 1e-9 {
+            return None;
+        }
+        let rate = (target_load / u_c).min(0.95);
+        if rate < 1e-6 {
+            return None;
+        }
+        let sim_cfg = internal_sim(self.base, rate, cfg.rep_warmup, cfg.rep_measure);
+        let stats = run_counted(
+            Simulator::new(
+                routing.comm_graph(),
+                routing.routing_tables(),
+                sim_cfg,
+                seed,
+            ),
+            &self.tel,
+        );
+        Some((stats, sub_dec.avg_hops))
+    }
+}
+
+/// Runs `sim` through its windows exactly as [`Simulator::run`] does —
+/// `advance` to the last clock, then `finish` — and adds the clocks it
+/// stepped to the `flow/rep_sim_clocks` counter in between.
+fn run_counted(mut sim: Simulator<'_>, tel: &Telemetry) -> SimStats {
+    sim.advance(sim.config().total_cycles());
+    tel.counter("flow/rep_sim_clocks")
+        .add(sim.work_counters().clocks);
+    sim.finish()
 }
 
 /// Predicts the latency/throughput curve of a fabric at the given offered
@@ -440,30 +497,6 @@ pub fn predict(
     cfg: &FlowConfig,
 ) -> FlowCurve {
     FlowPredictor::build(topo, tree, cg, table, base, seed, cfg).curve(rates)
-}
-
-/// Runs one representative neighborhood sim and turns its latency
-/// histogram into a per-hop delay distribution (floor 1 cycle/hop).
-fn hop_distribution(
-    topo: &Topology,
-    base: &SimConfig,
-    representative: ChannelId,
-    target_load: f64,
-    seed: u64,
-    cfg: &FlowConfig,
-    plen: u32,
-) -> EDist {
-    let Some((stats, hops)) = neighborhood_run(topo, base, representative, target_load, seed, cfg)
-    else {
-        return EDist::constant(1.0);
-    };
-    let hops = hops.max(1.0);
-    match EDist::from_buckets(stats.latency_hist.buckets()) {
-        Some(lat) => lat
-            .affine(1.0 / hops, -f64::from(plen - 1) / hops)
-            .max_with(1.0),
-        None => EDist::constant(1.0),
-    }
 }
 
 /// Injection drives (fraction of the neighborhood's max) the capacity
@@ -517,13 +550,15 @@ fn measure_saturation(
     let mut sims = 0usize;
     for (i, &drive) in PROBE_DRIVES.iter().enumerate() {
         let sim_cfg = internal_sim(base, drive, cfg.sat_warmup, cfg.sat_measure);
-        let stats = Simulator::new(
-            routing.comm_graph(),
-            routing.routing_tables(),
-            sim_cfg,
-            seed ^ 0xCAFE ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )
-        .run();
+        let stats = run_counted(
+            Simulator::new(
+                routing.comm_graph(),
+                routing.routing_tables(),
+                sim_cfg,
+                seed ^ 0xCAFE ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+            tel,
+        );
         let max_util = (0..routing.comm_graph().num_channels())
             .map(|c| stats.channel_utilization(c))
             .fold(0.0f64, f64::max);
@@ -570,51 +605,6 @@ fn internal_sim(base: &SimConfig, injection_rate: f64, warmup: u32, measure: u32
 /// `construction` spans.
 fn construct_neighborhood(topo: &Topology) -> Option<DownUpRouting> {
     Telemetry::disabled().scope(|| DownUp::new().construct(topo).ok())
-}
-
-fn neighborhood_run(
-    topo: &Topology,
-    base: &SimConfig,
-    representative: ChannelId,
-    target_load: f64,
-    seed: u64,
-    cfg: &FlowConfig,
-) -> Option<(irnet_sim::SimStats, f64)> {
-    neighborhood_sim(topo, base, representative, target_load, seed, cfg)
-        .map(|(stats, hops, _)| (stats, hops))
-}
-
-/// Extracts the neighborhood, calibrates the injection rate so the mapped
-/// representative channel carries `target_load`, and runs the flit engine.
-/// Returns `(stats, neighborhood avg hops, mapped center channel)`.
-fn neighborhood_sim(
-    topo: &Topology,
-    base: &SimConfig,
-    representative: ChannelId,
-    target_load: f64,
-    seed: u64,
-    cfg: &FlowConfig,
-) -> Option<(irnet_sim::SimStats, f64, ChannelId)> {
-    let nb = extract(topo, representative, cfg.radius, cfg.max_neighborhood).ok()?;
-    let routing = construct_neighborhood(&nb.topo)?;
-    let sub_dec = Decomposer::new(routing.comm_graph(), routing.turn_table()).decompose(0);
-    let u_c = sub_dec.unit_load[nb.center as usize];
-    if u_c <= 1e-9 {
-        return None;
-    }
-    let rate = (target_load / u_c).min(0.95);
-    if rate < 1e-6 {
-        return None;
-    }
-    let sim_cfg = internal_sim(base, rate, cfg.rep_warmup, cfg.rep_measure);
-    let stats = Simulator::new(
-        routing.comm_graph(),
-        routing.routing_tables(),
-        sim_cfg,
-        seed,
-    )
-    .run();
-    Some((stats, sub_dec.avg_hops, nb.center))
 }
 
 #[cfg(test)]
@@ -696,5 +686,57 @@ mod tests {
         }
         assert!(curve.representative_sims >= 1);
         assert!(curve.cluster_count >= 1);
+    }
+
+    /// Golden pin of the query path at the `flow-2048` benchmark's size:
+    /// 2048-switch, 8-port fabric 0 (Phases 1–3 only), the benchmark's
+    /// simulator configuration and predictor seed (run seed 1), the
+    /// ten-rate ladder, then twenty warm queries at 0.5 to 1.45 times the
+    /// predicted saturation. FNV-1a over every field of every point.
+    /// Seconds in release mode:
+    /// `cargo test --release -p irnet-flow -- --ignored`.
+    #[test]
+    #[ignore = "2048-switch fabric; run in release with --ignored"]
+    fn queries_are_pinned_on_a_2048_switch_fabric() {
+        let topo = gen::random_irregular(gen::IrregularParams::paper(2048, 8), 0).unwrap();
+        let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+        let base = SimConfig {
+            packet_len: 32,
+            warmup_cycles: 1_000,
+            measure_cycles: 2_000,
+            ..SimConfig::default()
+        };
+        // The benchmark's per-fabric seed: splitmix64 of run seed 1 and
+        // fabric tag 0.
+        let (run_seed, tag) = (1u64, 0u64);
+        let mut z = run_seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(tag.wrapping_add(1).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let seed = z ^ (z >> 31);
+
+        let cfg = FlowConfig::default();
+        let mut pred = FlowPredictor::build(&topo, &tree, &cg, &table, &base, seed, &cfg);
+        let mut points = pred.curve(&irnet_metrics::sweep::default_rates(10)).points;
+        let sat = pred.saturation();
+        for q in 0..20 {
+            points.push(pred.point(sat * (0.5 + 0.05 * f64::from(q))));
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in &points {
+            for v in [
+                p.offered.to_bits(),
+                p.accepted.to_bits(),
+                p.mean_latency.to_bits(),
+                p.median_latency.to_bits(),
+                p.p99_latency.to_bits(),
+                u64::from(p.saturated),
+            ] {
+                h ^= v;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x9867_d52b_76aa_b131, "{h:#x}");
     }
 }

@@ -175,20 +175,30 @@ fn audits_pass_on_random_certified_instances() {
 /// Pins the shipped `scenarios/infeasible_128.json` fixture: the full plan
 /// is provably unroutable on the 128-switch reference topology, the
 /// obstruction is a partition with a concrete witness pair, and it first
-/// appears at the final event: every earlier state is feasible, and so is
-/// the plan without that event (the scenario is minimal at its tail by
-/// construction).
+/// appears at the final event, cycle 32511, which the report names: every
+/// earlier state is feasible, and so is the plan without that event (the
+/// scenario is minimal at its tail by construction).
 #[test]
 fn infeasible_fixture_is_minimal_at_its_tail() {
     let plan = fixture("infeasible_128.json");
     let topo = build(128, 4, 1);
 
-    let (_, verdicts) = judge(&topo, &plan);
+    let (timeline, verdicts) = judge(&topo, &plan);
     let (last, earlier) = verdicts.split_last().expect("the fixture has steps");
     assert!(earlier.iter().all(Feasibility::is_feasible));
     let Feasibility::Infeasible(obstruction) = last else {
         panic!("the full fixture plan must be infeasible");
     };
+    let cycle = timeline.steps.last().expect("the fixture has steps").cycle;
+    assert_eq!(cycle, 32_511);
+    let report = AnalysisReport {
+        target: "scenarios/infeasible_128.json".to_string(),
+        feasibility: last.clone(),
+        infeasible_at_cycle: Some(cycle),
+        audit: None,
+    };
+    assert!(!report.passed());
+    assert!(report.to_json().contains("\"infeasible_at_cycle\": 32511"));
     match obstruction {
         Obstruction::Partitioned {
             witness_pair: (a, b),

@@ -524,10 +524,11 @@ irnet_span_calls_total{path="repair/recertify"} 1
 irnet_span_calls_total{path="sim/run"} 1
 "#;
 
-/// A predictor over a 256-switch fabric, built under `tel`. The fabric is
-/// above the size where the decomposition goes parallel, so on a
-/// multi-core host its destinations run on several threads.
-fn build_256_switch_predictor(tel: &Telemetry) {
+/// A predictor over a 256-switch fabric, built under `tel` and then
+/// queried at `rates`. The fabric is above the size where the
+/// decomposition goes parallel, so on a multi-core host its destinations
+/// run on several threads.
+fn build_256_switch_predictor(tel: &Telemetry, rates: &[f64]) {
     let topo = gen::random_irregular(gen::IrregularParams::paper(256, 4), 3).unwrap();
     let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
     let base = SimConfig {
@@ -540,19 +541,27 @@ fn build_256_switch_predictor(tel: &Telemetry) {
         sat_measure: 800,
         ..FlowConfig::default()
     };
-    tel.scope(|| FlowPredictor::build(&topo, &tree, &cg, &table, &base, 3, &cfg));
+    tel.scope(|| {
+        let mut pred = FlowPredictor::build(&topo, &tree, &cg, &table, &base, 3, &cfg);
+        for &rate in rates {
+            pred.point(rate);
+        }
+    });
 }
 
-/// The decomposition's work counters are exact: destinations walked and
-/// channels given a cost, summed over them. They count work, not time,
-/// so they are the same at every worker count.
+/// The predictor's work counters are exact: destinations walked and
+/// channels given a cost, summed over them, and the clocks stepped by the
+/// saturation probe's four sims (1,000 clocks each) and by one query's
+/// representative sims. They count work, not time, so they are the same
+/// at every worker count.
 #[test]
 fn flow_build_counts_its_decomposition_work() {
     let tel = Telemetry::enabled();
-    build_256_switch_predictor(&tel);
+    build_256_switch_predictor(&tel, &[0.1]);
     let snap = tel.snapshot();
     assert_eq!(snap.counter("flow/decompose_dests"), Some(64));
     assert_eq!(snap.counter("flow/decompose_channels"), Some(29_737));
+    assert_eq!(snap.counter("flow/rep_sim_clocks"), Some(143_066));
 }
 
 /// Half of `flow_build_records_the_saturation_probe_silently`, run in a
@@ -561,7 +570,7 @@ fn flow_build_counts_its_decomposition_work() {
 #[ignore = "run as a child process by flow_build_records_the_saturation_probe_silently"]
 fn flow_build_records_the_saturation_probe() {
     let tel = Telemetry::enabled();
-    build_256_switch_predictor(&tel);
+    build_256_switch_predictor(&tel, &[]);
     let snap = tel.snapshot();
     let gauge = |name: &str| snap.gauges.get(name).copied();
     // A 144-switch ball is a truncated neighbourhood of 256 switches.
