@@ -15,8 +15,10 @@
 //! 3. **Turn-prohibition minimality** (`IRNET-W004`): a prohibited turn is
 //!    *load-bearing* when releasing it would close a channel-dependency
 //!    cycle, i.e. the dependency graph already has a path from the turn's
-//!    out-channel back to its in-channel ([`PathOracle`] query). Turns that
-//!    are not load-bearing could be released for free adaptivity.
+//!    out-channel back to its in-channel. One reachability closure answers
+//!    that for every prohibited turn ([`cycle_closing`], the closure behind
+//!    the Phase-3 release pass). Turns that are not load-bearing could be
+//!    released for free adaptivity.
 //! 4. **Livelock freedom** (`IRNET-E009`): every edge of every escape set
 //!    must strictly climb the certificate's channel numbering. Then any
 //!    sequence of misroutes is a strictly increasing walk in a finite
@@ -24,9 +26,16 @@
 //!
 //! Findings reuse the [`Finding`] / severity plumbing from `irnet-verify`,
 //! so JSON export and exit-code policy are uniform with `irnet lint`.
+//!
+//! Each audit is timed as a child of the `analyze/audit` span
+//! (`black_holes`, `stretch`, `minimality`, `livelock`) and counts its work
+//! in [`irnet_telemetry::current`]: `analyze/audit_states` (misroute states
+//! walked), `analyze/audit_pairs` (stretch pairs), `analyze/minimality_turns`
+//! (prohibited turns tested) and the `analyze/minimality_closure_bytes`
+//! gauge.
 
 use irnet_topology::{ChannelId, CommGraph, NodeId};
-use irnet_turns::{ChannelDepGraph, PathOracle, RoutingTables, TurnTable, INJECTION_SLOT};
+use irnet_turns::{cycle_closing, RoutingTables, TurnTable, INJECTION_SLOT};
 use irnet_verify::{Certificate, Finding, LintCode, Severity, Verdict};
 use serde::{Serialize, Value};
 
@@ -182,6 +191,7 @@ pub fn audit(
     let n = tables.num_nodes();
     let slots = tables.slots();
     let mut findings = Vec::new();
+    let tel = irnet_telemetry::current();
 
     // An "active" destination receives traffic from at least one source.
     let active: Vec<bool> = (0..n)
@@ -189,6 +199,8 @@ pub fn audit(
         .collect();
 
     // --- Audit 1: reachability / black holes (E006) --------------------
+    let span = tel.span("analyze/audit/black_holes");
+    let mut states = 0u64;
     let mut black_holes = 0u64;
     let mut detail = Vec::new();
     let mut seen = vec![false; n as usize * slots];
@@ -205,6 +217,7 @@ pub fn audit(
             }
         }
         while let Some((v, slot)) = stack.pop() {
+            states += 1;
             let mask = tables.candidates_any(t, v, slot);
             if mask == 0 {
                 // Reachable state with no legal escape: a black hole.
@@ -245,8 +258,11 @@ pub fn audit(
             Vec::new(),
         ));
     }
+    tel.counter("analyze/audit_states").add(states);
+    span.finish();
 
     // --- Audit 2: stretch vs BFS shortest paths (E008 / W003) ----------
+    let span = tel.span("analyze/audit/stretch");
     let mut stretch = StretchHistogram::default();
     let mut overlong = Vec::new();
     let mut worst: Option<(NodeId, NodeId, f64)> = None;
@@ -303,6 +319,7 @@ pub fn audit(
         }
     }
     stretch.finish();
+    tel.counter("analyze/audit_pairs").add(stretch.pairs);
     findings.append(&mut overlong);
     if let Some((s, t, ratio)) = worst {
         findings.push(finding(
@@ -315,17 +332,22 @@ pub fn audit(
             Vec::new(),
         ));
     }
+    span.finish();
 
     // --- Audit 3: turn-prohibition minimality (W004) -------------------
-    let dep = ChannelDepGraph::build(cg, table);
-    let mut oracle = PathOracle::new(&dep);
+    let span = tel.span("analyze/audit/minimality");
     let prohibited = table.prohibited_pairs(cg);
+    // Load-bearing iff releasing in_ch -> out_ch would close a cycle, i.e.
+    // the dependency graph already walks out_ch back to in_ch.
+    let (load_bearing, closure_bytes) = cycle_closing(cg, table, &prohibited);
+    tel.counter("analyze/minimality_turns")
+        .add(prohibited.len() as u64);
+    tel.gauge("analyze/minimality_closure_bytes")
+        .set(closure_bytes as f64);
     let mut redundant = 0u32;
     let mut examples: Vec<ChannelId> = Vec::new();
-    for &(in_ch, out_ch) in &prohibited {
-        // Load-bearing iff releasing in_ch -> out_ch would close a cycle,
-        // i.e. the dependency graph already walks out_ch back to in_ch.
-        if !oracle.has_path(out_ch, in_ch) {
+    for (&(in_ch, out_ch), &load_bearing) in prohibited.iter().zip(&load_bearing) {
+        if !load_bearing {
             redundant += 1;
             if examples.len() < 2 * MAX_DETAIL {
                 examples.push(in_ch);
@@ -345,8 +367,10 @@ pub fn audit(
             examples,
         ));
     }
+    span.finish();
 
     // --- Audit 4: livelock freedom via certificate rank (E009) ---------
+    let span = tel.span("analyze/audit/livelock");
     match &cert.verdict {
         Verdict::DeadlockFree { numbering } => {
             let mut violations = Vec::new();
@@ -410,6 +434,7 @@ pub fn audit(
             ));
         }
     }
+    span.finish();
 
     findings.sort_by(|a, b| {
         let k = |f: &Finding| (f.severity == Severity::Warning, f.code.code(), f.node);
@@ -428,8 +453,11 @@ pub fn audit(
 mod tests {
     use super::*;
     use irnet_core::DownUp;
-    use irnet_topology::gen;
+    use irnet_metrics::Algo;
+    use irnet_topology::{gen, PreorderPolicy};
+    use irnet_turns::ChannelDepGraph;
     use irnet_verify::certify;
+    use proptest::prelude::*;
 
     #[test]
     fn well_built_instances_pass_all_four_audits() {
@@ -465,23 +493,59 @@ mod tests {
         assert!(report.count(LintCode::RankViolation) > 0);
     }
 
-    #[test]
-    fn minimality_counts_agree_with_a_direct_recount() {
-        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 2).unwrap();
-        let built = DownUp::new().release(false).construct(&topo).unwrap();
-        let (_, cg, table, tables) = built.into_parts();
-        let cert = certify(&cg, &table);
-        let report = audit(&cg, &table, &tables, &cert);
-        let dep = ChannelDepGraph::build(&cg, &table);
-        let recount = table
-            .prohibited_pairs(&cg)
-            .iter()
-            .filter(|&&(i, o)| !dep.has_path(o, i))
-            .count() as u32;
-        assert_eq!(report.redundant_prohibitions, recount);
-        assert_eq!(
-            report.prohibited_turns as usize,
-            table.prohibited_pairs(&cg).len()
-        );
+    const ALGOS: [Algo; 7] = [
+        Algo::DownUp { release: true },
+        Algo::DownUp { release: false },
+        Algo::DownUpCenterRoot,
+        Algo::LTurn { release: true },
+        Algo::LTurn { release: false },
+        Algo::UpDownBfs,
+        Algo::UpDownDfs,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// W004's count and example channels equal a recount that runs one
+        /// dependency-graph search per prohibited turn, for every algorithm.
+        #[test]
+        fn minimality_counts_agree_with_a_direct_recount(
+            n in 8u32..=40,
+            wide in proptest::bool::ANY,
+            seed in 0u64..10_000,
+        ) {
+            let ports = if wide { 8 } else { 4 };
+            let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed).unwrap();
+            for algo in ALGOS {
+                let inst = algo.construct(&topo, PreorderPolicy::M1, seed).unwrap();
+                let (cg, table) = (&inst.cg, &inst.table);
+                let report = audit(cg, table, &inst.tables, &certify(cg, table));
+                let prohibited = table.prohibited_pairs(cg);
+                let dep = ChannelDepGraph::build(cg, table);
+                let redundant: Vec<(ChannelId, ChannelId)> = prohibited
+                    .iter()
+                    .copied()
+                    .filter(|&(i, o)| !dep.has_path(o, i))
+                    .collect();
+                prop_assert_eq!(report.prohibited_turns as usize, prohibited.len(), "{algo}");
+                prop_assert_eq!(report.redundant_prohibitions as usize, redundant.len(), "{algo}");
+                let w004: Vec<&Finding> = report
+                    .findings
+                    .iter()
+                    .filter(|f| f.code == LintCode::RedundantProhibition)
+                    .collect();
+                if redundant.is_empty() {
+                    prop_assert!(w004.is_empty(), "{algo}");
+                } else {
+                    let examples: Vec<ChannelId> = redundant
+                        .iter()
+                        .take(MAX_DETAIL)
+                        .flat_map(|&(i, o)| [i, o])
+                        .collect();
+                    prop_assert_eq!(w004.len(), 1, "{algo}");
+                    prop_assert_eq!(&w004[0].channels, &examples, "{algo}");
+                }
+            }
+        }
     }
 }

@@ -33,9 +33,10 @@
 //!    large (tree-link faults under M2, root changes, …) fall back to the
 //!    full masked rebuild — the patch would touch everything anyway.
 //! 4. **recertify** — re-certify the old∪new transition union by checking
-//!    only the *added* dependency edges against a path oracle over the old
-//!    (acyclic) dependency graph (`irnet-verify`'s `union_acyclic_delta`),
-//!    instead of re-running the full Dally–Seitz certification.
+//!    only the *added* dependency edges against the reachability closure
+//!    of the old (acyclic) dependency graph (`irnet-verify`'s
+//!    `union_acyclic_delta`, a release pass over the old table), instead of
+//!    re-running the full Dally–Seitz certification.
 //!
 //! Equivalence argument: stage 2 recomputes the prohibition set exactly as
 //! the full path does, so old∪new certification and the simulator-visible

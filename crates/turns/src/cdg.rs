@@ -189,10 +189,8 @@ impl ChannelDepGraph {
     /// Phase-3 test, under which releasing the turn `e1 → e2` at a node is
     /// safe iff there is no path from `e2` back to `e1`. The release pass
     /// itself answers that test from a reachability closure
-    /// ([`crate::release_redundant_turns`]); this search is the reference.
-    ///
-    /// Allocates a fresh visited set per call; batch callers that interleave
-    /// queries with edge insertions should use [`PathOracle`] instead.
+    /// ([`crate::release_redundant_turns`]), and so do batch callers
+    /// ([`crate::cycle_closing`]); this search is the reference.
     pub fn has_path(&self, from: ChannelId, to: ChannelId) -> bool {
         if from == to {
             return true;
@@ -209,82 +207,6 @@ impl ChannelDepGraph {
                 if !seen[w as usize] {
                     seen[w as usize] = true;
                     stack.push(w);
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Incremental reachability over a base dependency graph plus a growing set
-/// of extra edges, for callers that interleave a few path queries with
-/// edge insertions: the analyzer's turn-prohibition minimality audit and
-/// the reconfiguration-safety check of `irnet-verify`.
-///
-/// The oracle keeps the base graph immutable, stores added edges in
-/// per-channel overflow lists, and replaces the visited set with a
-/// reusable stamp buffer (one `u32` bump per query, no clearing). Each
-/// query is one search, `O(|E⃗|)` in the worst case. A pass that tests
-/// thousands of candidates should not use it: the release pass answers
-/// all of its tests from one reachability closure instead
-/// ([`crate::release_redundant_turns`], DESIGN.md §13).
-#[derive(Debug)]
-pub struct PathOracle<'g> {
-    base: &'g ChannelDepGraph,
-    /// Extra successors of each channel, on top of `base`.
-    extra: Vec<Vec<ChannelId>>,
-    /// Visit stamps; `stamp[v] == cur` means `v` was reached this query.
-    stamp: Vec<u32>,
-    cur: u32,
-    stack: Vec<ChannelId>,
-}
-
-impl<'g> PathOracle<'g> {
-    /// Creates an oracle over `base` with no extra edges.
-    pub fn new(base: &'g ChannelDepGraph) -> PathOracle<'g> {
-        let n = base.num_channels() as usize;
-        PathOracle {
-            base,
-            extra: vec![Vec::new(); n],
-            stamp: vec![0; n],
-            cur: 0,
-            stack: Vec::new(),
-        }
-    }
-
-    /// Adds the dependency edge `from → to` on top of the base graph.
-    pub fn add_edge(&mut self, from: ChannelId, to: ChannelId) {
-        self.extra[from as usize].push(to);
-    }
-
-    /// Whether a directed path from `from` to `to` exists in the base graph
-    /// together with every added edge. Matches
-    /// [`ChannelDepGraph::has_path`] semantics (`true` when `from == to`).
-    pub fn has_path(&mut self, from: ChannelId, to: ChannelId) -> bool {
-        if from == to {
-            return true;
-        }
-        self.cur = match self.cur.checked_add(1) {
-            Some(c) => c,
-            None => {
-                // Stamp wraparound: reset once every 2^32 - 1 queries.
-                self.stamp.fill(0);
-                1
-            }
-        };
-        let cur = self.cur;
-        self.stack.clear();
-        self.stack.push(from);
-        self.stamp[from as usize] = cur;
-        while let Some(v) = self.stack.pop() {
-            let base_succ = self.base.successors(v).iter();
-            for &w in base_succ.chain(self.extra[v as usize].iter()) {
-                if w == to {
-                    return true;
-                }
-                if self.stamp[w as usize] != cur {
-                    self.stamp[w as usize] = cur;
-                    self.stack.push(w);
                 }
             }
         }
@@ -414,75 +336,6 @@ mod tests {
         let joint = da.union(&db);
         assert_eq!(joint.num_edges(), open.num_edges());
         assert!(!joint.is_acyclic());
-    }
-
-    #[test]
-    fn path_oracle_matches_has_path_on_random_graphs() {
-        for seed in 0..4 {
-            let topo = gen::random_irregular(gen::IrregularParams::paper(20, 4), seed).unwrap();
-            let cg = cg_of(&topo);
-            let table = TurnTable::from_direction_rule(&cg, |din, dout| {
-                !(din.goes_down() && dout.goes_up())
-            });
-            let dep = ChannelDepGraph::build(&cg, &table);
-            let mut oracle = PathOracle::new(&dep);
-            for from in 0..dep.num_channels() {
-                for to in 0..dep.num_channels() {
-                    assert_eq!(
-                        oracle.has_path(from, to),
-                        dep.has_path(from, to),
-                        "oracle disagrees on {from} -> {to} (seed {seed})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn path_oracle_with_extra_edges_matches_a_rebuilt_graph() {
-        // Adding edges to the oracle must answer exactly like a graph that
-        // was rebuilt with those edges included.
-        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 2).unwrap();
-        let cg = cg_of(&topo);
-        let restrictive = TurnTable::from_direction_rule(&cg, |din, dout| {
-            !din.goes_down() && !matches!(din, Direction::LCross | Direction::RCross)
-                || dout.goes_down()
-        });
-        let base = ChannelDepGraph::build(&cg, &restrictive);
-        let full = ChannelDepGraph::build(&cg, &TurnTable::all_allowed(&cg));
-        // The edges present in `full` but not `base`, to feed in one by one.
-        let mut missing: Vec<(ChannelId, ChannelId)> = Vec::new();
-        for c in 0..full.num_channels() {
-            for &s in full.successors(c) {
-                if !base.successors(c).contains(&s) {
-                    missing.push((c, s));
-                }
-            }
-        }
-        assert!(!missing.is_empty());
-        let mut oracle = PathOracle::new(&base);
-        let mut table = restrictive;
-        let ch = cg.channels();
-        for &(from, to) in missing.iter().take(12) {
-            oracle.add_edge(from, to);
-            // Mirror the edge into the table and rebuild for reference.
-            let v = ch.sink(from);
-            debug_assert_eq!(ch.start(to), v);
-            table.release(&cg, from, to);
-            let rebuilt = ChannelDepGraph::build(&cg, &table);
-            for probe in 0..base.num_channels() {
-                assert_eq!(
-                    oracle.has_path(probe, from),
-                    rebuilt.has_path(probe, from),
-                    "probe {probe} -> {from} after adding {from}->{to}"
-                );
-                assert_eq!(
-                    oracle.has_path(to, probe),
-                    rebuilt.has_path(to, probe),
-                    "probe {to} -> {probe} after adding {from}->{to}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -28,10 +28,10 @@ mod turn_table;
 mod verify;
 
 pub use adaptivity::{adaptivity, AdaptivityStats};
-pub use cdg::{ChannelCycle, ChannelDepGraph, PathOracle};
+pub use cdg::{ChannelCycle, ChannelDepGraph};
 pub use dirgraph::{DirGraph, Movement};
 pub use export::{export_tables, parse_exported, ExportedTables};
-pub use release::{release_redundant_turns, ReleasePass};
+pub use release::{cycle_closing, release_redundant_turns, ReleasePass};
 pub use routing::{
     auto_workers, lowest_port_route, Cost, CostOverflow, PatchStats, Preds, RoutingError,
     RoutingTables, INJECTION_SLOT,

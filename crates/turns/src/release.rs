@@ -30,6 +30,11 @@
 //! `O(|Y| · |X|/64)`, and `C` takes `|X| · |Y| / 8` bytes. A cyclic base
 //! graph has no topological order; there the sweep repeats until nothing
 //! changes, so the answers stay exact (DESIGN.md §13).
+//!
+//! The same closure answers the question for callers that commit nothing:
+//! [`cycle_closing`] tests each turn of a list alone, which is the
+//! analyzer's prohibition-minimality audit. The reconfiguration check of
+//! `irnet-verify` is itself a release pass over the old table.
 
 use crate::cdg::ChannelDepGraph;
 use crate::turn_table::TurnTable;
@@ -58,23 +63,59 @@ pub fn release_redundant_turns(
     table: &mut TurnTable,
     mut candidate: impl FnMut(ChannelId, ChannelId) -> bool,
 ) -> ReleasePass {
-    let ch = cg.channels();
-    let mut pairs = Vec::new();
-    for v in 0..cg.num_nodes() {
-        for &in_ch in ch.inputs(v) {
-            for &out_ch in ch.outputs(v) {
-                if out_ch != ch.reverse(in_ch)
-                    && !table.is_allowed(cg, in_ch, out_ch)
-                    && candidate(in_ch, out_ch)
-                {
-                    pairs.push((in_ch, out_ch));
-                }
-            }
+    let mut pairs = table.prohibited_pairs(cg);
+    pairs.retain(|&(x, y)| candidate(x, y));
+    // Phase 3 keeps a few percent of the prohibited turns: give the rest
+    // back before the dependency graph and the closure are allocated.
+    pairs.shrink_to_fit();
+    if pairs.is_empty() {
+        return ReleasePass::default();
+    }
+    let mut closure = Closure::build(cg, table, &pairs);
+    let mut released = Vec::new();
+    for (k, &(x, y)) in pairs.iter().enumerate() {
+        if !closure.closes_cycle(k) {
+            closure.add_turn(k);
+            table.release(cg, x, y);
+            released.push((x, y));
         }
     }
-    // Dense indices of the distinct in-channels (X) and out-channels (Y).
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    let pairs: Vec<(usize, usize)> = {
+    ReleasePass {
+        released,
+        candidates: pairs.len(),
+        closure_bytes: closure.bytes(),
+    }
+}
+
+/// Whether each of `turns`, released alone into `table`, would close a
+/// cycle in its dependency graph, and the heap bytes of the closure that
+/// answered. Nothing is committed, so the answers are independent of each
+/// other and of the list's order.
+pub fn cycle_closing(
+    cg: &CommGraph,
+    table: &TurnTable,
+    turns: &[(ChannelId, ChannelId)],
+) -> (Vec<bool>, usize) {
+    let closure = Closure::build(cg, table, turns);
+    let closes = (0..turns.len()).map(|k| closure.closes_cycle(k)).collect();
+    (closes, closure.bytes())
+}
+
+/// The reachability closure `C` over the turns it was built for: row `y`
+/// is a bitset over the indices of `X`, `words` machine words long.
+struct Closure {
+    /// Each turn's `(x, y)` as indices into `X` and `Y`.
+    turns: Vec<(usize, usize)>,
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl Closure {
+    /// Indexes the distinct in-channels (`X`) and out-channels (`Y`) of
+    /// `turns` and fills `C[y]` for every `y` from the dependency graph of
+    /// `table`.
+    fn build(cg: &CommGraph, table: &TurnTable, turns: &[(ChannelId, ChannelId)]) -> Closure {
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         let nch = cg.num_channels() as usize;
         let (mut x_of, mut y_of) = (vec![u32::MAX; nch], vec![u32::MAX; nch]);
         let index = |c: ChannelId, of: &mut Vec<u32>, list: &mut Vec<ChannelId>| {
@@ -84,40 +125,15 @@ pub fn release_redundant_turns(
             }
             of[c as usize] as usize
         };
-        pairs
-            .into_iter()
-            .map(|(x, y)| (index(x, &mut x_of, &mut xs), index(y, &mut y_of, &mut ys)))
-            .collect()
-    };
-    let mut closure = Closure::build(&ChannelDepGraph::build(cg, table), &xs, &ys);
-    let mut released = Vec::new();
-    for &(xi, yi) in &pairs {
-        if !closure.reaches(yi, xi) {
-            closure.add_edge(xi, yi);
-            table.release(cg, xs[xi], ys[yi]);
-            released.push((xs[xi], ys[yi]));
-        }
-    }
-    ReleasePass {
-        released,
-        candidates: pairs.len(),
-        closure_bytes: closure.bits.len() * std::mem::size_of::<u64>(),
-    }
-}
+        let turns = turns
+            .iter()
+            .map(|&(x, y)| (index(x, &mut x_of, &mut xs), index(y, &mut y_of, &mut ys)))
+            .collect();
 
-/// The reachability closure `C`: row `y` is a bitset over the indices of
-/// `X`, `words` machine words long.
-struct Closure {
-    bits: Vec<u64>,
-    words: usize,
-}
-
-impl Closure {
-    /// Fills `C[y]` for every `y` in `ys` from the base graph `dep`.
-    fn build(dep: &ChannelDepGraph, xs: &[ChannelId], ys: &[ChannelId]) -> Closure {
+        let dep = ChannelDepGraph::build(cg, table);
         let words = xs.len().div_ceil(64);
         let mut bits = vec![0u64; ys.len() * words];
-        let (order, acyclic) = sweep_order(dep);
+        let (order, acyclic) = sweep_order(&dep);
         // `reach[c]` bit `b`: source `64 * batch + b` reaches channel `c`.
         let mut reach = vec![0u64; order.len()];
         for (batch, sources) in ys.chunks(64).enumerate() {
@@ -153,17 +169,19 @@ impl Closure {
                 }
             }
         }
-        Closure { bits, words }
+        Closure { turns, bits, words }
     }
 
-    /// Whether `ys[yi]` reaches `xs[xi]`.
-    fn reaches(&self, yi: usize, xi: usize) -> bool {
+    /// Whether turn `k` would close a cycle: its `y` reaches its `x`.
+    fn closes_cycle(&self, k: usize) -> bool {
+        let (xi, yi) = self.turns[k];
         self.bits[yi * self.words + xi / 64] >> (xi % 64) & 1 == 1
     }
 
-    /// Adds the edge `xs[xi] → ys[yi]`, which must not close a cycle:
-    /// every row that contains `xi` gains row `yi`.
-    fn add_edge(&mut self, xi: usize, yi: usize) {
+    /// Adds turn `k`'s edge `x → y`, which must not close a cycle: every
+    /// row that contains `x` gains row `y`.
+    fn add_turn(&mut self, k: usize) {
+        let (xi, yi) = self.turns[k];
         let w = self.words;
         let row: Vec<u64> = self.bits[yi * w..(yi + 1) * w].to_vec();
         for r in self.bits.chunks_exact_mut(w) {
@@ -173,6 +191,11 @@ impl Closure {
                 }
             }
         }
+    }
+
+    /// Heap bytes of `C`.
+    fn bytes(&self) -> usize {
+        self.bits.len() * std::mem::size_of::<u64>()
     }
 }
 

@@ -227,7 +227,7 @@ pub fn lowest_port_route<C: Cost>(
 }
 
 /// Worker threads for a per-destination pass over `nodes` switches when
-/// the caller names none: one below [`PARALLEL_BUILD_MIN_NODES`], else
+/// the caller names none: one below 192 switches (`PARALLEL_BUILD_MIN_NODES`), else
 /// [`std::thread::available_parallelism`].
 pub fn auto_workers(nodes: u32) -> usize {
     if nodes < PARALLEL_BUILD_MIN_NODES {

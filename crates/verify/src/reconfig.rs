@@ -21,7 +21,7 @@
 
 use crate::certificate::{certify_dep, Certificate};
 use irnet_topology::{ChannelId, CommGraph};
-use irnet_turns::{ChannelDepGraph, PathOracle, TurnTable};
+use irnet_turns::{release_redundant_turns, ChannelDepGraph, TurnTable};
 use serde::{Deserialize, Serialize};
 
 /// The two deadlock-freedom certificates of one reconfiguration epoch.
@@ -79,9 +79,11 @@ pub fn certify_transition(
 /// The old (live-restricted) dependency graph is acyclic by the epoch-chain
 /// invariant — every table in the chain carries a Dally–Seitz certificate —
 /// so the union can only acquire a cycle through an edge present in `new`
-/// but not in `old`. A [`PathOracle`] over the old graph answers "does
-/// adding `i → o` close a cycle?" in one incremental DFS per added edge;
-/// accepted edges join the oracle so later checks see the growing union.
+/// but not in `old`. The check is a release pass
+/// ([`release_redundant_turns`]) over the old live table whose candidates
+/// are those added turns: each is released unless it closes a cycle with
+/// the old graph and every added turn before it, so the union is acyclic
+/// iff every candidate is released.
 ///
 /// Returns the number of added dependency edges when the union is acyclic,
 /// or the first added turn `(input, output)` that closes a cycle. The full
@@ -95,35 +97,30 @@ pub fn union_acyclic_delta(
 ) -> Result<usize, (ChannelId, ChannelId)> {
     assert_eq!(dead_channel.len(), cg.num_channels() as usize);
     let alive = |i: ChannelId, o: ChannelId| !dead_channel[i as usize] && !dead_channel[o as usize];
-    let old_live = TurnTable::from_channel_rule(cg, |i, o| alive(i, o) && old.is_allowed(cg, i, o));
-    let old_dep = ChannelDepGraph::build(cg, &old_live);
-    debug_assert!(old_dep.is_acyclic(), "epoch chain carried a cyclic table");
-    let mut oracle = PathOracle::new(&old_dep);
-    let ch = cg.channels();
-    let mut added = 0usize;
-    for v in 0..cg.num_nodes() {
-        let outputs = ch.outputs(v);
-        for &in_ch in ch.inputs(v) {
-            if dead_channel[in_ch as usize] {
-                continue;
-            }
-            for &out_ch in outputs {
-                if dead_channel[out_ch as usize]
-                    || out_ch == ch.reverse(in_ch)
-                    || !new.is_allowed(cg, in_ch, out_ch)
-                    || old_live.is_allowed(cg, in_ch, out_ch)
-                {
-                    continue;
-                }
-                if oracle.has_path(out_ch, in_ch) {
-                    return Err((in_ch, out_ch));
-                }
-                oracle.add_edge(in_ch, out_ch);
-                added += 1;
-            }
+    let mut old_live =
+        TurnTable::from_channel_rule(cg, |i, o| alive(i, o) && old.is_allowed(cg, i, o));
+    debug_assert!(
+        ChannelDepGraph::build(cg, &old_live).is_acyclic(),
+        "epoch chain carried a cyclic table"
+    );
+    let mut added = Vec::new();
+    let pass = release_redundant_turns(cg, &mut old_live, |i, o| {
+        let new_only = alive(i, o) && new.is_allowed(cg, i, o);
+        if new_only {
+            added.push((i, o));
         }
+        new_only
+    });
+    // Until the first rejection, the pass released every added turn in order.
+    let ok = added
+        .iter()
+        .zip(&pass.released)
+        .take_while(|(a, r)| a == r)
+        .count();
+    match added.get(ok) {
+        Some(&turn) => Err(turn),
+        None => Ok(ok),
     }
-    Ok(added)
 }
 
 #[cfg(test)]

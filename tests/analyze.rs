@@ -243,3 +243,18 @@ fn rolling_fixture_is_feasible_in_every_state() {
         other => panic!("switch 61 must be cut off, got {other:?}"),
     }
 }
+
+/// Pins the prohibition-minimality counts of `irnet analyze --switches 512
+/// --ports 8 --seed 7`: DOWN/UP under the `M1` policy on the 512-switch,
+/// 8-port fabric of generator seed 7.
+#[test]
+fn minimality_counts_are_pinned_at_512_switches() {
+    let topo = build(512, 8, 7);
+    let inst = Algo::DownUp { release: true }
+        .construct(&topo, PreorderPolicy::M1, 7)
+        .unwrap();
+    let cert = certify(&inst.cg, &inst.table);
+    let report = audit(&inst.cg, &inst.table, &inst.tables, &cert);
+    assert_eq!(report.prohibited_turns, 8_624);
+    assert_eq!(report.redundant_prohibitions, 1_254);
+}

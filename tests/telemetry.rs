@@ -602,3 +602,37 @@ fn flow_build_records_the_saturation_probe_silently() {
     assert!(stdout.contains("1 passed"), "{stdout}");
     assert_eq!(String::from_utf8_lossy(&out.stderr), "");
 }
+
+/// The four table audits each record a child span of `analyze/audit` and
+/// their work counters, pinned on one small fabric; the report is the same
+/// with the registry attached.
+#[test]
+fn audits_record_their_spans_and_work_counters() {
+    let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), 5).unwrap();
+    let inst = Algo::DownUp { release: false }
+        .construct(&topo, PreorderPolicy::M1, 5)
+        .unwrap();
+    let cert = certify(&inst.cg, &inst.table);
+    let plain = audit(&inst.cg, &inst.table, &inst.tables, &cert);
+    let tel = Telemetry::enabled();
+    let report = tel.scope(|| audit(&inst.cg, &inst.table, &inst.tables, &cert));
+    assert_eq!(format!("{report:?}"), format!("{plain:?}"));
+    assert_eq!(
+        span_counts(&tel),
+        expected(&[
+            ("analyze/audit/black_holes", 1),
+            ("analyze/audit/livelock", 1),
+            ("analyze/audit/minimality", 1),
+            ("analyze/audit/stretch", 1),
+        ])
+    );
+    let snap = tel.snapshot();
+    let count = |name| snap.counter(name).unwrap();
+    assert_eq!(count("analyze/audit_states"), 1_691);
+    assert_eq!(count("analyze/audit_pairs"), 24 * 23);
+    assert_eq!(count("analyze/minimality_turns"), 75);
+    assert_eq!(u64::from(report.prohibited_turns), 75);
+    assert_eq!(report.redundant_prohibitions, 14);
+    // One 64-bit row per distinct out-channel of the 75 turns: 45 rows.
+    assert_eq!(snap.gauges["analyze/minimality_closure_bytes"], 360.0);
+}
