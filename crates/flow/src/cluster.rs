@@ -6,7 +6,8 @@
 //! suffices (the analogue of parsimon's link clustering, which likewise
 //! classifies links once and re-buckets them by load). The first three
 //! fields are fixed per fabric, so a channel-class table computes them
-//! once; a query counting-sorts the channels by `(class, load bucket)`. Cluster
+//! once and keeps each class's channels in unit-load order; a query at a
+//! rate cuts that order into its `(class, load bucket)` runs. Cluster
 //! order is ascending [`Signature`] order and members are ascending, so
 //! representative choice, and therefore every downstream simulation seed,
 //! depends only on the fabric and the loads.
@@ -137,12 +138,14 @@ impl Partition {
     }
 }
 
-/// The per-fabric half of the clustering: every channel's static class —
-/// its signature without the load bucket — built once from `(cg, tree)`,
-/// since direction class, level and port class never change for a fabric.
-/// A query then only buckets the loads and counting-sorts the channels by
-/// `(class, bucket)` ([`ChannelClasses::partition`]); the buffers it
-/// sorts in are kept here and reused from query to query.
+/// The per-fabric half of the clustering, built once from the unit loads
+/// (per-channel offered load at injection rate 1): every channel's static
+/// class — its signature without the load bucket, since direction class,
+/// level and port class never change for a fabric — and the channels of
+/// each class in unit-load order. A query at a rate then finds the
+/// `(class, bucket)` runs of that order with a few binary searches
+/// ([`ChannelClasses::runs`]), so its cost follows the runs and the
+/// clusters it builds, not the channel count.
 pub(crate) struct ChannelClasses {
     /// `class[c]`: index into `statics` of channel `c`'s class. At most
     /// `3 · 256 · (MAX_PORTS + 1)` classes exist, so a `u16` holds it.
@@ -150,37 +153,57 @@ pub(crate) struct ChannelClasses {
     /// Each class's signature at [`IDLE_BUCKET`], in ascending order, so
     /// class order is signature order.
     statics: Vec<Signature>,
-    /// `start[k]`: channels in the classes below `k`; one entry per class
-    /// plus the channel count.
-    start: Vec<u32>,
-    /// Query scratch: load buckets, bucket-sorted channels, the
-    /// `(class, bucket)`-sorted channels, and counting-sort offsets.
-    buckets: Vec<i16>,
-    by_bucket: Vec<ChannelId>,
+    /// Every channel, ordered by class, then [`segment`] of its unit load,
+    /// then unit load ([`f64::total_cmp`]), then id.
     order: Vec<ChannelId>,
-    offsets: Vec<u32>,
+    /// The `(class, segment)` ranges of `order`, in order.
+    segments: Vec<Segment>,
 }
 
-/// Counting-sort slot of a load bucket: the idle bucket first, then
-/// `-MAX_BUCKET..=MAX_BUCKET` in order.
-fn bucket_rank(bucket: i16) -> usize {
-    (i32::from(bucket) + i32::from(MAX_BUCKET) + 1).max(0) as usize
+/// The channels of one class whose unit loads share a [`segment`]:
+/// `order[start..end]`.
+struct Segment {
+    class: u16,
+    start: u32,
+    end: u32,
 }
 
-/// Number of [`bucket_rank`] slots.
-const BUCKET_RANKS: usize = 2 * MAX_BUCKET as usize + 2;
+/// Where a unit load `w` sorts within its class: finite loads, then
+/// infinite ones, then NaN.
+///
+/// Within one segment, `load_bucket(w · rate)` is monotone along
+/// [`f64::total_cmp`] order of `w` at every rate (non-increasing for a
+/// negative one), so each bucket is one contiguous run. [`load_bucket`]
+/// is non-decreasing on every value but NaN, which it maps to bucket 0:
+/// - finite `w` at a finite rate: the products are monotone and never
+///   NaN (all `±0` at a zero rate);
+/// - finite `w` at `±inf`: `-inf`, then NaN at `±0`, then `+inf`, or the
+///   reverse — buckets idle, 0 and the largest, still monotone;
+/// - infinite `w` (`-inf` before `+inf`): `±inf` in order or reversed, or
+///   NaN for both at a zero or NaN rate;
+/// - NaN `w`, or a NaN rate: NaN throughout.
+///
+/// Infinite and NaN loads need segments of their own: at a zero rate an
+/// infinite load gives NaN beside the finite loads' idle products, and
+/// NaN loads of either sign sort at both ends of `total_cmp` order.
+fn segment(w: f64) -> u8 {
+    u8::from(w.is_infinite()) + 2 * u8::from(w.is_nan())
+}
 
-/// Turns counts into exclusive prefix sums: each slot's first position.
-fn exclusive_prefix(counts: &mut [u32]) {
-    let mut below = 0;
-    for count in counts {
-        below += std::mem::replace(count, below);
-    }
+/// One `(class, bucket)` run of [`ChannelClasses`]' channel order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    /// The run's signature.
+    pub(crate) sig: Signature,
+    start: u32,
+    end: u32,
 }
 
 impl ChannelClasses {
-    /// Classifies every channel of the fabric.
-    pub(crate) fn new(cg: &CommGraph, tree: &CoordinatedTree) -> ChannelClasses {
+    /// Classifies every channel of the fabric and orders each class by
+    /// `unit_load` (one entry per channel).
+    pub(crate) fn new(cg: &CommGraph, tree: &CoordinatedTree, unit_load: &[f64]) -> ChannelClasses {
+        assert_eq!(unit_load.len(), cg.num_channels() as usize);
         let mut statics: Vec<Signature> = Vec::new();
         for c in 0..cg.num_channels() {
             let sig = Signature::of(cg, tree, c, 0.0);
@@ -188,25 +211,43 @@ impl ChannelClasses {
                 statics.insert(k, sig);
             }
         }
-        let mut start = vec![0u32; statics.len() + 1];
         let class: Vec<u16> = (0..cg.num_channels())
             .map(|c| {
                 let sig = Signature::of(cg, tree, c, 0.0);
-                let k = statics.binary_search(&sig).expect("every class is listed");
-                start[k] += 1;
-                k as u16
+                statics.binary_search(&sig).expect("every class is listed") as u16
             })
             .collect();
-        exclusive_prefix(&mut start);
-        let n = class.len();
+        let key = |c: ChannelId| {
+            let w = unit_load[c as usize];
+            (class[c as usize], segment(w), w)
+        };
+        let mut order: Vec<ChannelId> = (0..cg.num_channels()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let ((ka, sa, wa), (kb, sb, wb)) = (key(a), key(b));
+            (ka, sa)
+                .cmp(&(kb, sb))
+                .then(wa.total_cmp(&wb))
+                .then(a.cmp(&b))
+        });
+        let mut segments = Vec::new();
+        let mut start = 0;
+        for group in order.chunk_by(|&a, &b| {
+            let ((ka, sa, _), (kb, sb, _)) = (key(a), key(b));
+            (ka, sa) == (kb, sb)
+        }) {
+            let end = start + group.len() as u32;
+            segments.push(Segment {
+                class: class[group[0] as usize],
+                start,
+                end,
+            });
+            start = end;
+        }
         ChannelClasses {
             class,
-            buckets: vec![0; n],
-            by_bucket: vec![0; n],
-            order: vec![0; n],
-            offsets: Vec::with_capacity(BUCKET_RANKS.max(start.len())),
             statics,
-            start,
+            order,
+            segments,
         }
     }
 
@@ -219,67 +260,71 @@ impl ChannelClasses {
         }
     }
 
-    /// Partitions all channels by signature under the given per-channel
-    /// loads (`loads[c]`, flits/clock — typically `rate · unit_load` from
-    /// a [`Decomposition`]).
+    /// The `(class, bucket)` runs of the channel order at injection rate
+    /// `rate` (channel `c` offered
+    /// `unit_load[c] · rate`, `unit_load` as given to [`Self::new`]), in
+    /// ascending [`Signature`] order; runs of one signature are adjacent
+    /// and make up its cluster.
     ///
-    /// Two stable counting sorts, by load bucket and then by class, order
-    /// the channels by `(class, bucket)` with ascending ids inside each
-    /// group. Class order is signature order and the idle bucket sorts
-    /// first, so the groups come out in ascending [`Signature`] order.
-    pub(crate) fn partition(&mut self, loads: &[f64]) -> Partition {
-        assert_eq!(loads.len(), self.class.len());
-        self.offsets.clear();
-        self.offsets.resize(BUCKET_RANKS, 0);
-        let (buckets, by_bucket, order) = (
-            &mut self.buckets[..],
-            &mut self.by_bucket[..],
-            &mut self.order[..],
-        );
-        let offsets = &mut self.offsets[..];
-        for (bucket, &load) in buckets.iter_mut().zip(loads) {
-            *bucket = load_bucket(load);
-        }
-        for &bucket in &*buckets {
-            offsets[bucket_rank(bucket)] += 1;
-        }
-        exclusive_prefix(offsets);
-        for (c, &bucket) in buckets.iter().enumerate() {
-            let slot = &mut offsets[bucket_rank(bucket)];
-            by_bucket[*slot as usize] = c as ChannelId;
-            *slot += 1;
-        }
-
-        self.offsets.clear();
-        self.offsets.extend_from_slice(&self.start);
-        let offsets = &mut self.offsets[..];
-        for &c in &*by_bucket {
-            let slot = &mut offsets[self.class[c as usize] as usize];
-            order[*slot as usize] = c;
-            *slot += 1;
-        }
-
-        let mut clusters = Vec::new();
-        for (static_sig, range) in self.statics.iter().zip(self.start.windows(2)) {
-            let class = &self.order[range[0] as usize..range[1] as usize];
-            let bucket = |c: &ChannelId| self.buckets[*c as usize];
-            for members in class.chunk_by(|a, b| bucket(a) == bucket(b)) {
-                let sig = Signature {
-                    load_bucket: bucket(&members[0]),
-                    ..*static_sig
-                };
-                clusters.push(cluster(sig, members.to_vec(), loads));
+    /// Each [`segment`] of a class has monotone buckets, so every run
+    /// ends where a binary search for its bucket says: the cost is a few
+    /// searches per class, not a pass over the channels. A stable sort
+    /// then puts a negative rate's descending runs in order and brings
+    /// one signature's runs from several segments together.
+    pub(crate) fn runs(&self, unit_load: &[f64], rate: f64) -> Vec<Run> {
+        debug_assert_eq!(unit_load.len(), self.order.len());
+        let bucket = |c: ChannelId| load_bucket(unit_load[c as usize] * rate);
+        let mut runs = Vec::new();
+        for seg in &self.segments {
+            let (mut start, end) = (seg.start as usize, seg.end as usize);
+            while start < end {
+                let b = bucket(self.order[start]);
+                let len = 1 + self.order[start + 1..end].partition_point(|&c| bucket(c) == b);
+                runs.push(Run {
+                    sig: Signature {
+                        load_bucket: b,
+                        ..self.statics[seg.class as usize]
+                    },
+                    start: start as u32,
+                    end: (start + len) as u32,
+                });
+                start += len;
             }
         }
+        runs.sort_by_key(|run| run.sig);
+        runs
+    }
+
+    /// The cluster of one signature's `runs` at injection rate `rate`:
+    /// its members in ascending id order, and [`cluster`]'s mean and
+    /// representative over them.
+    pub(crate) fn cluster(&self, unit_load: &[f64], rate: f64, runs: &[Run]) -> Cluster {
+        let mut members: Vec<ChannelId> = runs
+            .iter()
+            .flat_map(|run| &self.order[run.start as usize..run.end as usize])
+            .copied()
+            .collect();
+        members.sort_unstable();
+        cluster(runs[0].sig, members, |c| unit_load[c as usize] * rate)
+    }
+
+    /// Partitions all channels by signature at injection rate `rate`.
+    pub(crate) fn partition(&self, unit_load: &[f64], rate: f64) -> Partition {
+        let clusters = self
+            .runs(unit_load, rate)
+            .chunk_by(|a, b| a.sig == b.sig)
+            .map(|runs| self.cluster(unit_load, rate, runs))
+            .collect();
         Partition { clusters }
     }
 }
 
-/// A cluster of `members` (ascending): their mean load, and the member
-/// closest to it as the representative, lowest id on ties.
-fn cluster(sig: Signature, members: Vec<ChannelId>, loads: &[f64]) -> Cluster {
-    let mean_load = members.iter().map(|&c| loads[c as usize]).sum::<f64>() / members.len() as f64;
-    let distance = |c: ChannelId| (loads[c as usize] - mean_load).abs();
+/// A cluster of `members` (ascending) under per-channel loads `load`:
+/// their mean load, summed in member order, and the member closest to it
+/// as the representative, lowest id on ties.
+fn cluster(sig: Signature, members: Vec<ChannelId>, load: impl Fn(ChannelId) -> f64) -> Cluster {
+    let mean_load = members.iter().map(|&c| load(c)).sum::<f64>() / members.len() as f64;
+    let distance = |c: ChannelId| (load(c) - mean_load).abs();
     let mut representative = members[0];
     let mut best = distance(representative);
     for &c in &members[1..] {
@@ -297,23 +342,21 @@ fn cluster(sig: Signature, members: Vec<ChannelId>, loads: &[f64]) -> Cluster {
 }
 
 /// Partitions all channels by signature under the given per-channel loads
-/// (`loads[c]`, flits/clock — typically `rate · unit_load` from a
-/// [`Decomposition`]): the fabric's channel classes, built for this one
-/// call, counting-sorted by load bucket.
+/// (`loads[c]`, flits/clock): the channel classes built from `loads` as
+/// unit loads, walked at rate 1.
 pub fn cluster_channels(cg: &CommGraph, tree: &CoordinatedTree, loads: &[f64]) -> Partition {
-    ChannelClasses::new(cg, tree).partition(loads)
+    ChannelClasses::new(cg, tree, loads).partition(loads, 1.0)
 }
 
-/// Convenience: partition at a given injection rate straight from a
-/// decomposition.
+/// Partitions all channels by signature at injection rate `rate`, each
+/// channel offered `rate` times its unit load in `dec`.
 pub fn cluster_at_rate(
     cg: &CommGraph,
     tree: &CoordinatedTree,
     dec: &Decomposition,
     rate: f64,
 ) -> Partition {
-    let loads: Vec<f64> = dec.unit_load.iter().map(|&w| w * rate).collect();
-    cluster_channels(cg, tree, &loads)
+    ChannelClasses::new(cg, tree, &dec.unit_load).partition(&dec.unit_load, rate)
 }
 
 #[cfg(test)]
@@ -324,9 +367,9 @@ mod tests {
     use irnet_topology::gen;
     use std::collections::BTreeMap;
 
-    /// The ordered-map partition the counting sort replaced, kept as the
-    /// reference it must equal: one map entry per signature, members
-    /// pushed in ascending channel order.
+    /// The ordered-map partition, kept as the reference the run walk must
+    /// equal: one map entry per signature, members pushed in ascending
+    /// channel order.
     fn reference_partition(cg: &CommGraph, tree: &CoordinatedTree, loads: &[f64]) -> Partition {
         let mut groups: BTreeMap<Signature, Vec<ChannelId>> = BTreeMap::new();
         for c in 0..cg.num_channels() {
@@ -358,26 +401,49 @@ mod tests {
         Partition { clusters }
     }
 
-    /// Loads drawn from `seed`. Mode 0 picks from a small palette — idle
-    /// loads, loads above 1 and many exact repeats, so representatives
-    /// tie; mode 1 scales a real decomposition; mode 2 draws uniformly
-    /// from `[0, 4)` with about half the channels idle.
-    fn loads(dec: &Decomposition, mode: u8, seed: u64) -> Vec<f64> {
-        const PALETTE: [f64; 10] = [0.0, 0.004, 0.01, 0.3, 0.3, 0.7, 1.0, 1.5, 2.9, 40.0];
-        let mut state = seed;
-        let mut next = move || {
+    /// The splitmix64 stream of `seed`.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
-        };
-        let rate = 0.01 + (seed % 97) as f64 / 20.0;
+        }
+    }
+
+    /// Unit loads drawn from `seed`. Mode 0 picks from a small palette —
+    /// idle loads, loads above 1 and many exact repeats, so
+    /// representatives tie, but also -0.0, negative, subnormal, infinite
+    /// and NaN loads of either sign, which fill every [`segment`]; mode 1
+    /// is a real decomposition's; mode 2 draws uniformly from `[0, 4)`
+    /// with about half the channels idle.
+    fn unit_loads(dec: &Decomposition, mode: u8, seed: u64) -> Vec<f64> {
+        const PALETTE: [f64; 17] = [
+            0.0,
+            0.004,
+            0.01,
+            0.3,
+            0.3,
+            0.7,
+            1.0,
+            1.5,
+            2.9,
+            40.0,
+            -0.0,
+            -0.25,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut next = stream(seed);
         dec.unit_load
             .iter()
             .map(|&w| match mode {
                 0 => PALETTE[(next() % PALETTE.len() as u64) as usize],
-                1 => w * rate,
+                1 => w,
                 _ => {
                     let r = next();
                     if r & 1 == 0 {
@@ -390,17 +456,60 @@ mod tests {
             .collect()
     }
 
+    /// A query rate drawn from `seed`: a special one (zeros, negatives,
+    /// infinities, NaN, subnormals, extremes); one that puts some finite
+    /// positive unit load of `w` within four ulps of [`IDLE_LOAD`], a
+    /// power of two or an octave edge `2^(k+½)`, exactly on it where the
+    /// ulps allow; or an ordinary positive rate.
+    fn rate(w: &[f64], seed: u64) -> f64 {
+        const SPECIAL: [f64; 12] = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.37,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e300,
+            f64::MAX,
+        ];
+        let mut next = stream(seed ^ 0x5EED);
+        let positive: Vec<f64> = w
+            .iter()
+            .copied()
+            .filter(|&x| x.is_finite() && x > 0.0)
+            .collect();
+        match next() % 3 {
+            0 => SPECIAL[(next() % SPECIAL.len() as u64) as usize],
+            1 if !positive.is_empty() => {
+                let x = positive[(next() % positive.len() as u64) as usize];
+                let k = (next() % 12) as f64 - 7.0;
+                let target = match next() % 3 {
+                    0 => IDLE_LOAD,
+                    1 => k.exp2(),
+                    _ => (k + 0.5).exp2(),
+                };
+                let ulps = (next() % 9) as i64 - 4;
+                f64::from_bits(((target / x).to_bits() as i64 + ulps) as u64)
+            }
+            _ => 0.01 + (next() % 97) as f64 / 20.0,
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 24,
+            cases: 32,
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The class-table partition equals the ordered-map one field for
-        /// field, `mean_load` by its bits, over several queries on one
-        /// table (so reused buffers carry nothing over).
+        /// The run walk equals the ordered-map partition field for field,
+        /// `mean_load` by its bits, over several rates on one table, and
+        /// the table's signatures agree with [`Signature::of`].
         #[test]
-        fn class_table_partition_matches_the_ordered_map(
+        fn run_walk_matches_the_ordered_map(
             n in 4u32..120,
             ports in 3u32..9,
             seed in 0u64..10_000,
@@ -409,12 +518,14 @@ mod tests {
             let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed).unwrap();
             let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
             let dec = Decomposer::new(&cg, &table).decompose(0);
-            let mut classes = ChannelClasses::new(&cg, &tree);
-            for query in 0..3u64 {
-                let loads = loads(&dec, mode, seed * 3 + query);
-                let got = classes.partition(&loads);
+            let w = unit_loads(&dec, mode, seed);
+            let classes = ChannelClasses::new(&cg, &tree, &w);
+            for query in 0..4u64 {
+                let rate = rate(&w, seed * 4 + query);
+                let loads: Vec<f64> = w.iter().map(|&x| x * rate).collect();
+                let got = classes.partition(&w, rate);
                 let want = reference_partition(&cg, &tree, &loads);
-                proptest::prop_assert_eq!(got.len(), want.len());
+                proptest::prop_assert_eq!(got.len(), want.len(), "rate {:e}", rate);
                 for (g, w) in got.clusters.iter().zip(&want.clusters) {
                     proptest::prop_assert_eq!(g.sig, w.sig);
                     proptest::prop_assert_eq!(&g.members, &w.members);

@@ -12,6 +12,9 @@
 /// Number of equal-probability quantile intervals in the grid.
 const N_Q: usize = 64;
 
+/// Values in a quantile row: the grid `q = 0, 1/N_Q, …, 1`.
+pub(crate) const ROW: usize = N_Q + 1;
+
 /// An empirical distribution over `f64` values, stored as the quantile
 /// grid `q = 0, 1/N, …, 1`.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,9 +26,7 @@ pub struct EDist {
 impl EDist {
     /// The degenerate distribution concentrated at `v`.
     pub fn constant(v: f64) -> EDist {
-        EDist {
-            qs: vec![v; N_Q + 1],
-        }
+        EDist { qs: vec![v; ROW] }
     }
 
     /// Builds from weighted samples. Returns `None` when the total weight
@@ -123,45 +124,8 @@ impl EDist {
     /// error well below the midpoint-atom approximation error already
     /// inherent in the representation.
     pub fn convolve(&self, other: &EDist) -> EDist {
-        if other.is_point() {
-            return self.affine(1.0, other.qs[0]);
-        }
-        if self.is_point() {
-            return other.affine(1.0, self.qs[0]);
-        }
-        let a = self.midpoints();
-        let b = other.midpoints();
-        let lo = a[0] + b[0];
-        let hi = a[N_Q - 1] + b[N_Q - 1];
-        if hi <= lo {
-            return EDist::constant(lo);
-        }
-        const BINS: usize = 32 * N_Q;
-        let scale = BINS as f64 / (hi - lo);
-        let mut counts = [0u32; BINS];
-        for &x in &a {
-            for &y in &b {
-                let bin = (((x + y) - lo) * scale) as usize;
-                counts[bin.min(BINS - 1)] += 1;
-            }
-        }
-        let total = (N_Q * N_Q) as f64;
-        let mut qs = Vec::with_capacity(N_Q + 1);
-        qs.push(lo);
-        let mut cum = 0u32;
-        let mut bin = 0usize;
-        for i in 1..=N_Q {
-            let target = total * i as f64 / N_Q as f64;
-            while bin < BINS - 1 && f64::from(cum + counts[bin]) < target {
-                cum += counts[bin];
-                bin += 1;
-            }
-            if i == N_Q {
-                qs.push(hi);
-            } else {
-                qs.push(lo + (bin as f64 + 0.5) / scale);
-            }
-        }
+        let mut qs = vec![0.0; ROW];
+        convolve_rows(&self.qs, &other.qs, &mut qs);
         EDist { qs }
     }
 
@@ -182,10 +146,77 @@ impl EDist {
 
     /// Midpoints of the equal-probability intervals: `N_Q` atoms of mass
     /// `1/N_Q` each.
-    fn midpoints(&self) -> Vec<f64> {
-        (0..N_Q)
-            .map(|i| (self.qs[i] + self.qs[i + 1]) / 2.0)
-            .collect()
+    fn midpoints(&self) -> [f64; N_Q] {
+        midpoints(&self.qs)
+    }
+
+    /// The quantile row: [`ROW`] non-decreasing values.
+    pub(crate) fn row(&self) -> &[f64] {
+        &self.qs
+    }
+
+    /// The distribution whose quantile row is `row`.
+    pub(crate) fn from_row(row: &[f64]) -> EDist {
+        assert_eq!(
+            row.len(),
+            ROW,
+            "a quantile row has one value per grid point"
+        );
+        EDist { qs: row.to_vec() }
+    }
+}
+
+/// Midpoints of a quantile row's equal-probability intervals.
+fn midpoints(row: &[f64]) -> [f64; N_Q] {
+    std::array::from_fn(|i| (row[i] + row[i + 1]) / 2.0)
+}
+
+/// [`EDist::convolve`] on quantile rows: writes the row of the sum of a
+/// draw from the distribution with row `a` and one from that with row
+/// `b` to `out`, so a caller can keep its rows in one flat arena.
+pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let is_point = |row: &[f64]| row[0] == row[N_Q];
+    // `v + by` is `affine(1.0, by)` bit for bit, since `v * 1.0` is exact.
+    let shifted = |row: &[f64], by: f64, out: &mut [f64]| {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o = v + by;
+        }
+    };
+    if is_point(b) {
+        return shifted(a, b[0], out);
+    }
+    if is_point(a) {
+        return shifted(b, a[0], out);
+    }
+    let a = midpoints(a);
+    let b = midpoints(b);
+    let lo = a[0] + b[0];
+    let hi = a[N_Q - 1] + b[N_Q - 1];
+    if hi <= lo {
+        out.fill(lo);
+        return;
+    }
+    const BINS: usize = 32 * N_Q;
+    let scale = BINS as f64 / (hi - lo);
+    let mut counts = [0u32; BINS];
+    for &x in &a {
+        for &y in &b {
+            let bin = (((x + y) - lo) * scale) as usize;
+            counts[bin.min(BINS - 1)] += 1;
+        }
+    }
+    let total = (N_Q * N_Q) as f64;
+    out[0] = lo;
+    out[N_Q] = hi;
+    let mut cum = 0u32;
+    let mut bin = 0usize;
+    for (i, q) in out.iter_mut().enumerate().take(N_Q).skip(1) {
+        let target = total * i as f64 / N_Q as f64;
+        while bin < BINS - 1 && f64::from(cum + counts[bin]) < target {
+            cum += counts[bin];
+            bin += 1;
+        }
+        *q = lo + (bin as f64 + 0.5) / scale;
     }
 }
 

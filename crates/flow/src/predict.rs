@@ -16,7 +16,7 @@
 
 use crate::cluster::{ChannelClasses, Signature, IDLE_BUCKET};
 use crate::decompose::{Decomposer, Decomposition};
-use crate::edist::EDist;
+use crate::edist::{convolve_rows, EDist, ROW};
 use crate::neighborhood::extract;
 use irnet_core::{DownUp, DownUpRouting};
 use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, SimStats, Simulator};
@@ -24,6 +24,7 @@ use irnet_telemetry::Telemetry;
 use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, Topology};
 use irnet_turns::TurnTable;
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the flow-level backend. The defaults are what
@@ -101,7 +102,7 @@ pub struct FlowCurve {
     pub points: Vec<FlowPoint>,
     /// Predicted saturation throughput (flits/node/clock).
     pub sat_throughput: f64,
-    /// Cluster count at the highest requested load.
+    /// Cluster count at the last requested load.
     pub cluster_count: usize,
     /// Representative flit sims actually run (cache hits excluded).
     pub representative_sims: usize,
@@ -147,6 +148,72 @@ fn sig_seed(seed: u64, sig: Signature) -> u64 {
     h
 }
 
+/// Route convolutions shared by prefix: node `i` holds the left fold
+/// `constant(0) ⊛ h[k0] ⊛ … ⊛ h[ki]` of one sorted hop-signature prefix —
+/// the order a route's convolution runs in — and node 0 the empty one.
+struct RouteTrie {
+    /// `(parent, next signature) → child`.
+    children: BTreeMap<(u32, Signature), u32>,
+    /// Node `i`'s quantile row is `rows[i * ROW..(i + 1) * ROW]`: one flat
+    /// arena, not a heap block per node.
+    rows: Vec<f64>,
+    /// `ended[i]`: some route's full multiset was node `i`'s prefix.
+    ended: Vec<bool>,
+}
+
+impl RouteTrie {
+    fn new() -> RouteTrie {
+        RouteTrie {
+            children: BTreeMap::new(),
+            rows: EDist::constant(0.0).row().to_vec(),
+            ended: vec![false],
+        }
+    }
+
+    /// Finds or makes the node of `key` (sorted), convolving `hops[sig]`
+    /// onto each prefix not yet stored, and marks it as a route's end.
+    /// Returns the node, the convolutions run, and whether a route had
+    /// already ended there.
+    fn insert(
+        &mut self,
+        key: &[Signature],
+        hops: &BTreeMap<Signature, EDist>,
+    ) -> (u32, usize, bool) {
+        let mut node = 0u32;
+        let mut convolutions = 0;
+        for &sig in key {
+            node = match self.children.entry((node, sig)) {
+                Entry::Occupied(child) => *child.get(),
+                Entry::Vacant(slot) => {
+                    let parent = node as usize * ROW;
+                    let mut row = [0.0; ROW];
+                    convolve_rows(&self.rows[parent..parent + ROW], hops[&sig].row(), &mut row);
+                    self.rows.extend_from_slice(&row);
+                    self.ended.push(false);
+                    convolutions += 1;
+                    *slot.insert((self.ended.len() - 1) as u32)
+                }
+            };
+        }
+        let seen = std::mem::replace(&mut self.ended[node as usize], true);
+        (node, convolutions, seen)
+    }
+
+    /// Node `node`'s quantile row.
+    fn row(&self, node: u32) -> &[f64] {
+        let start = node as usize * ROW;
+        &self.rows[start..start + ROW]
+    }
+
+    /// Payload bytes: the rows and end marks of the arena, and one key
+    /// and value per child-map entry.
+    fn bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<f64>()
+            + self.ended.len()
+            + self.children.len() * std::mem::size_of::<((u32, Signature), u32)>()
+    }
+}
+
 /// A reusable flow-level predictor: [`FlowPredictor::build`] pays the
 /// one-time cost (analytic decomposition, saturation probe, route sample),
 /// after which [`FlowPredictor::point`] evaluates any operating point from
@@ -160,18 +227,15 @@ pub struct FlowPredictor<'a> {
     seed: u64,
     plen: u32,
     dec: Decomposition,
-    /// The fabric's channel classes, with the partition's sort buffers.
+    /// The fabric's channel classes, each in unit-load order.
     classes: ChannelClasses,
-    /// Per-channel offered loads of the current query.
-    loads: Vec<f64>,
     sat_throughput: f64,
     routes: Vec<Vec<ChannelId>>,
     /// Per-signature hop delay distributions (filled lazily by queries).
     hop_cache: BTreeMap<Signature, EDist>,
-    /// Convolutions keyed by the sorted multiset of contended hop
-    /// signatures along a route — routes through statistically identical
-    /// hop sequences share one convolution.
-    route_cache: BTreeMap<Vec<Signature>, EDist>,
+    /// Route convolutions, keyed by the sorted multiset of contended hop
+    /// signatures along a route and shared by prefix.
+    trie: RouteTrie,
     cluster_count: usize,
     representative_sims: usize,
     /// Queries answered from the per-signature hop cache instead of a
@@ -180,6 +244,8 @@ pub struct FlowPredictor<'a> {
     /// Route convolutions served from / missing the route cache.
     route_cache_hits: usize,
     route_cache_misses: usize,
+    /// Kernel convolutions run to extend the route trie.
+    route_convolutions: usize,
     /// Telemetry sink: [`irnet_telemetry::current`] when the predictor
     /// was built. Strictly observational.
     tel: Telemetry,
@@ -194,13 +260,17 @@ impl<'a> FlowPredictor<'a> {
     /// The predictor keeps the [`irnet_telemetry::current`] handle of the
     /// building thread: decomposition and representative-sim time land in
     /// its span tree (`flow/decompose`, `flow/rep_sim`), and the cache
-    /// behavior — per-signature rep-sim hits/misses and route-convolution
-    /// cache hits/misses — accumulates there as it serves queries. The
-    /// decomposition's work goes to the counters `flow/decompose_dests`
-    /// and `flow/decompose_channels` (channels given a cost, summed over
-    /// destinations), the clocks every probe and representative sim steps
-    /// to `flow/rep_sim_clocks`, and the saturation probe's decision to
-    /// the `flow/sat_*` gauges.
+    /// behavior — per-signature rep-sim hits/misses, route-convolution
+    /// cache hits/misses, the convolutions run
+    /// (`flow/route_convolutions`) and the route trie's size
+    /// (`flow/route_trie_bytes`) — accumulates there as it serves
+    /// queries. The decomposition's work goes to the counters
+    /// `flow/decompose_dests` and `flow/decompose_channels` (channels
+    /// given a cost, summed over destinations), the clocks every probe and
+    /// representative sim steps to `flow/rep_sim_clocks`, the saturation
+    /// probe's decision to the `flow/sat_*` gauges, and the route sample's
+    /// size and longest route (hops) to the gauges `flow/routes` and
+    /// `flow/route_hops_max`.
     pub fn build(
         topo: &'a Topology,
         tree: &'a CoordinatedTree,
@@ -261,6 +331,9 @@ impl<'a> FlowPredictor<'a> {
             routes[i] = dx.route(&row, s, t);
         }
         let routes: Vec<Vec<ChannelId>> = routes.into_iter().flatten().collect();
+        tel.gauge("flow/routes").set(routes.len() as f64);
+        tel.gauge("flow/route_hops_max")
+            .set(routes.iter().map(Vec::len).max().unwrap_or(0) as f64);
 
         FlowPredictor {
             topo,
@@ -268,18 +341,18 @@ impl<'a> FlowPredictor<'a> {
             cfg: cfg.clone(),
             seed,
             plen,
+            classes: ChannelClasses::new(cg, tree, &dec.unit_load),
             dec,
-            classes: ChannelClasses::new(cg, tree),
-            loads: Vec::with_capacity(cg.num_channels() as usize),
             sat_throughput,
             routes,
             hop_cache: BTreeMap::new(),
-            route_cache: BTreeMap::new(),
+            trie: RouteTrie::new(),
             cluster_count: 0,
             representative_sims: probe_sims,
             rep_sim_cache_hits: 0,
             route_cache_hits: 0,
             route_cache_misses: 0,
+            route_convolutions: 0,
             tel,
         }
     }
@@ -310,9 +383,16 @@ impl<'a> FlowPredictor<'a> {
         self.route_cache_hits
     }
 
-    /// Route convolutions that had to be computed (and were then cached).
+    /// Route convolutions whose full hop-signature multiset was new.
     pub fn route_cache_misses(&self) -> usize {
         self.route_cache_misses
+    }
+
+    /// Kernel convolutions run for the routes: one per hop signature past
+    /// the longest prefix of a route's multiset that an earlier route
+    /// already convolved.
+    pub fn route_convolutions(&self) -> usize {
+        self.route_convolutions
     }
 
     /// Predicts one operating point. The first queries run one
@@ -320,80 +400,14 @@ impl<'a> FlowPredictor<'a> {
     /// once the signature cache covers the requested load regime, a query
     /// costs only clustering and (cached) convolution.
     pub fn point(&mut self, rate: f64) -> FlowPoint {
-        self.loads.clear();
-        self.loads
-            .extend(self.dec.unit_load.iter().map(|&w| w * rate));
-        let part = self.classes.partition(&self.loads);
-        self.cluster_count = part.len();
-        self.tel.counter("flow/points").inc();
-        self.tel.gauge("flow/clusters").set(part.len() as f64);
-        self.tel
-            .histogram("flow/clusters_per_point")
-            .record(part.len() as u64);
-
-        // Stage 3: one neighborhood sim per previously unseen signature.
-        for cl in &part.clusters {
-            if cl.sig.load_bucket == IDLE_BUCKET {
-                continue;
-            }
-            if self.hop_cache.contains_key(&cl.sig) {
-                self.rep_sim_cache_hits += 1;
-                self.tel.counter("flow/rep_sim_cache_hits").inc();
-                continue;
-            }
-            let rep_sim = self.tel.span("flow/rep_sim");
-            let hop =
-                self.hop_distribution(cl.representative, cl.mean_load, sig_seed(self.seed, cl.sig));
-            rep_sim.finish();
-            self.representative_sims += 1;
-            self.tel.counter("flow/rep_sims").inc();
-            self.hop_cache.insert(cl.sig, hop);
-        }
-
-        // Stage 4: convolve per-hop distributions along sampled routes.
-        // Idle hops are exact unit shifts; contended hops convolve once
-        // per distinct sorted signature multiset (convolution on the
-        // quantile grid is evaluated in sorted order, so the cache is
-        // deterministic and order-independent by construction).
-        let plen = self.plen;
-        let route_dists: Vec<EDist> = self
-            .routes
+        self.simulate_clusters(rate);
+        let bases = self.route_bases(rate);
+        let route_dists: Vec<EDist> = bases
             .iter()
-            .map(|route| {
-                let mut shift = f64::from(plen - 1);
-                let mut key: Vec<Signature> = Vec::with_capacity(route.len());
-                for &c in route {
-                    let sig = self.classes.signature(c, self.loads[c as usize]);
-                    if sig.load_bucket == IDLE_BUCKET || !self.hop_cache.contains_key(&sig) {
-                        // Uncontended: exactly one cycle per hop.
-                        shift += 1.0;
-                    } else {
-                        key.push(sig);
-                    }
-                }
-                key.sort_unstable();
-                let base = match self.route_cache.get(&key) {
-                    Some(d) => {
-                        self.route_cache_hits += 1;
-                        self.tel.counter("flow/route_cache_hits").inc();
-                        d.clone()
-                    }
-                    None => {
-                        let mut acc = EDist::constant(0.0);
-                        for sig in &key {
-                            acc = acc.convolve(&self.hop_cache[sig]);
-                        }
-                        self.route_cache_misses += 1;
-                        self.tel.counter("flow/route_cache_misses").inc();
-                        self.route_cache.insert(key, acc.clone());
-                        acc
-                    }
-                };
-                base.affine(1.0, shift)
-            })
+            .map(|&(node, shift)| EDist::from_row(self.trie.row(node)).affine(1.0, shift))
             .collect();
         let mix: Vec<(f64, &EDist)> = route_dists.iter().map(|d| (1.0, d)).collect();
-        let net = EDist::mixture(&mix).unwrap_or_else(|| EDist::constant(f64::from(plen)));
+        let net = EDist::mixture(&mix).unwrap_or_else(|| EDist::constant(f64::from(self.plen)));
 
         let saturated = rate >= self.sat_throughput;
         FlowPoint {
@@ -404,6 +418,92 @@ impl<'a> FlowPredictor<'a> {
             p99_latency: net.quantile(0.99),
             saturated,
         }
+    }
+
+    /// Stages 2 and 3 at `rate`: walks the `(class, bucket)` runs and
+    /// runs one neighborhood sim per non-idle signature the hop cache
+    /// lacks. Only those signatures' clusters get members, a mean load
+    /// and a representative.
+    fn simulate_clusters(&mut self, rate: f64) {
+        let runs = self.classes.runs(&self.dec.unit_load, rate);
+        let clusters = runs.chunk_by(|a, b| a.sig == b.sig);
+        self.cluster_count = clusters.clone().count();
+        self.tel.counter("flow/points").inc();
+        self.tel
+            .gauge("flow/clusters")
+            .set(self.cluster_count as f64);
+        self.tel
+            .histogram("flow/clusters_per_point")
+            .record(self.cluster_count as u64);
+
+        for cluster_runs in clusters {
+            let sig = cluster_runs[0].sig;
+            if sig.load_bucket == IDLE_BUCKET {
+                continue;
+            }
+            if self.hop_cache.contains_key(&sig) {
+                self.rep_sim_cache_hits += 1;
+                self.tel.counter("flow/rep_sim_cache_hits").inc();
+                continue;
+            }
+            let cl = self
+                .classes
+                .cluster(&self.dec.unit_load, rate, cluster_runs);
+            let rep_sim = self.tel.span("flow/rep_sim");
+            let hop =
+                self.hop_distribution(cl.representative, cl.mean_load, sig_seed(self.seed, sig));
+            rep_sim.finish();
+            self.representative_sims += 1;
+            self.tel.counter("flow/rep_sims").inc();
+            self.hop_cache.insert(sig, hop);
+        }
+    }
+
+    /// Stage 4 at `rate`: each sampled route's trie node and idle shift.
+    /// Idle hops are exact unit shifts; contended hops are keyed by their
+    /// sorted signature multiset, whose left fold of hop distributions
+    /// the node holds (convolution on the quantile grid runs in sorted
+    /// order, so the result is deterministic and order-independent by
+    /// construction). A route convolves only past its multiset's longest
+    /// prefix already in the trie.
+    fn route_bases(&mut self, rate: f64) -> Vec<(u32, f64)> {
+        let mut key: Vec<Signature> = Vec::new();
+        let mut bases = Vec::with_capacity(self.routes.len());
+        let mut convolutions = 0;
+        for route in &self.routes {
+            let mut shift = f64::from(self.plen - 1);
+            key.clear();
+            for &c in route {
+                let sig = self
+                    .classes
+                    .signature(c, self.dec.unit_load[c as usize] * rate);
+                if sig.load_bucket == IDLE_BUCKET || !self.hop_cache.contains_key(&sig) {
+                    // Uncontended: exactly one cycle per hop.
+                    shift += 1.0;
+                } else {
+                    key.push(sig);
+                }
+            }
+            key.sort_unstable();
+            let (node, ran, seen) = self.trie.insert(&key, &self.hop_cache);
+            convolutions += ran;
+            if seen {
+                self.route_cache_hits += 1;
+                self.tel.counter("flow/route_cache_hits").inc();
+            } else {
+                self.route_cache_misses += 1;
+                self.tel.counter("flow/route_cache_misses").inc();
+            }
+            bases.push((node, shift));
+        }
+        self.route_convolutions += convolutions;
+        self.tel
+            .counter("flow/route_convolutions")
+            .add(convolutions as u64);
+        self.tel
+            .gauge("flow/route_trie_bytes")
+            .set(self.trie.bytes() as f64);
+        bases
     }
 
     /// Predicts the whole ladder and snapshots the evidence into a
@@ -688,6 +788,86 @@ mod tests {
         assert!(curve.cluster_count >= 1);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 12,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// After every query of a sequence — random, repeated or
+        /// descending rates — each route's trie row equals the left fold
+        /// of its sorted contended-signature multiset kept in a plain map
+        /// by full multiset, bit for bit, with the same idle shift; and
+        /// the trie's hits and misses are that map's.
+        #[test]
+        fn route_trie_matches_a_plain_map_of_folds(
+            n in 6u32..28,
+            ports in 3u32..6,
+            seed in 0u64..10_000,
+            sequence in 0u8..3,
+        ) {
+            let topo = gen::random_irregular(gen::IrregularParams::paper(n, ports), seed).unwrap();
+            let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+            let cfg = FlowConfig {
+                route_sample: 24,
+                sat_warmup: 100,
+                sat_measure: 400,
+                rep_warmup: 50,
+                rep_measure: 200,
+                ..quick_cfg()
+            };
+            let base = SimConfig {
+                packet_len: 8,
+                ..SimConfig::default()
+            };
+            let mut pred = FlowPredictor::build(&topo, &tree, &cg, &table, &base, seed, &cfg);
+            let sat = pred.saturation();
+            let mut state = seed;
+            let rates: Vec<f64> = (0..8)
+                .map(|i| match sequence {
+                    0 => sat * (0.02 + (splitmix(&mut state) % 150) as f64 / 100.0),
+                    1 => sat * [0.1, 0.6, 1.2][(splitmix(&mut state) % 3) as usize],
+                    _ => sat * (1.5 - 0.2 * f64::from(i)),
+                })
+                .collect();
+            let mut folds: BTreeMap<Vec<Signature>, EDist> = BTreeMap::new();
+            let (mut hits, mut misses) = (0, 0);
+            for rate in rates {
+                pred.simulate_clusters(rate);
+                let bases = pred.route_bases(rate);
+                proptest::prop_assert_eq!(bases.len(), pred.routes.len());
+                for (route, &(node, shift)) in pred.routes.iter().zip(&bases) {
+                    let mut want_shift = f64::from(pred.plen - 1);
+                    let mut key = Vec::new();
+                    for &c in route {
+                        let sig = Signature::of(&cg, &tree, c, pred.dec.unit_load[c as usize] * rate);
+                        if sig.load_bucket == IDLE_BUCKET || !pred.hop_cache.contains_key(&sig) {
+                            want_shift += 1.0;
+                        } else {
+                            key.push(sig);
+                        }
+                    }
+                    key.sort();
+                    if folds.contains_key(&key) {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                        let fold = key
+                            .iter()
+                            .fold(EDist::constant(0.0), |acc, sig| acc.convolve(&pred.hop_cache[sig]));
+                        folds.insert(key.clone(), fold);
+                    }
+                    let fold = &folds[&key];
+                    let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(pred.trie.row(node)), bits(fold.row()));
+                    proptest::prop_assert_eq!(shift.to_bits(), want_shift.to_bits());
+                }
+                proptest::prop_assert_eq!(pred.route_cache_hits(), hits);
+                proptest::prop_assert_eq!(pred.route_cache_misses(), misses);
+            }
+        }
+    }
+
     /// Golden pin of the query path at the `flow-2048` benchmark's size:
     /// 2048-switch, 8-port fabric 0 (Phases 1–3 only), the benchmark's
     /// simulator configuration and predictor seed (run seed 1), the
@@ -738,5 +918,12 @@ mod tests {
             }
         }
         assert_eq!(h, 0x9867_d52b_76aa_b131, "{h:#x}");
+        // 30 queries of 48 routes. A map by full multiset records the same
+        // hits and misses; convolving each missed multiset from scratch
+        // takes 2,785 convolutions where the trie's shared prefixes take
+        // 1,584.
+        assert_eq!(pred.route_cache_hits(), 806);
+        assert_eq!(pred.route_cache_misses(), 634);
+        assert_eq!(pred.route_convolutions(), 1_584);
     }
 }

@@ -564,6 +564,35 @@ fn flow_build_counts_its_decomposition_work() {
     assert_eq!(snap.counter("flow/rep_sim_clocks"), Some(143_066));
 }
 
+/// The route stage's ledger is exact: over four queries of the 48 sampled
+/// routes (at most 9 hops each), each route is a hit or a miss of the
+/// route cache, the trie runs one convolution per node it adds, and its
+/// size counts every node's 65-value row and end mark and every child-map
+/// entry (16 bytes). A map by full multiset records the same hits and
+/// misses; convolving each missed multiset from scratch takes 785
+/// convolutions where the trie takes 597.
+#[test]
+fn flow_queries_count_their_route_work() {
+    let tel = Telemetry::enabled();
+    build_256_switch_predictor(&tel, &[0.1, 0.2, 0.1, 0.05]);
+    let snap = tel.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counter("flow/points"), 4);
+    let (hits, misses) = (
+        counter("flow/route_cache_hits"),
+        counter("flow/route_cache_misses"),
+    );
+    assert_eq!(hits + misses, 4 * 48);
+    assert_eq!((hits, misses), (49, 143));
+    let convolutions = counter("flow/route_convolutions");
+    assert_eq!(convolutions, 597);
+    let gauge = |name: &str| snap.gauges.get(name).copied();
+    assert_eq!(gauge("flow/routes"), Some(48.0));
+    assert_eq!(gauge("flow/route_hops_max"), Some(9.0));
+    let bytes = ((convolutions + 1) * (65 * 8 + 1) + convolutions * 16) as f64;
+    assert_eq!(gauge("flow/route_trie_bytes"), Some(bytes));
+}
+
 /// Half of `flow_build_records_the_saturation_probe_silently`, run in a
 /// child process: the saturation probe's decision lands in gauges.
 #[test]
