@@ -18,7 +18,7 @@
 pub mod lturn;
 pub mod updown;
 
-use irnet_topology::{CommGraph, CoordinatedTree, Topology, TopologyError};
+use irnet_topology::{CommGraph, CoordinatedTree, TopologyError};
 use irnet_turns::{RoutingError, RoutingTables, TurnTable};
 
 /// Construction failure for a baseline routing.
@@ -105,7 +105,3 @@ impl BaselineRouting {
         (self.tree, self.cg, self.table, self.tables)
     }
 }
-
-/// Convenience alias used by generic harness code: any constructor from a
-/// topology to a routing.
-pub type Constructor = fn(&Topology) -> Result<BaselineRouting, BaselineError>;

@@ -53,12 +53,6 @@ impl Dir4 {
     pub fn is_right(self) -> bool {
         matches!(self, Dir4::UpRight | Dir4::DownRight)
     }
-
-    /// Whether the direction moves toward the root (`Y` strictly
-    /// decreases). Same-level channels count as down.
-    pub fn is_up(self) -> bool {
-        matches!(self, Dir4::UpLeft | Dir4::UpRight)
-    }
 }
 
 /// Classifies a channel into its [`Dir4`] with respect to a coordinated

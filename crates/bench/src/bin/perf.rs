@@ -331,8 +331,8 @@ fn build_fabric(switches: u32, ports: u32, seed: u64, reps: u32) -> (Fabric, Con
 /// the winning rep's numbers coherent). Returns an empty vector on the
 /// degenerate all-tree fabric.
 fn bench_repair(fabric: &Fabric, switches: u32, ports: u32, reps: u32) -> Vec<RepairResult> {
-    use irnet_core::{plan_epochs_with, RepairStrategy};
-    use irnet_topology::{FaultEvent, FaultKind, FaultPlan};
+    use irnet_core::{plan_epochs_timeline_with, RepairStrategy};
+    use irnet_topology::{DampingPolicy, FaultEvent, FaultKind, FaultPlan, RecoveryTimeline};
 
     let tree = fabric.routing.tree();
     let mut cross = None;
@@ -346,6 +346,8 @@ fn bench_repair(fabric: &Fabric, switches: u32, ports: u32, reps: u32) -> Vec<Re
         return Vec::new();
     };
     let plan = FaultPlan::scripted([FaultEvent::down(1_000, FaultKind::Link { a, b })]);
+    let timeline = RecoveryTimeline::compute(&fabric.topo, &plan, DampingPolicy::none())
+        .expect("a cross link of the fabric is a valid fault");
     let mut out = Vec::new();
     for strategy in [RepairStrategy::Full, RepairStrategy::Incremental] {
         let mut best: Option<Snapshot> = None;
@@ -354,14 +356,15 @@ fn bench_repair(fabric: &Fabric, switches: u32, ports: u32, reps: u32) -> Vec<Re
             let tel = Telemetry::enabled();
             let epochs = tel
                 .scope(|| {
-                    plan_epochs_with(
+                    plan_epochs_timeline_with(
                         &fabric.topo,
                         fabric.routing.comm_graph(),
                         fabric.routing.turn_table(),
                         fabric.routing.routing_tables(),
-                        &plan,
+                        &timeline,
                         DownUp::new(),
                         strategy,
+                        None,
                     )
                 })
                 .expect("cross-link repair failed");

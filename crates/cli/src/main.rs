@@ -12,12 +12,28 @@
 //!   lint battery (one target, or a seed grid when no `--topology` is given)
 //! * `routes`   — print route statistics (and a sample route)
 //! * `simulate` — run one wormhole simulation and print the paper metrics
+//! * `sweep`    — run an offered-load ladder on the flit engine or the flow
+//!   predictor and print the load curve as CSV
+//! * `export`   — write the forwarding tables in the `irnet-fwd` v1 format
+//! * `render`   — simulate, then draw the network as an SVG in
+//!   coordinated-tree layout, switches colored by utilization
+//! * `replay`   — replay a packet trace (CSV or JSONL, or a synthetic one)
+//!   and print its makespan and latencies
 //! * `faults`   — degrade the network with a fault plan, repair it epoch by
 //!   epoch, certify every transition, and simulate through the failures
 //! * `trace`    — run a simulation with the flight recorder attached and
 //!   export the structured event recording as JSONL (optionally with an
 //!   interval-sampled time series and deadlock forensics)
+//! * `soak`     — draw a seeded chaos fault/recovery plan, run it through
+//!   the fault pipeline, and check the soak invariants (feasibility,
+//!   certification, flit conservation, liveness)
 //! * `top`      — run one simulation and print its busiest channels/nodes
+//! * `stats`    — render a `--telemetry` snapshot, a diff of two, or its
+//!   Prometheus exposition
+//!
+//! `analyze --scenario`, `faults`, `soak` and `trace --scenario` share one
+//! fault pipeline ([`pipeline`]): the plan's states, their repair, and the
+//! simulator run.
 //!
 //! Examples:
 //!
@@ -34,11 +50,12 @@
 //! data/runtime error, 2 usage error (usage text printed).
 
 mod exit;
+mod pipeline;
 
 use irnet_core::RepairStrategy;
 use irnet_metrics::paper::PaperMetrics;
 use irnet_metrics::{sweep, Algo, Instance};
-use irnet_sim::{Halt, SimConfig, SimStats, Simulator};
+use irnet_sim::{Halt, SimConfig};
 use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
 use irnet_topology::{
     gen, topology_from_json, topology_to_json, CommGraph, CoordinatedTree, FaultPlan,
@@ -46,6 +63,7 @@ use irnet_topology::{
 };
 use irnet_turns::{verify_routing, ChannelDepGraph, TurnTable};
 use irnet_verify::{LintReport, Severity, Verdict};
+use pipeline::{finish_run, run_sim, simulator, Base, States};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -292,15 +310,6 @@ fn parse_repair(o: &Opts, default: RepairStrategy) -> RepairStrategy {
             ))
         })
     })
-}
-
-/// The fault commands repair with the DOWN/UP builder: any other `--algo`
-/// is rejected with the message `err` builds from it.
-fn require_downup(o: &Opts, err: impl FnOnce(&str) -> String) -> Result<(), String> {
-    match o.get("algo") {
-        Some(algo) if algo != "downup" => Err(err(algo)),
-        _ => Ok(()),
-    }
 }
 
 fn build_instance(o: &Opts, topo: &Topology) -> Result<Instance, String> {
@@ -603,27 +612,11 @@ fn runnable(cfg: SimConfig) -> SimConfig {
     cfg
 }
 
-/// Runs `sim` to completion under a `sim/run` span and records its
-/// `sim/*` counters in the current telemetry registry.
-fn run_measured(sim: Simulator<'_>) -> SimStats {
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    let stats = sim.run();
-    span.finish();
-    irnet_sim::record_run_telemetry(&tel, &stats);
-    stats
-}
-
 fn cmd_simulate(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = run_measured(Simulator::new(
-        &inst.cg,
-        &inst.tables,
-        cfg,
-        o.parse("sim-seed", 7u64),
-    ));
+    let (stats, ()) = run_sim(|| Ok((simulator(o, &inst, cfg, []).run(), ())))?;
     let m = PaperMetrics::compute(&stats, &inst.cg, &inst.tree);
     println!(
         "offered load     : {:.4} flits/clock/node",
@@ -659,8 +652,8 @@ fn cmd_simulate(o: &Opts) -> Result<(), String> {
 /// spans. Exits 1 when some state is infeasible or an audit errors;
 /// `--grid` sweeps the lint seed grids instead.
 fn cmd_analyze(o: &Opts) -> Result<(), String> {
-    use irnet_analyze::{analyze_timeline, analyze_topology, audit, AnalysisReport, Feasibility};
-    use irnet_topology::{DampingPolicy, RecoveryTimeline};
+    use irnet_analyze::{analyze_topology, audit, AnalysisReport, Feasibility};
+    use irnet_topology::DampingPolicy;
 
     if o.flag("grid") {
         return analyze_grid(o);
@@ -679,10 +672,11 @@ fn cmd_analyze(o: &Opts) -> Result<(), String> {
     };
     let plan = load_plan(o)?.unwrap_or_else(|| FaultPlan::scripted([]));
     let span = irnet_telemetry::current().span("analyze/feasibility");
-    let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none())
-        .map_err(|e| format!("fault plan: {e}"))?;
+    let States {
+        timeline,
+        mut verdicts,
+    } = States::new(&topo, &plan, DampingPolicy::none())?;
     // The first infeasible state and its cycle, else the final state.
-    let mut verdicts = analyze_timeline(&topo, &timeline);
     let (feasibility, infeasible_at_cycle) = match verdicts.iter().position(|v| !v.is_feasible()) {
         Some(i) => (verdicts.swap_remove(i), Some(timeline.steps[i].cycle)),
         None => (
@@ -1046,12 +1040,7 @@ fn cmd_render(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = run_measured(Simulator::new(
-        &inst.cg,
-        &inst.tables,
-        cfg,
-        o.parse("sim-seed", 7u64),
-    ));
+    let (stats, ()) = run_sim(|| Ok((simulator(o, &inst, cfg, []).run(), ())))?;
     let svg = render_network(
         &topo,
         &inst.tree,
@@ -1102,29 +1091,19 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         virtual_channels: o.parse("vcs", 1u32),
         ..SimConfig::default()
     });
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    let result = replay(
-        &inst.cg,
-        &inst.tables,
-        cfg,
-        &trace,
-        o.parse("sim-seed", 7u64),
-        10_000_000,
-    )
-    .map_err(|e| format!("cannot replay the trace: {e}"))?;
-    span.finish();
-    irnet_sim::record_run_telemetry(&tel, &result.stats);
+    let (stats, makespan) = run_sim(|| {
+        let seed = o.parse("sim-seed", 7u64);
+        let result = replay(&inst.cg, &inst.tables, cfg, &trace, seed, 10_000_000)
+            .map_err(|e| format!("cannot replay the trace: {e}"))?;
+        Ok((result.stats, result.makespan))
+    })?;
     println!("packets          : {}", trace.len());
-    match result.makespan {
+    match makespan {
         Some(m) => println!("makespan         : {m} clocks"),
         None => return Err("network failed to drain the trace".to_string()),
     }
-    println!(
-        "avg latency      : {:.1} clocks",
-        result.stats.avg_latency()
-    );
-    if let Some(p99) = result.stats.latency_quantile(0.99) {
+    println!("avg latency      : {:.1} clocks", stats.avg_latency());
+    if let Some(p99) = stats.latency_quantile(0.99) {
         println!("p99 latency      : {p99} clocks");
     }
     Ok(())
@@ -1135,23 +1114,11 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
 /// through the same feasibility gate, repair, and certification as fault
 /// transitions, with `--hold` flap damping between the two.
 fn cmd_faults(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_timeline_with, DownUp};
-    use irnet_topology::{DampingPolicy, FaultKind, RecoveryTimeline};
+    use irnet_topology::{DampingPolicy, FaultKind};
 
     let strategy = parse_repair(o, RepairStrategy::Full);
-    require_downup(o, |algo| {
-        format!(
-            "the fault pipeline repairs with the DOWN/UP builder; \
-             --algo {algo} is not supported"
-        )
-    })?;
     let topo = load_topology(o)?;
-    let builder = DownUp::new()
-        .policy(parse_policy(o))
-        .seed(o.parse("seed", 1u64));
-    let routing = builder
-        .construct(&topo)
-        .map_err(|e| format!("construction failed: {e}"))?;
+    let base = Base::new(o, &topo)?;
     let cfg = sim_config(o);
     let plan = match load_plan(o)? {
         Some(plan) => plan,
@@ -1173,198 +1140,73 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
     if plan.is_empty() {
         return Err("the fault plan contains no events".to_string());
     }
-    // Expand the plan into its damped transition timeline (each step's
-    // live set is the original topology minus the elements down at that
-    // step, so a recovery shrinks the dead set again), then gate every
-    // step through the feasibility oracle before any repair or
-    // simulation work is spent. The oracle answers in milliseconds, so a
-    // hopeless scenario is reported here, with its step cycle.
-    let policy = match o.parse("hold", 0u32) {
-        0 => DampingPolicy::none(),
-        hold => DampingPolicy::hold(hold),
-    };
     let timeline =
-        RecoveryTimeline::compute(&topo, &plan, policy).map_err(|e| format!("fault plan: {e}"))?;
-    let verdicts = irnet_analyze::analyze_timeline(&topo, &timeline);
-    for (step, verdict) in timeline.steps.iter().zip(verdicts) {
-        if let irnet_analyze::Feasibility::Infeasible(obstruction) = verdict {
-            if o.flag("json") {
-                let report = Value::Map(vec![
-                    ("plan".to_string(), plan.to_value()),
-                    ("feasible".to_string(), Value::Bool(false)),
-                    (
-                        "infeasible_at_cycle".to_string(),
-                        Value::U64(u64::from(step.cycle)),
-                    ),
-                    ("obstruction".to_string(), obstruction.to_value()),
-                ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).unwrap_or_default()
-                );
-            }
-            return Err(format!(
-                "feasibility gate: the network degraded at cycle {} is \
-                 provably unroutable ({obstruction}); skipping repair and \
-                 simulation",
-                step.cycle
-            ));
-        }
-    }
-    let cg = routing.comm_graph();
+        States::new(&topo, &plan, DampingPolicy::hold(o.parse("hold", 0u32)))?.gate(o, &plan)?;
     let repair_progress = o
         .flag("progress")
         .then(|| Progress::new("faults", timeline.steps.len(), progress_mode(o)).unit("epochs"));
-    let epochs = plan_epochs_timeline_with(
-        &topo,
-        cg,
-        routing.turn_table(),
-        routing.routing_tables(),
-        &timeline,
-        builder,
-        strategy,
-        repair_progress.as_ref(),
-    )
-    .map_err(|e| format!("fault repair failed: {e}"))?;
-    let certs: Vec<_> = epochs.iter().map(|e| e.epoch.certify(cg)).collect();
-    let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, o.parse("sim-seed", 7u64));
-    for e in &epochs {
-        sim.schedule_reconfig(&e.epoch);
-    }
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    let halt = sim.advance(cfg.total_cycles());
-    span.finish();
-    let incident = (halt == Halt::Stalled).then(|| irnet_obs::deadlock_incident(&sim));
-    let stats = sim.finish();
-    irnet_sim::record_run_telemetry(&tel, &stats);
-    let all_certified = certs
-        .iter()
-        .all(irnet_verify::EpochCertificates::is_deadlock_free);
+    let epochs = base.repair(&topo, &timeline, strategy, repair_progress.as_ref())?;
+    let mut sim = simulator(o, &base.inst, cfg, epochs.iter().map(|(e, _)| &e.epoch));
+    let (stats, incident) = run_sim(|| {
+        let halt = sim.advance(cfg.total_cycles());
+        Ok(finish_run(sim, halt))
+    })?;
+    let all_certified = epochs.iter().all(|(_, c)| c.is_deadlock_free());
 
     if o.flag("json") {
         let epoch_values: Vec<Value> = epochs
             .iter()
-            .zip(&certs)
             .zip(&timeline.steps)
             .map(|((e, c), step)| {
                 let s = &e.spans;
-                let repair = Value::Map(vec![
-                    (
-                        "strategy".to_string(),
-                        Value::Str(strategy.name().to_string()),
-                    ),
-                    (
-                        "touched_switches".to_string(),
-                        Value::U64(u64::from(s.touched_switches)),
-                    ),
-                    ("touched_rows".to_string(), Value::U64(s.touched_rows)),
-                    (
-                        "tree_link_faults".to_string(),
-                        Value::U64(u64::from(s.tree_link_faults)),
-                    ),
-                    (
-                        "cross_link_faults".to_string(),
-                        Value::U64(u64::from(s.cross_link_faults)),
-                    ),
-                    (
-                        "leaf_switch_faults".to_string(),
-                        Value::U64(u64::from(s.leaf_switch_faults)),
-                    ),
-                    (
-                        "internal_switch_faults".to_string(),
-                        Value::U64(u64::from(s.internal_switch_faults)),
-                    ),
-                    (
-                        "patched_in_place".to_string(),
-                        Value::Bool(s.patched_in_place),
-                    ),
-                    (
-                        "recertified".to_string(),
-                        s.recertified.map_or(Value::Null, Value::Bool),
-                    ),
+                let repair = obj(&[
+                    ("strategy", &strategy.name()),
+                    ("touched_switches", &s.touched_switches),
+                    ("touched_rows", &s.touched_rows),
+                    ("tree_link_faults", &s.tree_link_faults),
+                    ("cross_link_faults", &s.cross_link_faults),
+                    ("leaf_switch_faults", &s.leaf_switch_faults),
+                    ("internal_switch_faults", &s.internal_switch_faults),
+                    ("patched_in_place", &s.patched_in_place),
+                    ("recertified", &s.recertified),
                 ]);
-                Value::Map(vec![
-                    ("cycle".to_string(), Value::U64(u64::from(e.epoch.cycle))),
-                    (
-                        "direction".to_string(),
-                        Value::Str(step_direction(step).to_string()),
-                    ),
-                    ("dead_links".to_string(), ids(&e.epoch.dead_links)),
-                    ("dead_switches".to_string(), ids(&e.epoch.dead_nodes)),
-                    ("dead_channels".to_string(), ids(&e.epoch.dead_channels)),
-                    ("revived_switches".to_string(), ids(&e.epoch.revived_nodes)),
-                    (
-                        "revived_channels".to_string(),
-                        ids(&e.epoch.revived_channels),
-                    ),
-                    (
-                        "flipped_channels".to_string(),
-                        ids(&e.epoch.flipped_channels),
-                    ),
-                    ("repair".to_string(), repair),
-                    ("certificates".to_string(), c.to_value()),
-                    ("certified".to_string(), Value::Bool(c.is_deadlock_free())),
+                obj(&[
+                    ("cycle", &e.epoch.cycle),
+                    ("direction", &step_direction(step)),
+                    ("dead_links", &e.epoch.dead_links),
+                    ("dead_switches", &e.epoch.dead_nodes),
+                    ("dead_channels", &e.epoch.dead_channels),
+                    ("revived_switches", &e.epoch.revived_nodes),
+                    ("revived_channels", &e.epoch.revived_channels),
+                    ("flipped_channels", &e.epoch.flipped_channels),
+                    ("repair", &repair),
+                    ("certificates", c),
+                    ("certified", &c.is_deadlock_free()),
                 ])
             })
             .collect();
-        let report = Value::Map(vec![
-            ("plan".to_string(), plan.to_value()),
-            (
-                "repair_strategy".to_string(),
-                Value::Str(strategy.name().to_string()),
-            ),
-            ("epochs".to_string(), Value::Seq(epoch_values)),
-            (
-                "simulation".to_string(),
-                Value::Map(vec![
-                    (
-                        "packets_delivered".to_string(),
-                        Value::U64(stats.packets_delivered),
-                    ),
-                    (
-                        "packets_generated".to_string(),
-                        Value::U64(stats.packets_generated),
-                    ),
-                    ("dropped_flits".to_string(), Value::U64(stats.dropped_flits)),
-                    (
-                        "dropped_packets".to_string(),
-                        Value::U64(stats.dropped_packets),
-                    ),
-                    (
-                        "reconfig_epochs".to_string(),
-                        Value::U64(u64::from(stats.reconfig_epochs)),
-                    ),
-                    (
-                        "accepted_traffic".to_string(),
-                        Value::F64(stats.accepted_traffic()),
-                    ),
-                    ("avg_latency".to_string(), Value::F64(stats.avg_latency())),
-                    ("deadlocked".to_string(), Value::Bool(stats.deadlocked)),
-                    (
-                        "last_progress".to_string(),
-                        Value::U64(u64::from(stats.last_progress)),
-                    ),
-                    (
-                        "flits_injected_total".to_string(),
-                        Value::U64(stats.flits_injected_total),
-                    ),
-                    (
-                        "flits_delivered_total".to_string(),
-                        Value::U64(stats.flits_delivered_total),
-                    ),
-                    (
-                        "flits_in_flight".to_string(),
-                        Value::U64(stats.flits_in_flight),
-                    ),
-                    (
-                        "flits_conserved".to_string(),
-                        Value::Bool(stats.flits_conserved()),
-                    ),
-                ]),
-            ),
-            ("damping".to_string(), damping_value(&timeline)),
-            ("certified".to_string(), Value::Bool(all_certified)),
+        let simulation = obj(&[
+            ("packets_delivered", &stats.packets_delivered),
+            ("packets_generated", &stats.packets_generated),
+            ("dropped_flits", &stats.dropped_flits),
+            ("dropped_packets", &stats.dropped_packets),
+            ("reconfig_epochs", &stats.reconfig_epochs),
+            ("accepted_traffic", &stats.accepted_traffic()),
+            ("avg_latency", &stats.avg_latency()),
+            ("deadlocked", &stats.deadlocked),
+            ("last_progress", &stats.last_progress),
+            ("flits_injected_total", &stats.flits_injected_total),
+            ("flits_delivered_total", &stats.flits_delivered_total),
+            ("flits_in_flight", &stats.flits_in_flight),
+            ("flits_conserved", &stats.flits_conserved()),
+        ]);
+        let report = obj(&[
+            ("plan", &plan),
+            ("repair_strategy", &strategy.name()),
+            ("epochs", &epoch_values),
+            ("simulation", &simulation),
+            ("damping", &damping_value(&timeline)),
+            ("certified", &all_certified),
         ]);
         // The vendored serializer is infallible on value trees.
         println!(
@@ -1392,7 +1234,7 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
             println!("  cycle {:>6}: {what} dies{recovery}", ev.cycle);
         }
         println!("repair strategy  : {}", strategy.name());
-        for ((e, c), step) in epochs.iter().zip(&certs).zip(&timeline.steps) {
+        for ((e, c), step) in epochs.iter().zip(&timeline.steps) {
             println!(
                 "epoch @{:<8}: {} — {} dead link(s), {} dead switch(es), \
                  {} revived channel(s), {} flipped channel(s)",
@@ -1485,31 +1327,15 @@ fn cmd_faults(o: &Opts) -> Result<(), String> {
 /// liveness. The JSON report contains only integers, booleans, and
 /// strings, so it is byte-stable for a fixed seed set.
 fn cmd_soak(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_timeline_with, DownUp};
-    use irnet_topology::{chaos_plan_filtered, ChaosParams, DampingPolicy, RecoveryTimeline};
+    use irnet_topology::{chaos_plan, ChaosParams, DampingPolicy, RecoveryTimeline};
 
-    require_downup(o, |algo| {
-        format!(
-            "the soak harness repairs with the DOWN/UP builder; \
-             --algo {algo} is not supported"
-        )
-    })?;
     let strategy = parse_repair(o, RepairStrategy::Incremental);
     let topo = load_topology(o)?;
-    let builder = DownUp::new()
-        .policy(parse_policy(o))
-        .seed(o.parse("seed", 1u64));
-    let routing = builder
-        .construct(&topo)
-        .map_err(|e| format!("construction failed: {e}"))?;
+    let base = Base::new(o, &topo)?;
     let cfg = sim_config(o);
     let hold = o.parse("hold", 300u32);
-    let policy = match hold {
-        0 => DampingPolicy::none(),
-        h => DampingPolicy::hold(h),
-    };
+    let policy = DampingPolicy::hold(hold);
     let chaos_seed = o.parse("chaos-seed", 42u64);
-    let sim_seed = o.parse("sim-seed", 7u64);
     // Chaos window inside the configured run: activations start after
     // warm-up, outages are short enough that several recoveries land
     // before the measurement window closes.
@@ -1529,188 +1355,89 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
     // matters — a swap between two sufficiently different DOWN/UP
     // orientations can deadlock the in-flight worms even though both
     // steady states are safe, and such plans must never enter a soak.
-    let cg = routing.comm_graph();
     let certifies = |plan: &FaultPlan| -> bool {
         let Ok(timeline) = RecoveryTimeline::compute(&topo, plan, policy) else {
             return false;
         };
         // Trial repairs of rejected candidates are not the soak's repairs.
-        let trial = Telemetry::disabled().scope(|| {
-            plan_epochs_timeline_with(
-                &topo,
-                cg,
-                routing.turn_table(),
-                routing.routing_tables(),
-                &timeline,
-                builder,
-                strategy,
-                None,
-            )
-        });
-        let Ok(epochs) = trial else {
-            return false;
-        };
-        epochs
-            .iter()
-            .all(|e| e.epoch.certify(cg).is_deadlock_free())
+        Telemetry::disabled()
+            .scope(|| base.repair(&topo, &timeline, strategy, None))
+            .is_ok_and(|epochs| epochs.iter().all(|(_, c)| c.is_deadlock_free()))
     };
-    let plan = chaos_plan_filtered(&topo, &params, policy, chaos_seed, certifies)
+    let plan = chaos_plan(&topo, &params, policy, chaos_seed, certifies)
         .map_err(|e| format!("chaos plan: {e}"))?;
-    let timeline =
-        RecoveryTimeline::compute(&topo, &plan, policy).map_err(|e| format!("chaos plan: {e}"))?;
 
     // Invariant 1 — feasibility: the chaos generator only accepts events
     // whose damped timeline keeps the graph connected, and the oracle
-    // independently re-proves every step here.
-    let feasible: Vec<bool> = irnet_analyze::analyze_timeline(&topo, &timeline)
-        .iter()
-        .map(irnet_analyze::Feasibility::is_feasible)
-        .collect();
-    let infeasible_at = timeline
-        .steps
-        .iter()
-        .zip(&feasible)
-        .find(|(_, &ok)| !ok)
-        .map(|(step, _)| step.cycle);
-
-    let epochs = plan_epochs_timeline_with(
-        &topo,
-        cg,
-        routing.turn_table(),
-        routing.routing_tables(),
-        &timeline,
-        builder,
-        strategy,
-        None,
-    )
-    .map_err(|e| format!("fault repair failed: {e}"))?;
-
+    // independently re-proves every step at the gate.
+    let timeline = States::new(&topo, &plan, policy)?.gate(o, &plan)?;
     // Invariant 2 — certification: every transition, down or up, carries
     // a fresh Dally–Seitz certificate for the degraded table and for the
     // old∪new union the in-flight worms route through.
-    let certs: Vec<_> = epochs.iter().map(|e| e.epoch.certify(cg)).collect();
-    let all_certified = certs
-        .iter()
-        .all(irnet_verify::EpochCertificates::is_deadlock_free);
+    let epochs = base.repair(&topo, &timeline, strategy, None)?;
+    let all_certified = epochs.iter().all(|(_, c)| c.is_deadlock_free());
 
     // Invariants 3 and 4 — conservation and liveness — come out of the
     // simulation. Flap recoveries can land past the configured run, so
     // the horizon extends to cover the last scheduled epoch plus a drain
     // margin; the watchdog still bounds every wait.
-    let mut sim = Simulator::new(cg, routing.routing_tables(), cfg, sim_seed);
-    for e in &epochs {
-        sim.schedule_reconfig(&e.epoch);
-    }
-    let last_epoch = epochs.iter().map(|e| e.epoch.cycle).max().unwrap_or(0);
+    let mut sim = simulator(o, &base.inst, cfg, epochs.iter().map(|(e, _)| &e.epoch));
+    let last_epoch = epochs.iter().map(|(e, _)| e.epoch.cycle).max().unwrap_or(0);
     let horizon = cfg.total_cycles().max(last_epoch.saturating_add(1_000));
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    sim.advance(horizon);
-    span.finish();
-    let stats = sim.finish();
-    irnet_sim::record_run_telemetry(&tel, &stats);
-    let all_feasible = infeasible_at.is_none();
+    let (stats, ()) = run_sim(|| {
+        sim.advance(horizon);
+        Ok((sim.finish(), ()))
+    })?;
     let conserved = stats.flits_conserved();
-    let passed = all_feasible && all_certified && conserved && !stats.deadlocked;
+    let passed = all_certified && conserved && !stats.deadlocked;
 
+    // Past the gate, every state is feasible.
     let epoch_values: Vec<Value> = epochs
         .iter()
-        .zip(&certs)
         .zip(&timeline.steps)
-        .zip(&feasible)
-        .map(|(((e, c), step), &ok)| {
-            Value::Map(vec![
-                ("cycle".to_string(), Value::U64(u64::from(e.epoch.cycle))),
-                (
-                    "direction".to_string(),
-                    Value::Str(step_direction(step).to_string()),
-                ),
-                ("feasible".to_string(), Value::Bool(ok)),
-                (
-                    "dead_links".to_string(),
-                    Value::U64(e.epoch.dead_links.len() as u64),
-                ),
-                (
-                    "dead_switches".to_string(),
-                    Value::U64(e.epoch.dead_nodes.len() as u64),
-                ),
-                (
-                    "dead_channels".to_string(),
-                    Value::U64(e.epoch.dead_channels.len() as u64),
-                ),
-                (
-                    "revived_switches".to_string(),
-                    Value::U64(e.epoch.revived_nodes.len() as u64),
-                ),
-                (
-                    "revived_channels".to_string(),
-                    Value::U64(e.epoch.revived_channels.len() as u64),
-                ),
-                (
-                    "flipped_channels".to_string(),
-                    Value::U64(e.epoch.flipped_channels.len() as u64),
-                ),
-                ("touched_rows".to_string(), Value::U64(e.spans.touched_rows)),
-                ("certified".to_string(), Value::Bool(c.is_deadlock_free())),
+        .map(|((e, c), step)| {
+            obj(&[
+                ("cycle", &e.epoch.cycle),
+                ("direction", &step_direction(step)),
+                ("feasible", &true),
+                ("dead_links", &e.epoch.dead_links.len()),
+                ("dead_switches", &e.epoch.dead_nodes.len()),
+                ("dead_channels", &e.epoch.dead_channels.len()),
+                ("revived_switches", &e.epoch.revived_nodes.len()),
+                ("revived_channels", &e.epoch.revived_channels.len()),
+                ("flipped_channels", &e.epoch.flipped_channels.len()),
+                ("touched_rows", &e.spans.touched_rows),
+                ("certified", &c.is_deadlock_free()),
             ])
         })
         .collect();
-    let report = Value::Map(vec![
-        ("kind".to_string(), Value::Str("soak_report".to_string())),
-        ("chaos_seed".to_string(), Value::U64(chaos_seed)),
-        ("sim_seed".to_string(), Value::U64(sim_seed)),
-        ("hold".to_string(), Value::U64(u64::from(hold))),
-        (
-            "repair_strategy".to_string(),
-            Value::Str(strategy.name().to_string()),
-        ),
-        (
-            "switches".to_string(),
-            Value::U64(u64::from(topo.num_nodes())),
-        ),
-        ("plan".to_string(), plan.to_value()),
-        ("damping".to_string(), damping_value(&timeline)),
-        ("epochs".to_string(), Value::Seq(epoch_values)),
-        (
-            "simulation".to_string(),
-            Value::Map(vec![
-                (
-                    "packets_delivered".to_string(),
-                    Value::U64(stats.packets_delivered),
-                ),
-                (
-                    "packets_generated".to_string(),
-                    Value::U64(stats.packets_generated),
-                ),
-                ("dropped_flits".to_string(), Value::U64(stats.dropped_flits)),
-                (
-                    "dropped_packets".to_string(),
-                    Value::U64(stats.dropped_packets),
-                ),
-                (
-                    "reconfig_epochs".to_string(),
-                    Value::U64(u64::from(stats.reconfig_epochs)),
-                ),
-                ("deadlocked".to_string(), Value::Bool(stats.deadlocked)),
-                (
-                    "flits_injected_total".to_string(),
-                    Value::U64(stats.flits_injected_total),
-                ),
-                (
-                    "flits_delivered_total".to_string(),
-                    Value::U64(stats.flits_delivered_total),
-                ),
-                (
-                    "flits_in_flight".to_string(),
-                    Value::U64(stats.flits_in_flight),
-                ),
-                ("flits_conserved".to_string(), Value::Bool(conserved)),
-            ]),
-        ),
-        ("all_feasible".to_string(), Value::Bool(all_feasible)),
-        ("all_certified".to_string(), Value::Bool(all_certified)),
-        ("conserved".to_string(), Value::Bool(conserved)),
-        ("passed".to_string(), Value::Bool(passed)),
+    let simulation = obj(&[
+        ("packets_delivered", &stats.packets_delivered),
+        ("packets_generated", &stats.packets_generated),
+        ("dropped_flits", &stats.dropped_flits),
+        ("dropped_packets", &stats.dropped_packets),
+        ("reconfig_epochs", &stats.reconfig_epochs),
+        ("deadlocked", &stats.deadlocked),
+        ("flits_injected_total", &stats.flits_injected_total),
+        ("flits_delivered_total", &stats.flits_delivered_total),
+        ("flits_in_flight", &stats.flits_in_flight),
+        ("flits_conserved", &conserved),
+    ]);
+    let report = obj(&[
+        ("kind", &"soak_report"),
+        ("chaos_seed", &chaos_seed),
+        ("sim_seed", &o.parse("sim-seed", 7u64)),
+        ("hold", &hold),
+        ("repair_strategy", &strategy.name()),
+        ("switches", &topo.num_nodes()),
+        ("plan", &plan),
+        ("damping", &damping_value(&timeline)),
+        ("epochs", &epoch_values),
+        ("simulation", &simulation),
+        ("all_feasible", &true),
+        ("all_certified", &all_certified),
+        ("conserved", &conserved),
+        ("passed", &passed),
     ]);
     let json = serde_json::to_string_pretty(&report).unwrap_or_default() + "\n";
     match o.get("out") {
@@ -1730,8 +1457,7 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
         strategy.name()
     );
     eprintln!(
-        "soak: feasibility {}, certification {}, conservation {}, liveness {}",
-        if all_feasible { "ok" } else { "FAILED" },
+        "soak: feasibility ok, certification {}, conservation {}, liveness {}",
         if all_certified { "ok" } else { "FAILED" },
         if conserved { "exact" } else { "VIOLATED" },
         if stats.deadlocked {
@@ -1740,11 +1466,6 @@ fn cmd_soak(o: &Opts) -> Result<(), String> {
             "ok"
         }
     );
-    if let Some(cycle) = infeasible_at {
-        return Err(format!(
-            "soak failed: the network degraded at cycle {cycle} is provably unroutable"
-        ));
-    }
     if !all_certified {
         return Err("soak failed: a reconfiguration epoch failed certification".to_string());
     }
@@ -1786,43 +1507,22 @@ fn damping_value(timeline: &irnet_topology::RecoveryTimeline) -> Value {
         .damping
         .iter()
         .map(|d| {
-            Value::Map(vec![
-                ("element".to_string(), Value::Str(d.element.to_string())),
-                ("downs".to_string(), Value::U64(u64::from(d.downs))),
-                ("ups".to_string(), Value::U64(u64::from(d.ups))),
-                (
-                    "admitted_downs".to_string(),
-                    Value::U64(u64::from(d.admitted_downs)),
-                ),
-                (
-                    "admitted_ups".to_string(),
-                    Value::U64(u64::from(d.admitted_ups)),
-                ),
-                (
-                    "suppressed_ups".to_string(),
-                    Value::U64(u64::from(d.suppressed_ups)),
-                ),
-                (
-                    "max_hold_applied".to_string(),
-                    Value::U64(u64::from(d.max_hold_applied)),
-                ),
+            obj(&[
+                ("element", &d.element.to_string()),
+                ("downs", &d.downs),
+                ("ups", &d.ups),
+                ("admitted_downs", &d.admitted_downs),
+                ("admitted_ups", &d.admitted_ups),
+                ("suppressed_ups", &d.suppressed_ups),
+                ("max_hold_applied", &d.max_hold_applied),
             ])
         })
         .collect();
-    Value::Map(vec![
-        (
-            "raw_transitions".to_string(),
-            Value::U64(u64::from(timeline.raw_transitions)),
-        ),
-        (
-            "admitted_steps".to_string(),
-            Value::U64(timeline.steps.len() as u64),
-        ),
-        (
-            "suppressed_ups".to_string(),
-            Value::U64(u64::from(timeline.suppressed_ups())),
-        ),
-        ("elements".to_string(), Value::Seq(elements)),
+    obj(&[
+        ("raw_transitions", &timeline.raw_transitions),
+        ("admitted_steps", &timeline.steps.len()),
+        ("suppressed_ups", &timeline.suppressed_ups()),
+        ("elements", &elements),
     ])
 }
 
@@ -1851,65 +1551,43 @@ fn write_incident(o: &Opts, incident: &irnet_obs::Incident) -> Result<(), String
 /// scenario) with the recorder and interval sampler attached, then export
 /// the recording as JSONL.
 fn cmd_trace(o: &Opts) -> Result<(), String> {
-    use irnet_core::{plan_epochs_with, DownUp, ReconfigEpoch};
-    use irnet_obs::{deadlock_incident, FlightRecorder, IntervalSampler};
+    use irnet_obs::{FlightRecorder, IntervalSampler};
+    use irnet_topology::{DampingPolicy, RecoveryTimeline};
 
     let topo = load_topology(o)?;
     let cfg = sim_config(o);
-    let sim_seed = o.parse("sim-seed", 7u64);
     let no_repair = o.flag("no-repair");
     let sample_every = o.parse("sample-every", 0u32);
     let mut recorder = FlightRecorder::new(o.parse("events", 65_536usize));
     let mut sampler = (sample_every > 0).then(|| IntervalSampler::new(sample_every));
 
-    // With a fault scenario the run mirrors `faults` (DOWN/UP repair per
-    // epoch); `--no-repair` keeps the original tables across the fault so
-    // worms wedge on the dead channels and the watchdog demonstrably fires.
-    if o.get("scenario").is_some() {
-        require_downup(o, |_| {
-            "`trace --scenario` repairs with DOWN/UP; \
-             other --algo values are not supported"
-                .to_string()
-        })?;
-    }
-    let scenario = load_plan(o)?;
-    let builder = DownUp::new()
-        .policy(parse_policy(o))
-        .seed(o.parse("seed", 1u64));
-    let inst = build_instance(o, &topo)?;
-    let epochs = match &scenario {
-        Some(plan) => plan_epochs_with(
-            &topo,
-            &inst.cg,
-            &inst.table,
-            &inst.tables,
-            plan,
-            builder,
-            RepairStrategy::Full,
-        )
-        .map_err(|e| format!("fault repair failed: {e}"))?
-        .into_iter()
-        .map(|e| e.epoch)
-        // Unrepaired mode observes the failure, it does not survive it.
-        .map(|e| {
-            if no_repair {
-                ReconfigEpoch {
-                    tables: inst.tables.clone(),
-                    ..e
-                }
-            } else {
-                e
-            }
-        })
-        .collect(),
-        None => Vec::new(),
+    // With a fault scenario the run repairs every epoch as `faults` does
+    // (undamped, full rebuilds); `--no-repair` keeps the original tables
+    // across the fault so worms wedge on the dead channels and the
+    // watchdog demonstrably fires.
+    let (inst, epochs) = match load_plan(o)? {
+        Some(plan) => {
+            let base = Base::new(o, &topo)?;
+            let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none())
+                .map_err(|e| format!("fault plan: {e}"))?;
+            let epochs = base
+                .repair(&topo, &timeline, RepairStrategy::Full, None)?
+                .into_iter()
+                .map(|(mut e, _)| {
+                    // Unrepaired mode observes the failure, it does not
+                    // survive it.
+                    if no_repair {
+                        e.epoch.tables = base.inst.tables.clone();
+                    }
+                    e.epoch
+                })
+                .collect();
+            (base.inst, epochs)
+        }
+        None => (build_instance(o, &topo)?, Vec::new()),
     };
     let last_fault = epochs.iter().map(|e| e.cycle).max();
-
-    let mut sim = Simulator::new(&inst.cg, &inst.tables, cfg, sim_seed);
-    for e in &epochs {
-        sim.schedule_reconfig(e);
-    }
+    let mut sim = simulator(o, &inst, cfg, &epochs);
     sim.attach_recorder(&mut recorder);
 
     let total = cfg.total_cycles();
@@ -1925,41 +1603,37 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     let mut cut = last_fault
         .filter(|_| no_repair)
         .and_then(|c| c.checked_add(1));
-    let tel = irnet_telemetry::current();
-    let span = tel.span("sim/run");
-    let mut halt = Halt::Reached;
-    while halt == Halt::Reached && sim.now() < horizon {
-        // Past the configured run, only the unrepaired mode goes on, and
-        // only until the network drains.
-        let draining = sim.now() >= total;
-        let mut until = if draining { horizon } else { total };
-        if let Some(s) = &sampler {
-            until = until.min(s.due());
+    let (stats, incident) = run_sim(|| {
+        let mut halt = Halt::Reached;
+        while halt == Halt::Reached && sim.now() < horizon {
+            // Past the configured run, only the unrepaired mode goes on,
+            // and only until the network drains.
+            let draining = sim.now() >= total;
+            let mut until = if draining { horizon } else { total };
+            if let Some(s) = &sampler {
+                until = until.min(s.due());
+            }
+            if let Some(c) = cut {
+                until = until.min(c);
+            }
+            halt = if draining {
+                sim.drain(until)
+            } else {
+                sim.advance(until)
+            };
+            if let Some(s) = sampler.as_mut() {
+                s.maybe_sample(&sim);
+            }
+            if cut.is_some_and(|c| sim.now() >= c) {
+                sim.set_injection_rate(0.0);
+                cut = None;
+            }
         }
-        if let Some(c) = cut {
-            until = until.min(c);
-        }
-        halt = if draining {
-            sim.drain(until)
-        } else {
-            sim.advance(until)
-        };
         if let Some(s) = sampler.as_mut() {
-            s.maybe_sample(&sim);
+            s.force_sample(&sim);
         }
-        if cut.is_some_and(|c| sim.now() >= c) {
-            sim.set_injection_rate(0.0);
-            cut = None;
-        }
-    }
-    span.finish();
-    if let Some(s) = sampler.as_mut() {
-        s.force_sample(&sim);
-    }
-
-    let incident = (halt == Halt::Stalled).then(|| deadlock_incident(&sim));
-    let stats = sim.finish();
-    irnet_sim::record_run_telemetry(&tel, &stats);
+        Ok(finish_run(sim, halt))
+    })?;
 
     if let Some(incident) = &incident {
         write_incident(o, incident)?;
@@ -2000,12 +1674,7 @@ fn cmd_top(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let inst = build_instance(o, &topo)?;
     let cfg = sim_config(o);
-    let stats = run_measured(Simulator::new(
-        &inst.cg,
-        &inst.tables,
-        cfg,
-        o.parse("sim-seed", 7u64),
-    ));
+    let (stats, ()) = run_sim(|| Ok((simulator(o, &inst, cfg, []).run(), ())))?;
     print!(
         "{}",
         irnet_obs::render_top(&stats, &inst.cg, o.parse("k", 10usize))
@@ -2036,9 +1705,14 @@ fn cmd_stats(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `Value::Seq` of numeric ids.
-fn ids<T: Copy + Into<u64>>(xs: &[T]) -> Value {
-    Value::Seq(xs.iter().map(|&x| Value::U64(x.into())).collect())
+/// A JSON object with `entries` in order.
+fn obj(entries: &[(&str, &dyn Serialize)]) -> Value {
+    Value::Map(
+        entries
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), v.to_value()))
+            .collect(),
+    )
 }
 
 fn verdict_line(cert: &irnet_verify::Certificate) -> String {

@@ -812,6 +812,62 @@ fn trace_without_repair_reports_a_deadlock_incident() {
     std::fs::remove_file(incident).ok();
 }
 
+/// `trace --scenario` and `faults --scenario` route the same repaired
+/// epochs, and the flight recorder only observes, so under equal
+/// simulation flags (CI's, on the shipped link failure) they deliver the
+/// same packets: the shared repair step cannot drift between the two.
+#[test]
+fn trace_and_faults_deliver_the_same_packets_through_a_link_failure() {
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/link_failure_128.json"
+    );
+    let flags = [
+        "--switches",
+        "128",
+        "--ports",
+        "4",
+        "--seed",
+        "1",
+        "--rate",
+        "0.3",
+        "--packet-len",
+        "32",
+        "--warmup",
+        "1000",
+        "--measure",
+        "6000",
+        "--scenario",
+        scenario,
+    ];
+    let faults = irnet(&[&["faults"], &flags[..]].concat());
+    let trace = irnet(
+        &[
+            &["trace", "--events", "16", "--out", "/dev/null"],
+            &flags[..],
+        ]
+        .concat(),
+    );
+    let stdout = String::from_utf8_lossy(&faults.stdout);
+    let stderr = String::from_utf8_lossy(&trace.stderr);
+    assert_eq!(faults.status.code(), Some(0), "{stdout}");
+    assert_eq!(trace.status.code(), Some(0), "{stderr}");
+    let delivered_by_faults = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("packets delivered: "))
+        .expect("faults reports its delivered packets");
+    let delivered_by_trace = stderr
+        .split(" cycles, ")
+        .nth(1)
+        .and_then(|rest| rest.split(" packet(s) delivered").next())
+        .expect("trace reports its delivered packets");
+    assert!(delivered_by_faults.parse::<u64>().unwrap() > 0, "{stdout}");
+    assert_eq!(
+        delivered_by_faults, delivered_by_trace,
+        "{stdout}\n{stderr}"
+    );
+}
+
 #[test]
 fn data_errors_exit_1_without_usage() {
     let r = irnet(&["simulate", "--topology", "/nonexistent/net.json"]);

@@ -179,7 +179,8 @@ pub fn plan_epochs_with(
 
 /// Repairs the routing for every step of an already-expanded (and possibly
 /// flap-damped) transition timeline under `strategy` — the one repair
-/// loop, behind [`plan_epochs_with`], `irnet faults` and `irnet soak`.
+/// loop, behind [`plan_epochs_with`] and every fault-aware `irnet`
+/// command.
 /// Down steps classify/patch as described in the module docs, while up
 /// steps (any step reviving an element) always take the full masked
 /// rebuild — a re-admitted link lowers distances network-wide, so the

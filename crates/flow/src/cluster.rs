@@ -341,13 +341,6 @@ fn cluster(sig: Signature, members: Vec<ChannelId>, load: impl Fn(ChannelId) -> 
     }
 }
 
-/// Partitions all channels by signature under the given per-channel loads
-/// (`loads[c]`, flits/clock): the channel classes built from `loads` as
-/// unit loads, walked at rate 1.
-pub fn cluster_channels(cg: &CommGraph, tree: &CoordinatedTree, loads: &[f64]) -> Partition {
-    ChannelClasses::new(cg, tree, loads).partition(loads, 1.0)
-}
-
 /// Partitions all channels by signature at injection rate `rate`, each
 /// channel offered `rate` times its unit load in `dec`.
 pub fn cluster_at_rate(

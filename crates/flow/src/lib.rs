@@ -34,7 +34,7 @@ pub mod edist;
 pub mod neighborhood;
 pub mod predict;
 
-pub use cluster::{cluster_at_rate, cluster_channels, load_bucket, Cluster, Partition, Signature};
+pub use cluster::{cluster_at_rate, load_bucket, Cluster, Partition, Signature};
 pub use decompose::{Decomposer, Decomposition};
 pub use edist::EDist;
 pub use neighborhood::{extract, Neighborhood};

@@ -205,8 +205,6 @@ pub struct CommGraph {
     channels: ChannelTable,
     /// `direction[c]` — the direction label of channel `c`.
     direction: Vec<Direction>,
-    /// `kind[l]` — tree or cross, per link.
-    kind: Vec<LinkKind>,
     num_nodes: u32,
 }
 
@@ -216,24 +214,18 @@ impl CommGraph {
         let channels = ChannelTable::build(topo);
         let nch = channels.num_channels();
         let mut direction = Vec::with_capacity(nch as usize);
-        let mut kind = Vec::with_capacity(topo.num_links() as usize);
-        for l in 0..topo.num_links() {
-            kind.push(if tree.is_tree_link(l) {
+        for c in 0..nch {
+            let kind = if tree.is_tree_link(c / 2) {
                 LinkKind::Tree
             } else {
                 LinkKind::Cross
-            });
-        }
-        for c in 0..nch {
-            let from = channels.start(c);
-            let to = channels.sink(c);
-            let q = Quadrant::of(tree, from, to);
-            direction.push(Direction::classify(kind[(c / 2) as usize], q));
+            };
+            let q = Quadrant::of(tree, channels.start(c), channels.sink(c));
+            direction.push(Direction::classify(kind, q));
         }
         CommGraph {
             channels,
             direction,
-            kind,
             num_nodes: topo.num_nodes(),
         }
     }
@@ -260,12 +252,6 @@ impl CommGraph {
     #[inline]
     pub fn direction(&self, c: ChannelId) -> Direction {
         self.direction[c as usize]
-    }
-
-    /// Tree/cross classification of a link.
-    #[inline]
-    pub fn link_kind(&self, l: u32) -> LinkKind {
-        self.kind[l as usize]
     }
 
     /// Count of channels with each direction, indexed by `Direction::index`.

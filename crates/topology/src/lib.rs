@@ -43,6 +43,5 @@ pub use fault::{DegradedTopology, FaultError, FaultEvent, FaultKind, FaultPlan, 
 pub use graph::{LinkId, NodeId, Topology, MAX_PORTS};
 pub use io::{topology_from_json, topology_to_json};
 pub use recovery::{
-    chaos_plan, chaos_plan_filtered, ChaosParams, DampingPolicy, Element, ElementDamping,
-    RecoveryTimeline, TimelineStep,
+    chaos_plan, ChaosParams, DampingPolicy, Element, ElementDamping, RecoveryTimeline, TimelineStep,
 };

@@ -403,9 +403,13 @@ impl Default for ChaosParams {
 
 /// Draws a seeded chaos plan against `topo`: randomized link/switch
 /// failures with recovery windows and periodic flap schedules, greedily
-/// filtered so that **every step of the damped timeline** leaves the
-/// surviving graph connected (and therefore feasible for repair).
-/// Deterministic per seed.
+/// filtered. A candidate plan (the accepted prefix plus one trial event)
+/// is kept only when **every step of its damped timeline** leaves the
+/// surviving graph connected (and therefore feasible for repair) **and**
+/// `accept` approves the whole plan. Callers use `accept` to enforce
+/// properties this crate cannot see — e.g. that every repaired epoch
+/// transition certifies deadlock-free — or pass `|_| true`.
+/// Deterministic per seed for a deterministic `accept`.
 ///
 /// # Errors
 ///
@@ -413,26 +417,6 @@ impl Default for ChaosParams {
 /// within the attempt budget (e.g. on a tree topology where every link is a
 /// bridge).
 pub fn chaos_plan(
-    topo: &Topology,
-    params: &ChaosParams,
-    policy: DampingPolicy,
-    seed: u64,
-) -> Result<FaultPlan, FaultError> {
-    chaos_plan_filtered(topo, params, policy, seed, |_| true)
-}
-
-/// [`chaos_plan`] with an extra acceptance gate: a candidate plan (the
-/// accepted prefix plus one trial event) is kept only when it survives
-/// every damped timeline step **and** `accept` approves the whole plan.
-/// Callers use the gate to enforce properties this crate cannot see —
-/// e.g. that every repaired epoch transition certifies deadlock-free.
-/// Deterministic per seed for a deterministic `accept`.
-///
-/// # Errors
-///
-/// [`FaultError::Unsatisfiable`] when no event is accepted within the
-/// attempt budget.
-pub fn chaos_plan_filtered(
     topo: &Topology,
     params: &ChaosParams,
     policy: DampingPolicy,
@@ -622,8 +606,8 @@ mod tests {
         let t = crate::gen::random_irregular(crate::gen::IrregularParams::paper(32, 4), 7).unwrap();
         let params = ChaosParams::default();
         let policy = DampingPolicy::hold(200);
-        let a = chaos_plan(&t, &params, policy, 11).unwrap();
-        let b = chaos_plan(&t, &params, policy, 11).unwrap();
+        let a = chaos_plan(&t, &params, policy, 11, |_| true).unwrap();
+        let b = chaos_plan(&t, &params, policy, 11, |_| true).unwrap();
         assert_eq!(a, b);
         assert!(a.has_recovery());
         let tl = RecoveryTimeline::compute(&t, &a, policy).unwrap();

@@ -88,9 +88,9 @@ pub mod prelude {
     pub use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
     pub use irnet_topology::analysis;
     pub use irnet_topology::{
-        chaos_plan, chaos_plan_filtered, gen, ChaosParams, CommGraph, CoordinatedTree,
-        DampingPolicy, Direction, Element, ElementDamping, FaultEvent, FaultKind, FaultPlan,
-        FlapSchedule, PreorderPolicy, RecoveryTimeline, TimelineStep, Topology,
+        chaos_plan, gen, ChaosParams, CommGraph, CoordinatedTree, DampingPolicy, Direction,
+        Element, ElementDamping, FaultEvent, FaultKind, FaultPlan, FlapSchedule, PreorderPolicy,
+        RecoveryTimeline, TimelineStep, Topology,
     };
     pub use irnet_turns::{
         adaptivity, verify_routing, AdaptivityStats, ChannelDepGraph, RoutingTables, TurnTable,
