@@ -1562,26 +1562,22 @@ fn cmd_trace(o: &Opts) -> Result<(), String> {
     let mut sampler = (sample_every > 0).then(|| IntervalSampler::new(sample_every));
 
     // With a fault scenario the run repairs every epoch as `faults` does
-    // (undamped, full rebuilds); `--no-repair` keeps the original tables
-    // across the fault so worms wedge on the dead channels and the
-    // watchdog demonstrably fires.
+    // (undamped, full rebuilds); `--no-repair` runs no repair and keeps
+    // the original tables across the fault, so worms wedge on the dead
+    // channels and the watchdog demonstrably fires.
     let (inst, epochs) = match load_plan(o)? {
         Some(plan) => {
             let base = Base::new(o, &topo)?;
             let timeline = RecoveryTimeline::compute(&topo, &plan, DampingPolicy::none())
                 .map_err(|e| format!("fault plan: {e}"))?;
-            let epochs = base
-                .repair(&topo, &timeline, RepairStrategy::Full, None)?
-                .into_iter()
-                .map(|(mut e, _)| {
-                    // Unrepaired mode observes the failure, it does not
-                    // survive it.
-                    if no_repair {
-                        e.epoch.tables = base.inst.tables.clone();
-                    }
-                    e.epoch
-                })
-                .collect();
+            let epochs = if no_repair {
+                base.unrepaired(&timeline)
+            } else {
+                base.repair(&topo, &timeline, RepairStrategy::Full, None)?
+                    .into_iter()
+                    .map(|(e, _)| e.epoch)
+                    .collect()
+            };
             (base.inst, epochs)
         }
         None => (build_instance(o, &topo)?, Vec::new()),

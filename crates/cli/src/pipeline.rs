@@ -7,7 +7,9 @@
 //!   `soak`), with the gate that stops the pipeline before any repair;
 //! * [`Base`] — the DOWN/UP routing a plan is repaired from, and
 //!   [`Base::repair`], the one repair loop with each epoch's certificates
-//!   (`faults`, `soak` and its chaos acceptance, `trace --scenario`);
+//!   (`faults`, `soak` and its chaos acceptance, `trace --scenario`), or
+//!   [`Base::unrepaired`], the plan's epochs with no repair at all
+//!   (`trace --no-repair`);
 //! * [`simulator`] and [`run_sim`] — the simulator with the epochs
 //!   scheduled, and the one timed run every simulating command records.
 
@@ -18,7 +20,7 @@ use irnet_metrics::Instance;
 use irnet_obs::Incident;
 use irnet_sim::{Halt, SimConfig, SimStats, Simulator};
 use irnet_telemetry::Progress;
-use irnet_topology::{DampingPolicy, FaultPlan, RecoveryTimeline, Topology};
+use irnet_topology::{DampingPolicy, FaultPlan, LinkId, RecoveryTimeline, Topology};
 use irnet_verify::EpochCertificates;
 
 /// A fault plan's states: its recovery timeline and the feasibility
@@ -127,6 +129,43 @@ impl Base {
                 (e, certs)
             })
             .collect())
+    }
+
+    /// The epochs of `timeline` with nothing repaired: each step's dead
+    /// and revived elements, read off the timeline, over the base's turn
+    /// table and routing tables, so worms wedge on the dead channels.
+    /// Nothing is rebuilt, certified or judged, so a step the repair
+    /// would refuse (an unroutable one) is scheduled too.
+    pub fn unrepaired(&self, timeline: &RecoveryTimeline) -> Vec<ReconfigEpoch> {
+        // The elements a per-element mask marks down (node and link ids
+        // are both `u32`), and both directed channels of each link.
+        let down = |mask: &[bool]| -> Vec<u32> {
+            (0..)
+                .zip(mask)
+                .filter(|&(_, &d)| d)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let channels = |links: &[LinkId]| links.iter().flat_map(|&l| [2 * l, 2 * l + 1]).collect();
+        timeline
+            .steps
+            .iter()
+            .map(|step| {
+                let dead_links = down(&step.link_down);
+                ReconfigEpoch {
+                    cycle: step.cycle,
+                    dead_nodes: down(&step.node_down),
+                    dead_channels: channels(&dead_links),
+                    dead_links,
+                    revived_channels: channels(&step.revived_links),
+                    revived_nodes: step.revived_nodes.clone(),
+                    old_table: self.inst.table.clone(),
+                    new_table: self.inst.table.clone(),
+                    flipped_channels: Vec::new(),
+                    tables: self.inst.tables.clone(),
+                }
+            })
+            .collect()
     }
 }
 

@@ -787,9 +787,12 @@ fn trace_survives_the_repaired_link_failure() {
     std::fs::remove_file(out).ok();
 }
 
+/// `--no-repair` schedules the fault without repairing it: the worms
+/// wedge, and the run records no repair work.
 #[test]
 fn trace_without_repair_reports_a_deadlock_incident() {
     let incident = tmpfile("incident.json");
+    let snap_path = tmpfile("no-repair-tel.json");
     let r = trace_link_failure(&[
         "--no-repair",
         "--watchdog",
@@ -798,6 +801,8 @@ fn trace_without_repair_reports_a_deadlock_incident() {
         "/dev/null",
         "--incident",
         incident.to_str().unwrap(),
+        "--telemetry",
+        snap_path.to_str().unwrap(),
     ]);
     let stderr = String::from_utf8_lossy(&r.stderr);
     assert_eq!(r.status.code(), Some(0), "{stderr}");
@@ -809,7 +814,13 @@ fn trace_without_repair_reports_a_deadlock_incident() {
     );
     assert!(report.contains("\"blocked_worms\": [\n"), "{report}");
     assert!(report.contains("\"pkt\":"), "no blocked worm in {report}");
+    let json = std::fs::read_to_string(&snap_path).unwrap();
+    let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+    assert_eq!(snap.counter("sim/reconfig_epochs"), Some(1), "{json}");
+    assert!(snap.span("repair").is_none(), "{json}");
+    assert_eq!(snap.counter("repair/full_rebuilds"), None, "{json}");
     std::fs::remove_file(incident).ok();
+    std::fs::remove_file(snap_path).ok();
 }
 
 /// `trace --scenario` and `faults --scenario` route the same repaired

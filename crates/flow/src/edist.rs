@@ -118,11 +118,13 @@ impl EDist {
     ///
     /// The `N_Q²` equal-weight pair sums are binned into a fixed uniform
     /// histogram spanning their support and the quantile grid is read off
-    /// the cumulative counts — O(N_Q²) with small constants instead of a
-    /// sort, which keeps warm flow-predictor queries in the millisecond
-    /// range. The bin count (32× the quantile grid) keeps the binning
-    /// error well below the midpoint-atom approximation error already
-    /// inherent in the representation.
+    /// the cumulative counts: no sort. The bin count (32× the quantile
+    /// grid) keeps the binning error well below the midpoint-atom
+    /// approximation error already inherent in the representation. The
+    /// pairs are binned by runs of bit-identical midpoints, one bin update
+    /// per pair of runs, so the cost is O(runs(self) · runs(other)) plus
+    /// the walk over the bins; the counts, hence the result, are those of
+    /// binning every pair, bit for bit.
     pub fn convolve(&self, other: &EDist) -> EDist {
         let mut qs = vec![0.0; ROW];
         convolve_rows(&self.qs, &other.qs, &mut qs);
@@ -171,10 +173,27 @@ fn midpoints(row: &[f64]) -> [f64; N_Q] {
     std::array::from_fn(|i| (row[i] + row[i + 1]) / 2.0)
 }
 
+/// Histogram bins of [`convolve_rows`]: 32× the quantile grid.
+const BINS: usize = 32 * N_Q;
+
 /// [`EDist::convolve`] on quantile rows: writes the row of the sum of a
 /// draw from the distribution with row `a` and one from that with row
-/// `b` to `out`, so a caller can keep its rows in one flat arena.
-pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
+/// `b` to `out`, so a caller can keep its rows in one flat arena. Returns
+/// the run pairs binned (see [`bin_runs`]); a point mass on either side
+/// or an empty support bins none.
+pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) -> usize {
+    convolve_binned(a, b, out, bin_runs)
+}
+
+/// [`convolve_rows`] with the midpoint pair sums binned by `binning`,
+/// which is handed both midpoint arrays, the support's low end and the
+/// bins per unit, and returns the work it counts.
+fn convolve_binned(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    binning: impl FnOnce(&[f64; N_Q], &[f64; N_Q], f64, f64, &mut [u32; BINS]) -> usize,
+) -> usize {
     let is_point = |row: &[f64]| row[0] == row[N_Q];
     // `v + by` is `affine(1.0, by)` bit for bit, since `v * 1.0` is exact.
     let shifted = |row: &[f64], by: f64, out: &mut [f64]| {
@@ -183,10 +202,12 @@ pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
         }
     };
     if is_point(b) {
-        return shifted(a, b[0], out);
+        shifted(a, b[0], out);
+        return 0;
     }
     if is_point(a) {
-        return shifted(b, a[0], out);
+        shifted(b, a[0], out);
+        return 0;
     }
     let a = midpoints(a);
     let b = midpoints(b);
@@ -194,17 +215,11 @@ pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
     let hi = a[N_Q - 1] + b[N_Q - 1];
     if hi <= lo {
         out.fill(lo);
-        return;
+        return 0;
     }
-    const BINS: usize = 32 * N_Q;
     let scale = BINS as f64 / (hi - lo);
     let mut counts = [0u32; BINS];
-    for &x in &a {
-        for &y in &b {
-            let bin = (((x + y) - lo) * scale) as usize;
-            counts[bin.min(BINS - 1)] += 1;
-        }
-    }
+    let work = binning(&a, &b, lo, scale, &mut counts);
     let total = (N_Q * N_Q) as f64;
     out[0] = lo;
     out[N_Q] = hi;
@@ -218,6 +233,39 @@ pub(crate) fn convolve_rows(a: &[f64], b: &[f64], out: &mut [f64]) {
         }
         *q = lo + (bin as f64 + 0.5) / scale;
     }
+    work
+}
+
+/// Bins every pair sum `x + y` of `a` and `b` by walking the runs of
+/// bit-identical values in both: a run pair's sums are all the same sum,
+/// so its bin gets the pair count `len_a · len_b` at once. The counts are
+/// those of binning the `N_Q²` pairs one at a time, bit for bit, however
+/// the runs lie (`-0.0` next to `0.0`, NaN, infinities). Returns the run
+/// pairs binned.
+fn bin_runs(
+    a: &[f64; N_Q],
+    b: &[f64; N_Q],
+    lo: f64,
+    scale: f64,
+    counts: &mut [u32; BINS],
+) -> usize {
+    let mut b_runs = [(0.0, 0u32); N_Q];
+    let mut b_len = 0;
+    for run in b.chunk_by(|x, y| x.to_bits() == y.to_bits()) {
+        b_runs[b_len] = (run[0], run.len() as u32);
+        b_len += 1;
+    }
+    let b_runs = &b_runs[..b_len];
+    let mut pairs = 0;
+    for run in a.chunk_by(|x, y| x.to_bits() == y.to_bits()) {
+        let (x, len_a) = (run[0], run.len() as u32);
+        for &(y, len_b) in b_runs {
+            let bin = (((x + y) - lo) * scale) as usize;
+            counts[bin.min(BINS - 1)] += len_a * len_b;
+        }
+        pairs += b_len;
+    }
+    pairs
 }
 
 /// `x`'s bits, mapped so that unsigned order is [`f64::total_cmp`]
@@ -449,6 +497,164 @@ mod tests {
                 stable.iter().map(|&(v, w)| (v.to_bits(), w.to_bits())).collect();
             proptest::prop_assert_eq!(merged, stable);
         }
+    }
+
+    /// The binning [`bin_runs`] replaced: every one of the `N_Q²` pair
+    /// sums, one bin update each. Returns the pairs binned.
+    fn bin_pairs(
+        a: &[f64; N_Q],
+        b: &[f64; N_Q],
+        lo: f64,
+        scale: f64,
+        counts: &mut [u32; BINS],
+    ) -> usize {
+        for &x in a {
+            for &y in b {
+                let bin = (((x + y) - lo) * scale) as usize;
+                counts[bin.min(BINS - 1)] += 1;
+            }
+        }
+        N_Q * N_Q
+    }
+
+    /// A quantile row for the convolution kernel's property test, drawn
+    /// from `next`: a point mass, or values from a few small integers
+    /// (long runs), with `special` also `±0.0`, NaN of either sign,
+    /// infinities, huge values and subnormals; sorted in `total_cmp`
+    /// order or not, and with the `max_with(1.0)` head or not.
+    fn kernel_row(next: &mut impl FnMut() -> u64, special: bool) -> Vec<f64> {
+        const SPECIAL: [f64; 10] = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+        ];
+        let spread = 1 + next() % 8;
+        let draw = |r: u64| {
+            if special && r.is_multiple_of(3) {
+                SPECIAL[(r / 3 % SPECIAL.len() as u64) as usize]
+            } else {
+                (r / 3 % spread) as f64 * 0.75
+            }
+        };
+        if next().is_multiple_of(6) {
+            return vec![draw(next()); ROW];
+        }
+        let mut row: Vec<f64> = (0..ROW).map(|_| draw(next())).collect();
+        if !next().is_multiple_of(4) {
+            row.sort_by(f64::total_cmp);
+        }
+        if next().is_multiple_of(2) {
+            row = EDist::from_row(&row).max_with(1.0).qs;
+        }
+        row
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 2000,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The run kernel writes the row the pair loop writes, bit for
+        /// bit, and bins one pair per pair of runs.
+        #[test]
+        fn run_kernel_matches_the_pair_loop(
+            seed in 0u64..1_000_000_000,
+            special in proptest::bool::ANY,
+        ) {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let a = kernel_row(&mut next, special);
+            let b = kernel_row(&mut next, special);
+            let (mut runs, mut pairs) = ([0.0; ROW], [0.0; ROW]);
+            let run_pairs = convolve_rows(&a, &b, &mut runs);
+            let all_pairs = convolve_binned(&a, &b, &mut pairs, bin_pairs);
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&runs), bits(&pairs));
+            let count = |row: &[f64]| {
+                midpoints(row)
+                    .chunk_by(|x, y| x.to_bits() == y.to_bits())
+                    .count()
+            };
+            if all_pairs == 0 {
+                proptest::prop_assert_eq!(run_pairs, 0);
+            } else {
+                proptest::prop_assert_eq!(run_pairs, count(&a) * count(&b));
+            }
+        }
+    }
+
+    /// The kernel's edge rows, each against the pair loop: a point-mass
+    /// head next to spread values, `-0.0` runs next to `0.0` runs, NaN of
+    /// either sign, infinities and subnormals, and point masses on either
+    /// side (the shift fast path, which bins nothing).
+    #[test]
+    fn run_kernel_matches_the_pair_loop_on_edge_rows() {
+        let ramp = |f: fn(usize) -> f64| (0..ROW).map(f).collect::<Vec<f64>>();
+        let rows = [
+            ramp(|i| (i as f64 - 24.0).max(1.0)),
+            ramp(|i| if i < 30 { -0.0 } else { 0.0 }),
+            ramp(|i| {
+                if i < 20 {
+                    -0.0
+                } else if i < 40 {
+                    0.0
+                } else {
+                    i as f64
+                }
+            }),
+            ramp(|i| {
+                if i < 10 {
+                    -f64::NAN
+                } else if i > 60 {
+                    f64::NAN
+                } else {
+                    i as f64
+                }
+            }),
+            ramp(|i| {
+                if i < 5 {
+                    f64::NEG_INFINITY
+                } else if i > 50 {
+                    f64::INFINITY
+                } else {
+                    1.0
+                }
+            }),
+            ramp(|i| [5e-324, -5e-324, f64::MIN_POSITIVE / 2.0, 0.0][i % 4]),
+            ramp(|i| (i / 16) as f64 * 1e300),
+            vec![3.0; ROW],
+            vec![-0.0; ROW],
+        ];
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for a in &rows {
+            for b in &rows {
+                let (mut runs, mut pairs) = ([0.0; ROW], [0.0; ROW]);
+                let run_pairs = convolve_rows(a, b, &mut runs);
+                let all_pairs = convolve_binned(a, b, &mut pairs, bin_pairs);
+                assert_eq!(bits(&runs), bits(&pairs), "{a:?} ⊛ {b:?}");
+                assert!(run_pairs <= all_pairs, "{a:?} ⊛ {b:?}");
+            }
+        }
+        // The max_with(1.0) head is one run: 25 midpoints at 1.0 and 39
+        // distinct ones above, so 40² run pairs where the loop bins 64².
+        let (head, mut out) = (&rows[0], [0.0; ROW]);
+        assert_eq!(convolve_rows(head, head, &mut out), 40 * 40);
+        assert_eq!(convolve_rows(head, &rows[7], &mut out), 0);
+        assert_eq!(convolve_rows(&rows[7], head, &mut out), 0);
     }
 
     #[test]

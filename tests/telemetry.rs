@@ -586,6 +586,10 @@ fn flow_queries_count_their_route_work() {
     assert_eq!((hits, misses), (49, 143));
     let convolutions = counter("flow/route_convolutions");
     assert_eq!(convolutions, 597);
+    // The kernel bins one pair of runs of equal midpoints at a time:
+    // 888,483 bin updates, where one per midpoint pair would take
+    // 597 · 64² = 2,445,312.
+    assert_eq!(counter("flow/convolve_pairs"), 888_483);
     let gauge = |name: &str| snap.gauges.get(name).copied();
     assert_eq!(gauge("flow/routes"), Some(48.0));
     assert_eq!(gauge("flow/route_hops_max"), Some(9.0));
