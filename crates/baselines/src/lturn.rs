@@ -31,8 +31,10 @@
 //! and connected by the test-suite (and by `irnet_turns::verify_routing` in
 //! downstream property tests).
 
-use crate::{BaselineError, BaselineRouting};
-use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, PreorderPolicy, Quadrant, Topology};
+use crate::TurnModel;
+use irnet_topology::{
+    ChannelId, CommGraph, CoordinatedTree, PreorderPolicy, Quadrant, Topology, TopologyError,
+};
 use irnet_turns::{release_redundant_turns, TurnTable};
 
 /// The four 2-D directions of the L-R tree classification.
@@ -97,15 +99,12 @@ impl Default for LTurnOptions {
 }
 
 /// Constructs the L-turn routing over `topo` with default options.
-pub fn construct(topo: &Topology) -> Result<BaselineRouting, BaselineError> {
+pub fn construct(topo: &Topology) -> Result<TurnModel, TopologyError> {
     construct_with(topo, LTurnOptions::default())
 }
 
 /// Constructs the L-turn routing with explicit options.
-pub fn construct_with(
-    topo: &Topology,
-    opts: LTurnOptions,
-) -> Result<BaselineRouting, BaselineError> {
+pub fn construct_with(topo: &Topology, opts: LTurnOptions) -> Result<TurnModel, TopologyError> {
     let tree = CoordinatedTree::build(topo, opts.policy, opts.seed)?;
     let cg = CommGraph::build(topo, &tree);
     let mut table = TurnTable::all_allowed(&cg);
@@ -127,14 +126,14 @@ pub fn construct_with(
     if opts.release {
         release_redundant_turns(&cg, &mut table, |_, _| true);
     }
-    BaselineRouting::build(tree, cg, table)
+    Ok((tree, cg, table))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use irnet_topology::gen;
-    use irnet_turns::{verify_routing, DirGraph, Movement};
+    use irnet_turns::{verify_routing, DirGraph, Movement, RoutingTables};
 
     #[test]
     fn rule_prohibits_exactly_right_to_left() {
@@ -214,7 +213,7 @@ mod tests {
                     gen::random_irregular(gen::IrregularParams::paper(28, ports), seed).unwrap();
                 for policy in PreorderPolicy::ALL {
                     for release in [false, true] {
-                        let r = construct_with(
+                        let (_, cg, table) = construct_with(
                             &topo,
                             LTurnOptions {
                                 policy,
@@ -223,7 +222,7 @@ mod tests {
                             },
                         )
                         .unwrap();
-                        let report = verify_routing(r.comm_graph(), r.turn_table());
+                        let report = verify_routing(&cg, &table);
                         assert!(
                             report.is_ok(),
                             "seed {seed} ports {ports} {policy} release={release}: \
@@ -257,29 +256,18 @@ mod tests {
     #[test]
     fn release_shortens_or_keeps_routes() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), 9).unwrap();
-        let with = construct_with(
-            &topo,
-            LTurnOptions {
-                release: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let without = construct_with(
-            &topo,
-            LTurnOptions {
-                release: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            with.routing_tables().route_len_stats(with.comm_graph()).0
-                <= without
-                    .routing_tables()
-                    .route_len_stats(without.comm_graph())
-                    .0
-                    + 1e-12
-        );
+        let avg_route_len = |release| {
+            let (_, cg, table) = construct_with(
+                &topo,
+                LTurnOptions {
+                    release,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let tables = RoutingTables::build(&cg, &table).unwrap();
+            tables.route_len_stats(&cg).0
+        };
+        assert!(avg_route_len(true) <= avg_route_len(false) + 1e-12);
     }
 }

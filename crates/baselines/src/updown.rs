@@ -16,8 +16,10 @@
 //! cycle would have to be order-monotone — impossible. Connectivity: the
 //! tree path climbs to the LCA (all up) and descends (all down).
 
-use crate::{BaselineError, BaselineRouting};
-use irnet_topology::{ChannelId, CommGraph, CoordinatedTree, NodeId, PreorderPolicy, Topology};
+use crate::TurnModel;
+use irnet_topology::{
+    ChannelId, CommGraph, CoordinatedTree, NodeId, PreorderPolicy, Topology, TopologyError,
+};
 use irnet_turns::TurnTable;
 
 /// Spanning-tree flavour for up\*/down\*.
@@ -30,7 +32,7 @@ pub enum TreeKind {
 }
 
 /// Constructs the up\*/down\* routing over `topo` with the given tree kind.
-pub fn construct(topo: &Topology, kind: TreeKind) -> Result<BaselineRouting, BaselineError> {
+pub fn construct(topo: &Topology, kind: TreeKind) -> Result<TurnModel, TopologyError> {
     // The coordinated tree doubles as our BFS tree and supplies the
     // communication graph (channel table). Channel labels below do not use
     // its X coordinates except as documentation; `up` is defined by `order`.
@@ -58,17 +60,7 @@ pub fn construct(topo: &Topology, kind: TreeKind) -> Result<BaselineRouting, Bas
             }
         }
     }
-    BaselineRouting::build(tree, cg, table)
-}
-
-/// BFS up\*/down\* (the original).
-pub fn construct_bfs(topo: &Topology) -> Result<BaselineRouting, BaselineError> {
-    construct(topo, TreeKind::Bfs)
-}
-
-/// DFS up\*/down\* (Robles et al.).
-pub fn construct_dfs(topo: &Topology) -> Result<BaselineRouting, BaselineError> {
-    construct(topo, TreeKind::Dfs)
+    Ok((tree, cg, table))
 }
 
 /// Total order on nodes: smaller = closer to "up".
@@ -109,15 +101,15 @@ fn node_order(topo: &Topology, tree: &CoordinatedTree, kind: TreeKind) -> Vec<u6
 mod tests {
     use super::*;
     use irnet_topology::gen;
-    use irnet_turns::verify_routing;
+    use irnet_turns::{verify_routing, RoutingTables};
 
     #[test]
     fn both_flavours_verify_on_random_networks() {
         for seed in 0..6 {
             let topo = gen::random_irregular(gen::IrregularParams::paper(28, 4), seed).unwrap();
             for kind in [TreeKind::Bfs, TreeKind::Dfs] {
-                let r = construct(&topo, kind).unwrap();
-                let report = verify_routing(r.comm_graph(), r.turn_table());
+                let (_, cg, table) = construct(&topo, kind).unwrap();
+                let report = verify_routing(&cg, &table);
                 assert!(
                     report.is_ok(),
                     "{kind:?} seed {seed}: cycle={:?} disc={:?}",
@@ -131,17 +123,16 @@ mod tests {
     #[test]
     fn routes_never_go_down_then_up() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(20, 4), 2).unwrap();
-        let r = construct_bfs(&topo).unwrap();
-        let cg = r.comm_graph();
+        let (tree, cg, table) = construct(&topo, TreeKind::Bfs).unwrap();
+        let tables = RoutingTables::build(&cg, &table).unwrap();
         let ch = cg.channels();
-        let tree = r.tree();
         let order = |v: u32| -> u64 { ((tree.y(v) as u64) << 32) | v as u64 };
         for s in 0..topo.num_nodes() {
             for t in 0..topo.num_nodes() {
                 if s == t {
                     continue;
                 }
-                let path = r.routing_tables().route(cg, s, t);
+                let path = tables.route(&cg, s, t);
                 let mut gone_down = false;
                 for &c in &path {
                     let goes_up = order(ch.sink(c)) < order(ch.start(c));
@@ -159,9 +150,9 @@ mod tests {
         let mut differs = false;
         for seed in 0..4 {
             let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), seed).unwrap();
-            let bfs = construct_bfs(&topo).unwrap();
-            let dfs = construct_dfs(&topo).unwrap();
-            if bfs.turn_table() != dfs.turn_table() {
+            let (_, _, bfs) = construct(&topo, TreeKind::Bfs).unwrap();
+            let (_, _, dfs) = construct(&topo, TreeKind::Dfs).unwrap();
+            if bfs != dfs {
                 differs = true;
             }
         }
@@ -175,8 +166,8 @@ mod tests {
             gen::mesh(4, 4).unwrap(),
             gen::torus(3, 3).unwrap(),
         ] {
-            let r = construct_bfs(&topo).unwrap();
-            assert!(verify_routing(r.comm_graph(), r.turn_table()).is_ok());
+            let (_, cg, table) = construct(&topo, TreeKind::Bfs).unwrap();
+            assert!(verify_routing(&cg, &table).is_ok());
         }
     }
 }

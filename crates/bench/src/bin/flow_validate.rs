@@ -269,6 +269,11 @@ fn main() {
     let enforce = quick || cli.flag("enforce");
     let seed: u64 = cli.opt_parse("seed", 7);
     let steps: usize = cli.opt_parse("steps", 8);
+    // Checked before the grid runs, so a bad value fails at once.
+    let huge: Option<u32> = cli.opt("huge").map(|_| cli.opt_parse("huge", 0));
+    if cli.flag("huge") || huge.is_some_and(|n| n < 2) {
+        cli.reject("huge", "the demo fabric needs at least 2 switches");
+    }
     let default_sizes: &[u32] = if quick {
         &[32, 128]
     } else {
@@ -342,8 +347,7 @@ fn main() {
         );
     }
 
-    if let Some(h) = cli.opt("huge") {
-        let n: u32 = h.parse().unwrap_or(65_536);
+    if let Some(n) = huge {
         run_huge(n, seed);
     }
 

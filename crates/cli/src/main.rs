@@ -54,7 +54,7 @@ mod pipeline;
 
 use irnet_core::RepairStrategy;
 use irnet_metrics::paper::PaperMetrics;
-use irnet_metrics::{sweep, Algo, Instance};
+use irnet_metrics::{sweep, Algo, Instance, TurnModel};
 use irnet_sim::{Halt, SimConfig};
 use irnet_telemetry::{Progress, ProgressMode, Snapshot, Telemetry};
 use irnet_topology::{
@@ -75,7 +75,8 @@ common options:
   --switches N        switches for generated topologies (default 64)
   --ports N           port budget (default 4)
   --seed N            generation seed (default 1)
-  --algo NAME         downup | downup-norelease | lturn | updown-bfs | updown-dfs (default downup)
+  --algo NAME         downup | downup-norelease | lturn | lturn-norelease | updown-bfs |
+                      updown-dfs (default downup)
   --policy M1|M2|M3   coordinated-tree preorder policy (default M1)
   --telemetry FILE    attach the telemetry registry (counters, gauges,
                       histograms, span tree) and write its JSON snapshot to
@@ -118,8 +119,9 @@ sweep options (in addition to the simulate options):
   --rates r1,r2,...   offered-load ladder (default an 8-step ramp)
   --backend NAME      flit (exact engine, default) | flow (flow-level
                       predictor: analytic decomposition + clustered
-                      representative sims); the CSV header line reports
-                      which backend produced the curve
+                      representative sims; DOWN/UP under M1 only, the
+                      routing its internal sims use); the CSV header line
+                      reports which backend produced the curve
   --progress [MODE]   per-point progress (done/total, elapsed, ETA) on stderr
 
 export options:
@@ -320,6 +322,17 @@ fn build_instance(o: &Opts, topo: &Topology) -> Result<Instance, String> {
         .map_err(|e| format!("construction failed: {e}"))
 }
 
+/// The turn model alone, for commands that read no routing table: timed
+/// as the `construction` span, with no `tables` child.
+fn build_turns(o: &Opts, topo: &Topology) -> Result<TurnModel, String> {
+    let algo = parse_algo(o);
+    let policy = parse_policy(o);
+    let seed = o.parse("seed", 1u64);
+    let _span = irnet_telemetry::current().span("construction");
+    algo.turns(topo, policy, seed)
+        .map_err(|e| format!("construction failed: {e}"))
+}
+
 fn cmd_gen(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
     let json = topology_to_json(&topo);
@@ -341,8 +354,8 @@ fn cmd_gen(o: &Opts) -> Result<(), String> {
 
 fn cmd_verify(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
-    let inst = build_instance(o, &topo)?;
-    let report = verify_routing(&inst.cg, &inst.table);
+    let (_, cg, table) = build_turns(o, &topo)?;
+    let report = verify_routing(&cg, &table);
     println!("algorithm          : {}", parse_algo(o));
     println!(
         "switches / links   : {} / {}",
@@ -389,9 +402,9 @@ fn cmd_lint(o: &Opts) -> Result<(), String> {
 /// Lint one `(topology, algo, policy)` target; exit 1 on error findings.
 fn lint_single(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
-    let inst = build_instance(o, &topo)?;
-    let report = irnet_verify::lint(&inst.cg, &inst.table);
-    let dep = ChannelDepGraph::build(&inst.cg, &inst.table);
+    let (_, cg, table) = build_turns(o, &topo)?;
+    let report = irnet_verify::lint(&cg, &table);
+    let dep = ChannelDepGraph::build(&cg, &table);
     if let Err(e) = irnet_verify::recheck(&report.certificate, &dep) {
         return Err(format!(
             "internal error: certificate failed its own recheck: {e}"
@@ -487,11 +500,13 @@ fn lint_grid(o: &Opts) -> Result<(), String> {
     let run_cell =
         |topo: &Topology, label: &str, policy: PreorderPolicy, algo: Algo| -> Result<(), String> {
             cells += 1;
-            let inst = algo
-                .construct(topo, policy, 0)
+            let span = irnet_telemetry::current().span("construction");
+            let (_, cg, table) = algo
+                .turns(topo, policy, 0)
                 .map_err(|e| format!("construction failed for {label}: {e}"))?;
-            let report = irnet_verify::lint(&inst.cg, &inst.table);
-            let dep = ChannelDepGraph::build(&inst.cg, &inst.table);
+            span.finish();
+            let report = irnet_verify::lint(&cg, &table);
+            let dep = ChannelDepGraph::build(&cg, &table);
             let recheck = irnet_verify::recheck(&report.certificate, &dep);
             let warnings = report
                 .findings
@@ -884,7 +899,7 @@ fn print_fabric_stats(o: &Opts, topo: &Topology) -> Result<(), String> {
 
 fn cmd_sweep(o: &Opts) -> Result<(), String> {
     let topo = load_topology(o)?;
-    let inst = build_instance(o, &topo)?;
+    let (algo, policy) = (parse_algo(o), parse_policy(o));
     let base = SimConfig {
         packet_len: o.parse("packet-len", 128u32),
         warmup_cycles: o.parse("warmup", 2_000u32),
@@ -916,14 +931,30 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
             "unknown backend {backend:?} (expected flit or flow)"
         ));
     }
+    if backend == "flow" {
+        // The predictor's saturation probe and representative sims route
+        // with DOWN/UP M1 whatever the fabric runs, so it answers for that
+        // routing only.
+        if (algo, policy) != (Algo::DownUp { release: true }, PreorderPolicy::M1) {
+            fail(&format!(
+                "--backend flow predicts DOWN/UP under M1 only (its internal sims route with \
+                 DOWN/UP M1), not {algo} under {policy}; use --backend flit"
+            ));
+        }
+        if topo.num_links() == 0 {
+            fail("--backend flow needs a fabric with a link: a one-switch fabric sends no traffic");
+        }
+    }
     let progress = o
         .flag("progress")
         .then(|| Progress::new(&format!("sweep[{backend}]"), rates.len(), progress_mode(o)));
-    // The leading header line carries the backend so flow and flit CSVs
-    // are never silently interchangeable.
-    println!("# backend={backend}");
+    // Each backend builds only what it reads. The leading header line
+    // carries the backend so flow and flit CSVs are never silently
+    // interchangeable.
     match backend {
         "flit" => {
+            let inst = build_instance(o, &topo)?;
+            println!("# backend={backend}");
             // Run point by point (seeded exactly as `sweep::sweep` would)
             // so `--progress` can report between operating points.
             let points: Vec<_> = rates
@@ -965,16 +996,12 @@ fn cmd_sweep(o: &Opts) -> Result<(), String> {
             );
         }
         "flow" => {
+            // Phases 1-3 only: the predictor reads no routing table.
+            let (tree, cg, table) = build_turns(o, &topo)?;
+            println!("# backend={backend}");
             let cfg = irnet_flow::FlowConfig::default();
-            let mut pred = irnet_flow::FlowPredictor::build(
-                &topo,
-                &inst.tree,
-                &inst.cg,
-                &inst.table,
-                &base,
-                seed,
-                &cfg,
-            );
+            let mut pred =
+                irnet_flow::FlowPredictor::build(&topo, &tree, &cg, &table, &base, seed, &cfg);
             if let Some(prog) = &progress {
                 prog.message(&format!(
                     "sweep[{backend}]: predictor built (decompose + saturation probe), \

@@ -44,6 +44,7 @@ fn verify_reports_deadlock_freedom_for_every_algo() {
         "downup",
         "downup-norelease",
         "lturn",
+        "lturn-norelease",
         "updown-bfs",
         "updown-dfs",
     ] {
@@ -152,6 +153,72 @@ fn sweep_rejects_unknown_backend() {
     assert!(!r.status.success());
     let stderr = String::from_utf8_lossy(&r.stderr);
     assert!(stderr.contains("unknown backend"), "{stderr}");
+}
+
+/// The flow predictor's internal sims route with DOWN/UP M1, so it only
+/// answers for that routing: any other `--algo` or `--policy` is a usage
+/// error, refused before anything is built.
+#[test]
+fn sweep_flow_backend_refuses_routings_it_does_not_simulate() {
+    for (algo, policy) in [
+        ("downup-norelease", "M1"),
+        ("lturn", "M1"),
+        ("lturn-norelease", "M1"),
+        ("updown-bfs", "M1"),
+        ("updown-dfs", "M1"),
+        ("downup", "M2"),
+        ("downup", "M3"),
+    ] {
+        let r = irnet(&[
+            "sweep",
+            "--switches",
+            "12",
+            "--backend",
+            "flow",
+            "--algo",
+            algo,
+            "--policy",
+            policy,
+        ]);
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert_eq!(r.status.code(), Some(2), "{algo} {policy}: {stderr}");
+        assert!(
+            stderr.contains("--backend flow predicts DOWN/UP under M1 only"),
+            "{algo} {policy}: {stderr}"
+        );
+        assert!(r.stdout.is_empty(), "{algo} {policy} swept anyway");
+    }
+}
+
+/// A one-switch fabric has no channel: the flit sweep runs (and delivers
+/// nothing), the flow sweep is refused with the reason, and neither
+/// panics.
+#[test]
+fn sweep_on_a_one_switch_fabric_never_panics() {
+    let args = [
+        "sweep",
+        "--switches",
+        "1",
+        "--rates",
+        "0.1",
+        "--warmup",
+        "10",
+        "--measure",
+        "50",
+    ];
+    let flit = irnet(&args);
+    assert_eq!(
+        flit.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&flit.stderr)
+    );
+    let flow_args: Vec<&str> = args.iter().copied().chain(["--backend", "flow"]).collect();
+    let flow = irnet(&flow_args);
+    let stderr = String::from_utf8_lossy(&flow.stderr);
+    assert_eq!(flow.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("needs a fabric with a link"), "{stderr}");
 }
 
 #[test]
@@ -1162,4 +1229,112 @@ fn routes_over_two_byte_costs_print_the_pinned_output() {
     // The all-pairs route statistics are one timed pass.
     assert_eq!(snap.spans["routes/route_len"].count, 1);
     std::fs::remove_file(snap_path).ok();
+}
+
+/// Commands that only check or predict from the turn model fill no
+/// routing table: their snapshots time `construction` but hold no
+/// `construction/tables` span and no `construction/table_bytes` gauge.
+/// `verify` and `lint` check the turn table (their checker's own fill is
+/// the only one), the flow sweep runs DOWN/UP Phases 1-3 alone. Commands
+/// that read the tables, `routes` and the flit sweep, still fill once.
+#[test]
+fn only_commands_that_read_the_tables_fill_them() {
+    let topo = tmpfile("fill-once.json");
+    let r = irnet(&[
+        "gen",
+        "--switches",
+        "24",
+        "--seed",
+        "3",
+        "--out",
+        topo.to_str().unwrap(),
+    ]);
+    assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
+    let sweep = [
+        "sweep",
+        "--switches",
+        "24",
+        "--seed",
+        "3",
+        "--rates",
+        "0.05",
+        "--packet-len",
+        "8",
+        "--warmup",
+        "100",
+        "--measure",
+        "300",
+    ];
+    let flow: Vec<&str> = sweep.iter().copied().chain(["--backend", "flow"]).collect();
+    let cases: [(&[&str], bool); 7] = [
+        (&["verify", "--switches", "24", "--seed", "3"], false),
+        (
+            &[
+                "verify",
+                "--switches",
+                "24",
+                "--seed",
+                "3",
+                "--algo",
+                "lturn",
+            ],
+            false,
+        ),
+        (&["lint", "--topology", topo.to_str().unwrap()], false),
+        (
+            &[
+                "lint",
+                "--topology",
+                topo.to_str().unwrap(),
+                "--algo",
+                "updown-dfs",
+                "--json",
+            ],
+            false,
+        ),
+        (&flow, false),
+        (
+            &[
+                "routes",
+                "--switches",
+                "24",
+                "--seed",
+                "3",
+                "--algo",
+                "lturn",
+            ],
+            true,
+        ),
+        (&sweep, true),
+    ];
+    for (i, (args, fills)) in cases.into_iter().enumerate() {
+        let snap_path = tmpfile(&format!("fill-once-{i}.tel.json"));
+        let mut with_tel = args.to_vec();
+        with_tel.extend(["--telemetry", snap_path.to_str().unwrap()]);
+        let r = irnet(&with_tel);
+        assert!(
+            r.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&r.stderr)
+        );
+        let json = std::fs::read_to_string(&snap_path).unwrap();
+        let snap = irnet_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
+        assert_eq!(
+            snap.span("construction").map(|s| s.count),
+            Some(1),
+            "{args:?}"
+        );
+        assert_eq!(
+            snap.span("construction/tables").is_some(),
+            fills,
+            "{args:?}"
+        );
+        assert_eq!(
+            snap.gauges.contains_key("construction/table_bytes"),
+            fills,
+            "{args:?}"
+        );
+        std::fs::remove_file(snap_path).ok();
+    }
+    std::fs::remove_file(topo).ok();
 }

@@ -92,23 +92,15 @@ impl DownUp {
         self
     }
 
-    /// Runs the three construction phases on `topo`, then builds the
-    /// shortest-legal-path routing tables. Each stage is timed by a span
-    /// guard in [`irnet_telemetry::current`]'s span tree: `construction`
-    /// with its `phase1`/`phase2`/`phase3`/`tables` children; the tables'
-    /// size is the `construction/table_bytes` gauge
-    /// ([`RoutingTables::heap_bytes`]).
+    /// Runs the three construction phases on `topo`, then fills the
+    /// shortest-legal-path routing tables ([`fill_tables`]). Each stage is
+    /// timed by a span guard in [`irnet_telemetry::current`]'s span tree:
+    /// `construction` with its `phase1`/`phase2`/`phase3`/`tables`
+    /// children.
     pub fn construct(self, topo: &Topology) -> Result<DownUpRouting, ConstructError> {
-        let tel = irnet_telemetry::current();
-        let span = tel.span("construction");
+        let span = irnet_telemetry::current().span("construction");
         let (tree, cg, table, released) = self.phases(topo, &span)?;
-        // Shortest legal paths; also proves connectivity (Theorem 1).
-        let stage = span.child("tables");
-        let tables = RoutingTables::build(&cg, &table)?;
-        stage.finish();
-        span.finish();
-        tel.gauge("construction/table_bytes")
-            .set(tables.heap_bytes() as f64);
+        let tables = fill_tables(&cg, &table, &span)?;
         Ok(DownUpRouting {
             tree,
             cg,
@@ -140,13 +132,18 @@ impl DownUp {
         self.phases(topo, &Telemetry::disabled().span("construction"))
     }
 
-    /// Phases 1–3, each timed as a child of `span`. Phase 3's decisions
-    /// go to [`irnet_telemetry::current`]: the counters
+    /// Phases 1–3, each timed as a child of `span`: the turn model, and
+    /// the turns Phase 3 released. Phase 3's decisions go to
+    /// [`irnet_telemetry::current`]: the counters
     /// `construction/phase3_candidates` and `construction/phase3_released`
     /// and the gauge `construction/phase3_closure_bytes`, so
     /// [`DownUp::construct_phases`] callers (the flow path, repair epochs)
     /// report them too.
-    fn phases(self, topo: &Topology, span: &Span) -> Result<Phases, ConstructError> {
+    pub fn phases(
+        self,
+        topo: &Topology,
+        span: &Span,
+    ) -> Result<(CoordinatedTree, CommGraph, TurnTable, Vec<ReleasedTurn>), ConstructError> {
         // Phase 1: coordinated tree + communication graph.
         let stage = span.child("phase1");
         let tree = self.build_tree(topo)?;
@@ -179,9 +176,24 @@ impl DownUp {
     }
 }
 
-/// What [`DownUp::construct_phases`] returns: the coordinated tree, the
-/// communication graph, the turn table, and the turns Phase 3 released.
-type Phases = (CoordinatedTree, CommGraph, TurnTable, Vec<ReleasedTurn>);
+/// The one routing-table fill of every constructor: the shortest legal
+/// paths of `table` over `cg`, which also prove connectivity (Theorem 1).
+/// Timed as the `tables` child of `span`; the tables' size is the
+/// `construction/table_bytes` gauge ([`RoutingTables::heap_bytes`]) of
+/// [`irnet_telemetry::current`].
+pub fn fill_tables(
+    cg: &CommGraph,
+    table: &TurnTable,
+    span: &Span,
+) -> Result<RoutingTables, ConstructError> {
+    let stage = span.child("tables");
+    let tables = RoutingTables::build(cg, table)?;
+    stage.finish();
+    irnet_telemetry::current()
+        .gauge("construction/table_bytes")
+        .set(tables.heap_bytes() as f64);
+    Ok(tables)
+}
 
 /// Per-stage construction seconds. No constructor produces it any more:
 /// the span tree of [`irnet_telemetry::current`] carries these timings.

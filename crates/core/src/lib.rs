@@ -34,7 +34,7 @@ pub mod phase2;
 pub mod phase3;
 pub mod repair;
 
-pub use builder::{ConstructError, DownUp, DownUpRouting, PhaseSpans};
+pub use builder::{fill_tables, ConstructError, DownUp, DownUpRouting, PhaseSpans};
 pub use incremental::{
     plan_epochs_timeline_with, plan_epochs_with, EpochRepair, RepairStats, RepairStrategy,
 };

@@ -30,8 +30,10 @@ pub struct Neighborhood {
 ///
 /// # Errors
 ///
-/// Propagates [`TopologyError`] from sub-topology validation; with a
-/// connected input this cannot fail.
+/// [`TopologyError::ChannelOutOfRange`] when `topo` has no channel
+/// `center` (a one-switch fabric has none); otherwise propagates
+/// [`TopologyError`] from sub-topology validation, which cannot fail on a
+/// connected input.
 pub fn extract(
     topo: &Topology,
     center: ChannelId,
@@ -39,6 +41,12 @@ pub fn extract(
     max_nodes: usize,
 ) -> Result<Neighborhood, TopologyError> {
     let link = center / 2;
+    if link >= topo.num_links() {
+        return Err(TopologyError::ChannelOutOfRange {
+            channel: center,
+            num_channels: 2 * topo.num_links(),
+        });
+    }
     let (a, b) = topo.link(link);
     let max_nodes = max_nodes.max(2);
 
@@ -153,6 +161,25 @@ mod tests {
             };
             assert_eq!(nb.nodes[start_new as usize], a.min(b));
         }
+    }
+
+    #[test]
+    fn a_channel_the_fabric_lacks_is_an_error() {
+        let single = Topology::new(1, 4, []).unwrap();
+        assert_eq!(
+            extract(&single, 0, 2, 8).unwrap_err(),
+            TopologyError::ChannelOutOfRange {
+                channel: 0,
+                num_channels: 0
+            }
+        );
+        let topo = gen::random_irregular(gen::IrregularParams::paper(16, 4), 1).unwrap();
+        let past_end = 2 * topo.num_links();
+        assert!(matches!(
+            extract(&topo, past_end, 2, 8),
+            Err(TopologyError::ChannelOutOfRange { channel, .. }) if channel == past_end
+        ));
+        assert!(extract(&topo, past_end - 1, 2, 8).is_ok());
     }
 
     #[test]

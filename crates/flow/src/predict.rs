@@ -771,6 +771,27 @@ mod tests {
         assert_eq!(a.cluster_count, b.cluster_count);
     }
 
+    /// A one-switch fabric has no channel: the predictor has nothing to
+    /// probe or route, and must answer without panicking.
+    #[test]
+    fn a_channel_less_fabric_predicts_without_panicking() {
+        let topo = Topology::new(1, 4, []).unwrap();
+        let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+        assert_eq!(cg.num_channels(), 0);
+        let curve = predict(
+            &topo,
+            &tree,
+            &cg,
+            &table,
+            &base(),
+            &[0.1, 0.5],
+            7,
+            &quick_cfg(),
+        );
+        assert_eq!(curve.points.len(), 2);
+        assert_eq!(curve.representative_sims, 0);
+    }
+
     #[test]
     fn curve_shape_is_sane() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(32, 4), 1).unwrap();

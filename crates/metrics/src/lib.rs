@@ -16,8 +16,10 @@ pub mod plot;
 pub mod report;
 pub mod sweep;
 
-use irnet_baselines::{lturn, updown, BaselineError};
-use irnet_core::{ConstructError, DownUp, PhaseSpans};
+pub use irnet_baselines::TurnModel;
+use irnet_baselines::{lturn, updown};
+use irnet_core::{fill_tables, ConstructError, DownUp, PhaseSpans};
+use irnet_telemetry::{Span, Telemetry};
 use irnet_topology::{CommGraph, CoordinatedTree, PreorderPolicy, RootPolicy, Topology};
 use irnet_turns::{RoutingTables, TurnTable};
 
@@ -65,47 +67,39 @@ impl Algo {
         }
     }
 
-    /// Constructs the routing over `topo` using the coordinated-tree
+    /// The routing's turn model over `topo`, using the coordinated-tree
     /// `policy` (ignored by up\*/down\*, which has no preorder component)
-    /// and `seed` (used by the `M2` policy). A span guard times
-    /// construction in [`irnet_telemetry::current`]'s span tree as
-    /// `construction` (DOWN/UP's constructor opens it itself, with its
-    /// per-phase children).
+    /// and `seed` (used by the `M2` policy). Deadlock freedom and
+    /// connectivity follow from the turn table alone, so commands that
+    /// only check them build this and no routing tables. Records no
+    /// `construction` span: its callers time it as a stage of their own.
+    pub fn turns(
+        self,
+        topo: &Topology,
+        policy: PreorderPolicy,
+        seed: u64,
+    ) -> Result<TurnModel, ConstructError> {
+        self.turns_under(
+            topo,
+            policy,
+            seed,
+            &Telemetry::disabled().span("construction"),
+        )
+    }
+
+    /// The routing over `topo`: its turn model ([`Algo::turns`]) plus the
+    /// one table fill ([`fill_tables`]). Timed in
+    /// [`irnet_telemetry::current`]'s span tree as `construction`, with a
+    /// `tables` child (and DOWN/UP's `phase1`/`phase2`/`phase3`).
     pub fn construct(
         self,
         topo: &Topology,
         policy: PreorderPolicy,
         seed: u64,
-    ) -> Result<Instance, AlgoError> {
-        // DOWN/UP records its own `construction` span tree.
-        let span = (!matches!(self, Algo::DownUp { .. } | Algo::DownUpCenterRoot))
-            .then(|| irnet_telemetry::current().span("construction"));
-        let (tree, cg, table, tables) = match self {
-            Algo::DownUp { release } => DownUp::new()
-                .policy(policy)
-                .seed(seed)
-                .release(release)
-                .construct(topo)?
-                .into_parts(),
-            Algo::DownUpCenterRoot => DownUp::new()
-                .policy(policy)
-                .seed(seed)
-                .root(RootPolicy::Center)
-                .construct(topo)?
-                .into_parts(),
-            Algo::LTurn { release } => lturn::construct_with(
-                topo,
-                lturn::LTurnOptions {
-                    policy,
-                    seed,
-                    release,
-                },
-            )?
-            .into_parts(),
-            Algo::UpDownBfs => updown::construct_bfs(topo)?.into_parts(),
-            Algo::UpDownDfs => updown::construct_dfs(topo)?.into_parts(),
-        };
-        drop(span);
+    ) -> Result<Instance, ConstructError> {
+        let span = irnet_telemetry::current().span("construction");
+        let (tree, cg, table) = self.turns_under(topo, policy, seed, &span)?;
+        let tables = fill_tables(&cg, &table, &span)?;
         Ok(Instance {
             tree,
             cg,
@@ -114,43 +108,40 @@ impl Algo {
             spans: None,
         })
     }
+
+    /// [`Algo::turns`], with DOWN/UP's phases timed as children of `span`.
+    fn turns_under(
+        self,
+        topo: &Topology,
+        policy: PreorderPolicy,
+        seed: u64,
+        span: &Span,
+    ) -> Result<TurnModel, ConstructError> {
+        let downup = DownUp::new().policy(policy).seed(seed);
+        let phases = |builder: DownUp| -> Result<TurnModel, ConstructError> {
+            let (tree, cg, table, _) = builder.phases(topo, span)?;
+            Ok((tree, cg, table))
+        };
+        Ok(match self {
+            Algo::DownUp { release } => phases(downup.release(release))?,
+            Algo::DownUpCenterRoot => phases(downup.root(RootPolicy::Center))?,
+            Algo::LTurn { release } => {
+                let opts = lturn::LTurnOptions {
+                    policy,
+                    seed,
+                    release,
+                };
+                lturn::construct_with(topo, opts)?
+            }
+            Algo::UpDownBfs => updown::construct(topo, updown::TreeKind::Bfs)?,
+            Algo::UpDownDfs => updown::construct(topo, updown::TreeKind::Dfs)?,
+        })
+    }
 }
 
 impl std::fmt::Display for Algo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Construction error from any algorithm.
-#[derive(Debug)]
-pub enum AlgoError {
-    /// DOWN/UP construction failed.
-    Core(ConstructError),
-    /// Baseline construction failed.
-    Baseline(BaselineError),
-}
-
-impl std::fmt::Display for AlgoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AlgoError::Core(e) => e.fmt(f),
-            AlgoError::Baseline(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for AlgoError {}
-
-impl From<ConstructError> for AlgoError {
-    fn from(e: ConstructError) -> Self {
-        AlgoError::Core(e)
-    }
-}
-
-impl From<BaselineError> for AlgoError {
-    fn from(e: BaselineError) -> Self {
-        AlgoError::Baseline(e)
     }
 }
 
@@ -177,18 +168,20 @@ mod tests {
     use irnet_topology::gen;
     use irnet_turns::verify_routing;
 
+    const EVERY_ALGO: [Algo; 7] = [
+        Algo::DownUp { release: true },
+        Algo::DownUp { release: false },
+        Algo::DownUpCenterRoot,
+        Algo::LTurn { release: true },
+        Algo::LTurn { release: false },
+        Algo::UpDownBfs,
+        Algo::UpDownDfs,
+    ];
+
     #[test]
     fn every_algo_constructs_and_verifies() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(24, 4), 1).unwrap();
-        for algo in [
-            Algo::DownUp { release: true },
-            Algo::DownUp { release: false },
-            Algo::DownUpCenterRoot,
-            Algo::LTurn { release: true },
-            Algo::LTurn { release: false },
-            Algo::UpDownBfs,
-            Algo::UpDownDfs,
-        ] {
+        for algo in EVERY_ALGO {
             let inst = algo.construct(&topo, PreorderPolicy::M1, 0).unwrap();
             assert!(
                 verify_routing(&inst.cg, &inst.table).is_ok(),
@@ -203,5 +196,37 @@ mod tests {
             .unwrap();
         assert_eq!(center.tree.root(), RootPolicy::Center.pick(&mesh));
         assert_eq!(center.tree.root(), 4);
+    }
+
+    /// `construct` is `turns` plus the one table fill, for every algorithm,
+    /// and every algorithm times and sizes that fill the same way.
+    #[test]
+    fn construct_is_the_turn_model_plus_one_fill() {
+        for ports in [4u32, 8] {
+            for seed in 0..3 {
+                let topo =
+                    gen::random_irregular(gen::IrregularParams::paper(24, ports), seed).unwrap();
+                for algo in EVERY_ALGO {
+                    for policy in PreorderPolicy::ALL {
+                        let what = format!("{algo} {policy} {ports}p seed {seed}");
+                        let tel = Telemetry::enabled();
+                        let inst = tel.scope(|| algo.construct(&topo, policy, seed)).unwrap();
+                        let (tree, cg, table) = algo.turns(&topo, policy, seed).unwrap();
+                        let tables = RoutingTables::build(&cg, &table).unwrap();
+                        assert_eq!(inst.tree, tree, "{what}: tree");
+                        assert_eq!(inst.table, table, "{what}: turn table");
+                        assert_eq!(inst.tables, tables, "{what}: routing tables");
+                        let snap = tel.snapshot();
+                        assert_eq!(snap.span("construction").map(|s| s.count), Some(1));
+                        assert_eq!(snap.span("construction/tables").map(|s| s.count), Some(1));
+                        assert_eq!(
+                            snap.gauges["construction/table_bytes"],
+                            tables.heap_bytes() as f64,
+                            "{what}: table bytes"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

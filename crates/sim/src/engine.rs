@@ -1947,8 +1947,9 @@ mod tests {
     #[test]
     fn delivered_flits_are_multiples_of_progress() {
         let topo = gen::random_irregular(gen::IrregularParams::paper(12, 4), 2).unwrap();
-        let r = updown::construct_bfs(&topo).unwrap();
-        let stats = Simulator::new(r.comm_graph(), r.routing_tables(), quick_cfg(0.02), 3).run();
+        let (_, cg, table) = updown::construct(&topo, updown::TreeKind::Bfs).unwrap();
+        let rt = RoutingTables::build(&cg, &table).unwrap();
+        let stats = Simulator::new(&cg, &rt, quick_cfg(0.02), 3).run();
         assert!(!stats.deadlocked);
         // Every delivered packet contributes exactly packet_len flits, but
         // flit deliveries of in-flight packets also count; the inequality
@@ -1983,7 +1984,8 @@ mod tests {
                     (cg, rt)
                 },
                 {
-                    let (_, cg, _, rt) = lturn::construct(&topo).unwrap().into_parts();
+                    let (_, cg, table) = lturn::construct(&topo).unwrap();
+                    let rt = RoutingTables::build(&cg, &table).unwrap();
                     (cg, rt)
                 },
             ];
@@ -2105,7 +2107,8 @@ mod tests {
                 (cg, rt)
             }),
             ("lturn", {
-                let (_, cg, _, rt) = lturn::construct(&topo).unwrap().into_parts();
+                let (_, cg, table) = lturn::construct(&topo).unwrap();
+                let rt = RoutingTables::build(&cg, &table).unwrap();
                 (cg, rt)
             }),
         ];

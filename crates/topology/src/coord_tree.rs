@@ -114,7 +114,7 @@ impl RootPolicy {
 /// The root is the smallest node id (node 0) by default, matching §4.1;
 /// see [`CoordinatedTree::build_rooted`] and [`RootPolicy`] for
 /// alternatives.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordinatedTree {
     root: NodeId,
     policy: PreorderPolicy,

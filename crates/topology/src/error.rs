@@ -12,6 +12,13 @@ pub enum TopologyError {
         /// Number of switches in the network.
         num_nodes: u32,
     },
+    /// A channel id is out of range.
+    ChannelOutOfRange {
+        /// The offending channel id.
+        channel: u32,
+        /// Number of channels in the network (two per link).
+        num_channels: u32,
+    },
     /// A link connects a node to itself.
     SelfLoop {
         /// The node with the self-loop.
@@ -64,6 +71,13 @@ impl fmt::Display for TopologyError {
                     "node {node} out of range (network has {num_nodes} switches)"
                 )
             }
+            TopologyError::ChannelOutOfRange {
+                channel,
+                num_channels,
+            } => write!(
+                f,
+                "channel {channel} out of range (network has {num_channels} channels)"
+            ),
             TopologyError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
             TopologyError::DuplicateLink { a, b } => {
                 write!(f, "duplicate link between {a} and {b}")

@@ -71,7 +71,7 @@ pub mod prelude {
         analyze_timeline, analyze_topology, audit, AnalysisReport, AuditReport, Feasibility,
         Obstruction, Witness,
     };
-    pub use irnet_baselines::{lturn, updown, BaselineRouting};
+    pub use irnet_baselines::{lturn, updown, TurnModel};
     pub use irnet_core::{
         plan_epochs_timeline_with, plan_epochs_with, DownUp, DownUpRouting, EpochRepair,
         ReconfigEpoch, RepairStats, RepairStrategy,

@@ -171,7 +171,7 @@ fn lturn_unreleased(topo: &Topology, policy: PreorderPolicy) -> (CommGraph, Turn
         seed: 0,
         release: false,
     };
-    let (_, cg, table, _) = lturn::construct_with(topo, opts).unwrap().into_parts();
+    let (_, cg, table) = lturn::construct_with(topo, opts).unwrap();
     (cg, table)
 }
 
