@@ -16,7 +16,7 @@
 
 use crate::cluster::{ChannelClasses, Signature, IDLE_BUCKET};
 use crate::decompose::{Decomposer, Decomposition};
-use crate::edist::{convolve_rows, EDist, ROW};
+use crate::edist::{convolve_rows, unit_mixture, EDist, MixScratch, ROW};
 use crate::neighborhood::extract;
 use irnet_core::{DownUp, DownUpRouting};
 use irnet_sim::{ArrivalProcess, InjectionSampling, SimConfig, SimStats, Simulator};
@@ -249,6 +249,10 @@ pub struct FlowPredictor<'a> {
     route_convolutions: usize,
     /// Midpoint run pairs those convolutions binned.
     convolve_pairs: usize,
+    /// Keys the mixtures' rank selections sorted.
+    mixture_sorted_keys: usize,
+    /// The mixture's key buffers, reused by every query.
+    mix_scratch: MixScratch,
     /// Telemetry sink: [`irnet_telemetry::current`] when the predictor
     /// was built. Strictly observational.
     tel: Telemetry,
@@ -266,15 +270,16 @@ impl<'a> FlowPredictor<'a> {
     /// behavior — per-signature rep-sim hits/misses, route-convolution
     /// cache hits/misses, the convolutions run
     /// (`flow/route_convolutions`), the midpoint run pairs they binned
-    /// (`flow/convolve_pairs`) and the route trie's size
-    /// (`flow/route_trie_bytes`) — accumulates there as it serves
-    /// queries. The decomposition's work goes to the counters
-    /// `flow/decompose_dests` and `flow/decompose_channels` (channels
-    /// given a cost, summed over destinations), the clocks every probe and
-    /// representative sim steps to `flow/rep_sim_clocks`, the saturation
-    /// probe's decision to the `flow/sat_*` gauges, and the route sample's
-    /// size and longest route (hops) to the gauges `flow/routes` and
-    /// `flow/route_hops_max`.
+    /// (`flow/convolve_pairs`), the route trie's size
+    /// (`flow/route_trie_bytes`) and the keys each query's mixture sorted
+    /// (`flow/mixture_sorted_keys`, timed by the `flow/mixture` span) —
+    /// accumulates there as it serves queries. The decomposition's work
+    /// goes to the counters `flow/decompose_dests` and
+    /// `flow/decompose_channels` (channels given a cost, summed over
+    /// destinations), the clocks every probe and representative sim steps
+    /// to `flow/rep_sim_clocks`, the saturation probe's decision to the
+    /// `flow/sat_*` gauges, and the route sample's size and longest route
+    /// (hops) to the gauges `flow/routes` and `flow/route_hops_max`.
     pub fn build(
         topo: &'a Topology,
         tree: &'a CoordinatedTree,
@@ -335,6 +340,12 @@ impl<'a> FlowPredictor<'a> {
             routes[i] = dx.route(&row, s, t);
         }
         let routes: Vec<Vec<ChannelId>> = routes.into_iter().flatten().collect();
+        // Without a route no traffic flows, so none is accepted.
+        let sat_throughput = if routes.is_empty() {
+            0.0
+        } else {
+            sat_throughput
+        };
         tel.gauge("flow/routes").set(routes.len() as f64);
         tel.gauge("flow/route_hops_max")
             .set(routes.iter().map(Vec::len).max().unwrap_or(0) as f64);
@@ -358,11 +369,14 @@ impl<'a> FlowPredictor<'a> {
             route_cache_misses: 0,
             route_convolutions: 0,
             convolve_pairs: 0,
+            mixture_sorted_keys: 0,
+            mix_scratch: MixScratch::default(),
             tel,
         }
     }
 
-    /// The predicted saturation throughput (flits/node/clock).
+    /// The predicted saturation throughput (flits/node/clock); 0 without
+    /// a route.
     pub fn saturation(&self) -> f64 {
         self.sat_throughput
     }
@@ -407,27 +421,44 @@ impl<'a> FlowPredictor<'a> {
         self.convolve_pairs
     }
 
+    /// Midpoint keys the route mixtures put in order: each query's
+    /// selection sorts only the key-range buckets that hold one of its
+    /// 65 quantiles, at most 64 keys per route, and none when every
+    /// midpoint is the same.
+    pub fn mixture_sorted_keys(&self) -> usize {
+        self.mixture_sorted_keys
+    }
+
     /// Predicts one operating point. The first queries run one
     /// neighborhood flit sim per previously unseen channel signature;
     /// once the signature cache covers the requested load regime, a query
     /// costs only clustering and (cached) convolution.
+    ///
+    /// Without a route (a fabric without a channel) nothing is delivered,
+    /// as in the flit engine: accepted traffic 0 and NaN latencies.
     pub fn point(&mut self, rate: f64) -> FlowPoint {
         self.simulate_clusters(rate);
         let bases = self.route_bases(rate);
-        let route_dists: Vec<EDist> = bases
+        let mixture = self.tel.span("flow/mixture");
+        let parts = bases
             .iter()
-            .map(|&(node, shift)| EDist::from_row(self.trie.row(node)).affine(1.0, shift))
-            .collect();
-        let mix: Vec<(f64, &EDist)> = route_dists.iter().map(|d| (1.0, d)).collect();
-        let net = EDist::mixture(&mix).unwrap_or_else(|| EDist::constant(f64::from(self.plen)));
+            .map(|&(node, shift)| (self.trie.row(node), shift));
+        let net = unit_mixture(parts, &mut self.mix_scratch);
+        mixture.finish();
+        let latency = |f: fn(&EDist) -> f64| net.as_ref().map_or(f64::NAN, |(d, _)| f(d));
+        let sorted = net.as_ref().map_or(0, |&(_, sorted)| sorted);
+        self.mixture_sorted_keys += sorted;
+        self.tel
+            .counter("flow/mixture_sorted_keys")
+            .add(sorted as u64);
 
         let saturated = rate >= self.sat_throughput;
         FlowPoint {
             offered: rate,
             accepted: rate.min(self.sat_throughput),
-            mean_latency: net.mean(),
-            median_latency: net.quantile(0.5),
-            p99_latency: net.quantile(0.99),
+            mean_latency: latency(EDist::mean),
+            median_latency: latency(|d| d.quantile(0.5)),
+            p99_latency: latency(|d| d.quantile(0.99)),
             saturated,
         }
     }
@@ -772,24 +803,40 @@ mod tests {
     }
 
     /// A one-switch fabric has no channel: the predictor has nothing to
-    /// probe or route, and must answer without panicking.
+    /// probe or route, and must answer without panicking. It answers what
+    /// the flit engine reports there: nothing is delivered, so accepted
+    /// traffic is 0 and every latency NaN, and the saturation is 0.
     #[test]
     fn a_channel_less_fabric_predicts_without_panicking() {
         let topo = Topology::new(1, 4, []).unwrap();
-        let (tree, cg, table, _) = DownUp::new().construct_phases(&topo).unwrap();
+        let routing = DownUp::new().construct(&topo).unwrap();
+        let (tree, cg, table) = (routing.tree(), routing.comm_graph(), routing.turn_table());
         assert_eq!(cg.num_channels(), 0);
-        let curve = predict(
-            &topo,
-            &tree,
-            &cg,
-            &table,
-            &base(),
-            &[0.1, 0.5],
-            7,
-            &quick_cfg(),
-        );
+        let (rates, base) = ([0.1, 0.5], base());
+        let mut pred = FlowPredictor::build(&topo, tree, cg, table, &base, 7, &quick_cfg());
+        assert_eq!(pred.saturation(), 0.0);
+        let curve = pred.curve(&rates);
         assert_eq!(curve.points.len(), 2);
         assert_eq!(curve.representative_sims, 0);
+        assert_eq!(curve.sat_throughput, 0.0);
+        for (p, &rate) in curve.points.iter().zip(&rates) {
+            let cfg = SimConfig {
+                injection_rate: rate,
+                warmup_cycles: 100,
+                measure_cycles: 600,
+                ..base
+            };
+            let stats = Simulator::new(cg, routing.routing_tables(), cfg, 7).run();
+            assert_eq!(p.offered, rate);
+            assert_eq!(p.accepted.to_bits(), stats.accepted_traffic().to_bits());
+            assert_eq!(p.accepted, 0.0);
+            assert!(p.mean_latency.is_nan() && stats.avg_latency().is_nan());
+            for q in [0.5, 0.99] {
+                assert_eq!(stats.latency_quantile(q), None);
+            }
+            assert!(p.median_latency.is_nan() && p.p99_latency.is_nan());
+            assert!(p.saturated);
+        }
     }
 
     #[test]
@@ -965,5 +1012,8 @@ mod tests {
         // 1,219,825 bin updates where one per midpoint pair takes
         // 1,584 · 64² = 6,488,064 (18.8%).
         assert_eq!(pred.convolve_pairs(), 1_219_825);
+        // The 30 mixtures' rank selections sort 24,582 midpoint keys,
+        // where sorting all of them would take 30 · 48 · 64 = 92,160.
+        assert_eq!(pred.mixture_sorted_keys(), 24_582);
     }
 }

@@ -570,7 +570,8 @@ fn flow_build_counts_its_decomposition_work() {
 /// size counts every node's 65-value row and end mark and every child-map
 /// entry (16 bytes). A map by full multiset records the same hits and
 /// misses; convolving each missed multiset from scratch takes 785
-/// convolutions where the trie takes 597.
+/// convolutions where the trie takes 597. Each query's mixture is timed
+/// by one `flow/mixture` span and counts the keys it sorted.
 #[test]
 fn flow_queries_count_their_route_work() {
     let tel = Telemetry::enabled();
@@ -590,6 +591,11 @@ fn flow_queries_count_their_route_work() {
     // 888,483 bin updates, where one per midpoint pair would take
     // 597 · 64² = 2,445,312.
     assert_eq!(counter("flow/convolve_pairs"), 888_483);
+    // Each query mixes its 48 routes once, and the rank selection sorts
+    // only the key-range buckets that hold one of the 65 quantiles: 864
+    // keys, where sorting every midpoint would take 4 · 48 · 64 = 12,288.
+    assert_eq!(snap.span("flow/mixture").map(|s| s.count), Some(4));
+    assert_eq!(counter("flow/mixture_sorted_keys"), 864);
     let gauge = |name: &str| snap.gauges.get(name).copied();
     assert_eq!(gauge("flow/routes"), Some(48.0));
     assert_eq!(gauge("flow/route_hops_max"), Some(9.0));
